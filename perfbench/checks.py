@@ -21,8 +21,9 @@ own stated uncertainty:
   log-Sobolev value against the exact one, applied to the fitted slope.
 
 An estimator at least as exact as the current one (for example an exact
-log-Sobolev norm) stays inside these tolerances.  Reference values and the
-constants below are recorded in ``reference.json`` by ``record.py``.
+log-Sobolev norm) stays inside these tolerances.  Reference values are
+recorded in ``reference.json`` by ``record.py``; the value, target and
+tolerance of every checked number are kept with each run's result.
 """
 
 import csv
@@ -138,17 +139,23 @@ def read_outputs(workload, outdir, seed):
 
 
 def check(workload, outdir, seed, reference):
-    """Problems found in one run's outputs; an empty list means it passed."""
+    """Check one run's outputs; returns (problems, compared).
+
+    ``compared`` maps each headline number to its value, target and
+    tolerance.  An empty problem list means the run passed.
+    """
     report, problems = read_outputs(workload, outdir, seed)
     if report is None:
-        return problems
+        return problems, {}
     try:
         numbers = headline(workload, report)
         targets = tolerances(workload, numbers, reference)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return problems + [f"report lacks a headline number: {exc!r}"]
+        return problems + [f"report lacks a headline number: {exc!r}"], {}
+    compared = {}
     for name, (target, tol) in targets.items():
         value = numbers[name][0]
+        compared[name] = {"value": value, "target": target, "tolerance": tol}
         if not abs(value - target) <= tol:
             problems.append(f"{name} = {value!r} is not within {tol:.3g} of {target!r}")
-    return problems
+    return problems, compared

@@ -2,10 +2,10 @@
 
 Usage: child.py MODE ROOT CONFIG SEED OUTDIR RESULT_JSON
 
-MODE is ``setup`` (import the CLI and resolve the config, then stop),
-``run`` (the full ``ergomix run``) or ``trace`` (the full run with per-module
-spans).  The workload seed and the output directory go in as ``--set``
-overrides.  Stage times are CLOCK_MONOTONIC readings, which the parent
+MODE is ``run`` (the full ``ergomix run``), ``trace`` (the same run with
+per-module spans) or ``setup`` (the same command, stopped where
+``run_experiment`` would start).  The workload seed and the output directory
+go in as ``--set`` overrides.  Stage times are CLOCK_MONOTONIC readings, which the parent
 process compares with its own spawn time.  The exit code is the CLI's.
 """
 
@@ -13,6 +13,10 @@ import json
 import os
 import sys
 import time
+
+
+class ConfigResolved(Exception):
+    """Stops a ``setup`` run where the experiment would start."""
 
 
 def main():
@@ -30,40 +34,39 @@ def main():
     overrides = [f"seed={seed}", f"output_dir={outdir}"]
     result = {"import_s": times["imported"] - start, "times": times}
 
-    if mode == "setup":
-        with open(config) as handle:
-            cli.parse_config(handle.read(), overrides=overrides)
+    tracer = None
+    if mode == "trace":
+        from tracer import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+    parse, run = cli.parse_config, cli.run_experiment
+
+    def timed_parse(*args, **kwargs):
+        config_value = parse(*args, **kwargs)
         times["config_resolved"] = time.monotonic()
-        code = 0
-    else:
-        tracer = None
-        if mode == "trace":
-            from tracer import Tracer
+        return config_value
 
-            tracer = Tracer()
-            tracer.install()
-        parse, run = cli.parse_config, cli.run_experiment
+    def timed_run(*args, **kwargs):
+        if mode == "setup":
+            raise ConfigResolved
+        times["run_start"] = time.monotonic()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            times["run_end"] = time.monotonic()
 
-        def timed_parse(*args, **kwargs):
-            config_value = parse(*args, **kwargs)
-            times["config_resolved"] = time.monotonic()
-            return config_value
-
-        def timed_run(*args, **kwargs):
-            times["run_start"] = time.monotonic()
-            try:
-                return run(*args, **kwargs)
-            finally:
-                times["run_end"] = time.monotonic()
-
-        cli.parse_config, cli.run_experiment = timed_parse, timed_run
-        argv = ["run", config]
-        for override in overrides:
-            argv += ["--set", override]
+    cli.parse_config, cli.run_experiment = timed_parse, timed_run
+    argv = ["run", config]
+    for override in overrides:
+        argv += ["--set", override]
+    try:
         code = cli.main(argv)
-        times["done"] = time.monotonic()
-        if tracer is not None:
-            result["trace"] = tracer.export()
+    except ConfigResolved:
+        code = 0
+    times["done"] = time.monotonic()
+    if tracer is not None:
+        result["trace"] = tracer.export()
     result["code"] = code
     with open(result_path, "w") as handle:
         json.dump(result, handle)

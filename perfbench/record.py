@@ -3,24 +3,25 @@
 
 Usage, from the root of a source checkout:
 
-    python3 perfbench/record.py [--second-seed 1]
+    python3 perfbench/record.py
 
-Runs every workload once at its config's own seed, stores each headline
-number with its stated uncertainty in ``perfbench/reference.json``, then runs
-the output check on that run and on a run at the second seed and records both
-results.  Exits non-zero if any check fails.
+Runs every workload once at its config's own seed and stores each headline
+number with its stated uncertainty in ``perfbench/reference.json``.  It then
+runs the output check on that run and on a run at ``SECOND_SEED``, and records
+for both seeds the problems found and the tolerance of every checked number.
+Exits non-zero if any check fails.
 """
 
-import argparse
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 
 import checks
 import run as bench
+
+SECOND_SEED = 1
 
 
 def config_value(path, key):
@@ -33,61 +34,39 @@ def config_value(path, key):
     raise KeyError(f"{key} not set in {path}")
 
 
-def run_once(workload, seed, work, threads):
-    outdir = os.path.join(work, f"{workload}-{seed}")
-    config = os.path.join(bench.ROOT, bench.WORKLOADS[workload])
-    env = dict(os.environ, ERGOMIX_THREADS=str(threads))
-    cmd = [sys.executable, bench.CHILD, "run", bench.ROOT, config, str(seed), outdir, outdir + ".json"]
-    subprocess.run(cmd, cwd=bench.ROOT, env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
-    return outdir
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--second-seed", type=int, default=1)
-    args = parser.parse_args()
-    threads = min(2, os.cpu_count() or 1)
     os.makedirs(bench.OUT, exist_ok=True)
     work = tempfile.mkdtemp(dir=bench.OUT)
-    reference = {
-        "constants": {
-            "cat_entropy": checks.CAT_ENTROPY,
-            "z": checks.Z,
-            "float_slack": checks.FLOAT_SLACK,
-            "log_sobolev_rel_tol": checks.LOG_SOBOLEV_REL_TOL,
-            "rss_rel_tol": bench.RSS_REL_TOL,
-        },
-        "tolerances": checks.__doc__,
-        "environment": bench.environment(threads),
-        "workloads": {},
-        "verified": [],
-    }
+    reference = {"environment": bench.environment(), "workloads": {}, "verified": []}
     try:
         outdirs = {}
         for workload, config in bench.WORKLOADS.items():
-            seed = int(config_value(os.path.join(bench.ROOT, config), "seed"))
-            outdirs[workload] = (seed, run_once(workload, seed, work, threads))
-            report, problems = checks.read_outputs(workload, outdirs[workload][1], seed)
-            if problems:
-                raise SystemExit(f"{workload}: {problems}")
+            config_path = os.path.join(bench.ROOT, config)
+            seed = int(config_value(config_path, "seed"))
+            runner = bench.Runner(workload, seed, tempfile.mkdtemp(dir=work), None)
+            run = runner.spawn("run")
+            report, problems = checks.read_outputs(workload, run["outdir"], seed)
+            if run["problems"] or problems:
+                raise SystemExit(f"{workload}: {run['problems'] + problems}")
+            outdirs[workload] = (seed, run["outdir"])
             entry = {"seed": seed}
             entry.update({k: list(v) for k, v in checks.headline(workload, report).items()})
             if workload != "ruelle_cat":
-                amplitude = float(config_value(os.path.join(bench.ROOT, config), "amplitude"))
                 # space-time mean of |2 pi A cos| over a period of the alternating shear
-                entry["grad_l1_closed_form"] = 4.0 * amplitude
+                entry["grad_l1_closed_form"] = 4.0 * float(config_value(config_path, "amplitude"))
             reference["workloads"][workload] = entry
         for workload, (seed, outdir) in outdirs.items():
-            for checked_seed in (seed, args.second_seed):
-                if checked_seed != seed:
-                    outdir = run_once(workload, checked_seed, work, threads)
-                report, _ = checks.read_outputs(workload, outdir, checked_seed)
+            checked = [(seed, *checks.check(workload, outdir, seed, reference))]
+            runner = bench.Runner(workload, SECOND_SEED, tempfile.mkdtemp(dir=work), reference)
+            second = runner.spawn("run")
+            checked.append((SECOND_SEED, second["problems"], second.get("checked", {})))
+            for checked_seed, problems, compared in checked:
                 reference["verified"].append(
                     {
                         "workload": workload,
                         "seed": checked_seed,
-                        "problems": checks.check(workload, outdir, checked_seed, reference),
-                        "headline": checks.headline(workload, report),
+                        "problems": problems,
+                        "tolerances": {k: v["tolerance"] for k, v in compared.items()},
                     }
                 )
     finally:
@@ -95,10 +74,9 @@ def main():
     with open(checks.REFERENCE_PATH, "w") as handle:
         json.dump(reference, handle, indent=1)
         handle.write("\n")
-    failures = [v for v in reference["verified"] if v["problems"]]
     for item in reference["verified"]:
         print(item["workload"], item["seed"], item["problems"] or "ok")
-    return 1 if failures else 0
+    return 1 if any(item["problems"] for item in reference["verified"]) else 0
 
 
 if __name__ == "__main__":

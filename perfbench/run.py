@@ -14,19 +14,21 @@ nothing is written under ``runs/``.  Every run's outputs are checked
 failed.
 
 ``--trace 0`` reports the end-to-end metrics: ``setup_s`` (process start to
-resolved config, the median of three set-up-only processes plus every full
-run), ``run_s`` (wall time of ``run_experiment``), ``total_s`` (process start
-to report, series and resolved config written) and ``peak_rss_mb``, as
-medians over the full runs that fit in ``--seconds``.
+resolved config, over the full runs and the set-up runs that fill the time
+they leave), ``run_s`` (wall time of ``run_experiment``), ``total_s``
+(process start to report, series and resolved config written) and
+``peak_rss_mb``, as medians over the runs that fit in ``--seconds``.
 
 ``--trace 1`` makes one untraced run and two traced runs (``tracer.py``) and
-reports the per-layer metrics.  Exact counters must agree between the two
-traced runs and every span expected on the workload must record calls.  The
-spans, self times and tracing overhead (traced ``total_s`` minus the untraced
-one) are written to ``.perfbench/traces/``.
+reports the per-layer metrics; a layer the workload does not run reads 0.
+Exact counters must agree between the two traced runs and every span expected
+on the workload must record calls.  The spans, self times and tracing
+overhead (traced ``total_s`` minus the untraced one) are written to
+``.perfbench/traces/``.
 
-The last line of standard output is the JSON result; the environment and
-per-run samples go to ``.perfbench/results/``.
+The last line of standard output is the JSON result, with the units declared
+in ``BENCHMARK.json``; the environment, per-run samples and the value, target
+and tolerance of every checked number go to ``.perfbench/results/``.
 """
 
 import argparse
@@ -56,24 +58,22 @@ WORKLOADS = {
     "ruelle_cat": "configs/ruelle_cat.cfg",
     "mixing_alternating": "configs/mixing_alternating.cfg",
 }
-SETUP_PROBES = 3
-DEADLINE_S = 170.0  # a child still running this long after start is killed
+THREADS = min(2, os.cpu_count() or 1)  # ERGOMIX_THREADS of every run
+CHILD_TIMEOUT_S = 120.0  # a run still going this long after its spawn is killed
 RSS_REL_TOL = 0.03  # peak RSS of repeated runs: thread-pool timing moves it by ~1 MB
 
 
-def unit(metric):
-    if metric.endswith("_s"):
-        return "s"
-    if metric.endswith("_mb"):
-        return "MB"
-    if metric.endswith("cpu_per_wall"):
-        return "ratio"
-    if metric.endswith("bytes_written"):
-        return "bytes"
-    return "count"
+def declared_units():
+    """Metric name -> unit, for the end-to-end and the per-layer metrics."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        spec = json.load(handle)
+    return {
+        "end_to_end": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+        "per_layer": {m["name"]: m["unit"] for m in spec["per_layer"]},
+    }
 
 
-def environment(threads):
+def environment():
     commit = None
     if os.path.exists(os.path.join(ROOT, ".git")):
         probe = subprocess.run(
@@ -91,7 +91,7 @@ def environment(threads):
         "python": platform.python_version(),
         "numpy": metadata.version("numpy"),
         "scipy": metadata.version("scipy"),
-        "ERGOMIX_THREADS": threads,
+        "ERGOMIX_THREADS": THREADS,
         "git_commit": commit,
         "src_lines": src_lines,
     }
@@ -107,17 +107,18 @@ def summary(values):
 class Runner:
     """Spawns and checks the child processes of one benchmark invocation."""
 
-    def __init__(self, workload, seed, work, threads, reference):
+    def __init__(self, workload, seed, work, reference):
         self.workload = workload
         self.seed = seed
         self.work = work
         self.reference = reference
         self.config = os.path.join(ROOT, WORKLOADS[workload])
-        self.env = dict(os.environ, ERGOMIX_THREADS=str(threads))
-        self.deadline = time.monotonic() + DEADLINE_S
+        self.env = dict(os.environ, ERGOMIX_THREADS=str(THREADS))
         self.runs = []
 
     def spawn(self, mode):
+        """One fresh ergomix process; its outputs are checked unless there is
+        no reference yet."""
         tag = f"{mode}{len(self.runs)}"
         outdir = os.path.join(self.work, tag)
         result_path = outdir + ".json"
@@ -125,7 +126,7 @@ class Runner:
         with open(outdir + ".log", "w") as log:
             spawned = time.monotonic()
             proc = subprocess.Popen(cmd, cwd=ROOT, env=self.env, stdout=log, stderr=subprocess.STDOUT)
-            timer = threading.Timer(max(1.0, self.deadline - spawned), proc.kill)
+            timer = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
             timer.start()
             try:
                 _, status, usage = os.wait4(proc.pid, 0)
@@ -138,11 +139,13 @@ class Runner:
             "wall_s": time.monotonic() - spawned,
             "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "outdir": outdir,
             "problems": [],
         }
         self.runs.append(run)
         if proc.returncode != 0:
-            run["problems"].append(f"exit code {proc.returncode}")
+            killed = run["wall_s"] >= CHILD_TIMEOUT_S
+            run["problems"].append(f"exit code {proc.returncode}" + (" (timed out)" if killed else ""))
         try:
             with open(result_path) as handle:
                 child = json.load(handle)
@@ -155,8 +158,9 @@ class Runner:
                 run["trace"] = child.get("trace")
         except (OSError, ValueError, KeyError) as exc:
             run["problems"].append(f"no stage times: {exc!r}")
-        if mode != "setup" and not run["problems"]:
-            run["problems"] += checks.check(self.workload, outdir, self.seed, self.reference)
+        if mode != "setup" and self.reference is not None and not run["problems"]:
+            problems, run["checked"] = checks.check(self.workload, outdir, self.seed, self.reference)
+            run["problems"] += problems
         if run["problems"]:
             with open(outdir + ".log") as log:
                 tail = log.read()[-2000:]
@@ -165,19 +169,29 @@ class Runner:
 
 
 def untraced(runner, seconds):
+    """Full runs while the next one fits in ``seconds``, then set-up runs in
+    the time left.  A single set-up sample is noisy (the same imports read
+    1.5 to 2.5 s on a 2-CPU VM), so ``setup_s`` is the median of the set-up
+    times of all these runs."""
     started = time.monotonic()
-    probes = [runner.spawn("setup") for _ in range(SETUP_PROBES)]
+
+    def fits(wall_s):
+        return time.monotonic() - started + wall_s <= seconds
+
     full = []
-    while not full or time.monotonic() - started + full[-1]["wall_s"] <= seconds:
+    while not full or fits(full[-1]["wall_s"]):
         full.append(runner.spawn("run"))
         print(f"run {len(full)}: total_s={full[-1].get('total_s', float('nan')):.3f}", flush=True)
+    setup = []
+    while fits(setup[-1]["wall_s"] if setup else full[-1].get("setup_s", seconds)):
+        setup.append(runner.spawn("setup"))
     problems = []
     rss = [r["peak_rss_mb"] for r in full]
     rss_median = statistics.median(rss)
     if max(abs(v - rss_median) for v in rss) > RSS_REL_TOL * rss_median:
         problems.append(f"peak_rss_mb does not repeat within {RSS_REL_TOL:.0%}: {rss}")
     samples = {
-        "setup_s": [r["setup_s"] for r in probes + full if "setup_s" in r],
+        "setup_s": [r["setup_s"] for r in full + setup if "setup_s" in r],
         "run_s": [r["run_s"] for r in full if "run_s" in r],
         "total_s": [r["total_s"] for r in full if "total_s" in r],
         "peak_rss_mb": rss,
@@ -185,7 +199,7 @@ def untraced(runner, seconds):
     return {k: summary(v) for k, v in samples.items() if v}, problems
 
 
-def traced(runner):
+def traced(runner, units):
     base = runner.spawn("run")
     runs = [runner.spawn("trace"), runner.spawn("trace")]
     problems = []
@@ -201,7 +215,10 @@ def traced(runner):
     if len(per_run) < 2:
         return {}, problems + ["a traced run failed"], None
     first, second = per_run
-    exact = [k for k in first if unit(k) in ("count", "bytes")]
+    declared = set(units) - {"trace.overhead_s"}
+    if set(first) != declared:
+        problems.append(f"traced metrics differ from BENCHMARK.json: {sorted(set(first) ^ declared)}")
+    exact = [k for k in first if units.get(k) in ("count", "bytes")]
     differing = [k for k in exact if first[k] != second[k]]
     if differing:
         problems.append(f"exact counters differ between traced runs: {differing}")
@@ -240,15 +257,19 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {checks.REFERENCE_PATH}: {exc}", file=sys.stderr)
         return 2
-    threads = min(2, os.cpu_count() or 1)
-    env = environment(threads)
+    try:
+        units = declared_units()["per_layer" if args.trace else "end_to_end"]
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: cannot read the metrics of BENCHMARK.json: {exc!r}", file=sys.stderr)
+        return 2
+    env = environment()
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     work = os.path.join(OUT, "tmp", f"{tag}-{os.getpid()}")
     os.makedirs(work)
-    runner = Runner(args.workload, args.seed, work, threads, reference)
+    runner = Runner(args.workload, args.seed, work, reference)
     try:
         if args.trace:
-            values, problems, detail = traced(runner)
+            values, problems, detail = traced(runner, units)
             summaries = None
             if detail is not None:
                 os.makedirs(os.path.join(OUT, "traces"), exist_ok=True)
@@ -270,7 +291,7 @@ def main(argv=None):
         "environment": env,
         "problems": problems,
         "metrics": summaries or values,
-        "runs": [{k: v for k, v in r.items() if k != "trace"} for r in runner.runs],
+        "runs": [{k: v for k, v in r.items() if k not in ("trace", "outdir")} for r in runner.runs],
     }
     os.makedirs(os.path.join(OUT, "results"), exist_ok=True)
     with open(os.path.join(OUT, "results", tag + ".json"), "w") as handle:
@@ -282,7 +303,7 @@ def main(argv=None):
         "correct": failed == 0 and not problems,
         "attempted": len(runner.runs),
         "failed": failed,
-        "metrics": {k: {"value": v, "unit": unit(k)} for k, v in values.items()},
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()},
     }
     print(json.dumps(result))
     return 0
