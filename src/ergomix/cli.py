@@ -5,8 +5,9 @@ Subcommands:
   diagnose <gridfield-file> [--seed S] one-shot diagnostics of a saved grid
   catalog                              list field, map, and datum kinds
 
-Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error,
-3 internal numeric divergence.
+Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error
+(including an undersampled entropy or a fit window under 4 points), 3 any
+other package error, such as a numeric divergence; each prints one line.
 """
 
 import argparse
@@ -15,12 +16,7 @@ import sys
 
 from .config import default_radii, parse_config, render_config
 from .diagnostics import h_minus_one, log_sobolev, mixing_scale
-from .errors import (
-    ConfigError,
-    DegenerateCocycleError,
-    IntegrationDivergedError,
-    UndersampledError,
-)
+from .errors import ConfigError, ErgomixError, UndersampledError
 from .fields import FIELD_KINDS
 from .harness import run_experiment, write_json_atomic, write_series_csv_atomic, write_text_atomic
 from .maps import MAP_KINDS
@@ -63,11 +59,7 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     with open(args.config) as handle:
         text = handle.read()
-    try:
-        config = parse_config(text, overrides=args.overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    config = parse_config(text, overrides=args.overrides)
 
     resolved = render_config(config)
     print(resolved, end="")
@@ -75,15 +67,7 @@ def _cmd_run(args) -> int:
     if config.experiment == "diagnose":
         return _diagnose_path(config.grid_file, config.seed, config.kappa)
 
-    try:
-        payload, passed, series = run_experiment(config)
-    except (ConfigError, UndersampledError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (IntegrationDivergedError, DegenerateCocycleError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-
+    payload, passed, series = run_experiment(config)
     out = config.output_dir
     write_text_atomic(resolved, os.path.join(out, "resolved_config.cfg"))
     write_json_atomic(payload, os.path.join(out, f"{config.experiment}_report.json"))
@@ -141,10 +125,11 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return _diagnose_path(args.grid, args.seed, args.kappa)
         return _cmd_catalog()
-    except ConfigError as exc:
+    except (ConfigError, UndersampledError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (IntegrationDivergedError, DegenerateCocycleError) as exc:
+    except ErgomixError as exc:
+        # diverged integration, degenerate cocycle, singular orbits, bad fits
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 

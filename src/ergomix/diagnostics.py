@@ -35,8 +35,9 @@ class Partition:
         """Index of the cube containing each point (row-major over axes)."""
         points = np.asarray(points, dtype=float)
         side = 2**self.level
-        ix = np.floor(points[..., 0] * side).astype(np.int64)
-        iy = np.floor(points[..., 1] * side).astype(np.int64)
+        # modulo side: a coordinate that wrapped to exactly 1.0 is the point 0
+        ix = np.floor(points[..., 0] * side).astype(np.int64) & (side - 1)
+        iy = np.floor(points[..., 1] * side).astype(np.int64) & (side - 1)
         return ix * side + iy
 
 
@@ -209,22 +210,55 @@ def partition_entropy(weights) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def _orbit_codes(map_, partition, n, sample_count, rng):
+def _grouped_counts(values, counts, shift):
+    """Counts of the sorted distinct values summed over groups of equal value >> shift."""
+    prefixes = values >> np.uint64(shift)
+    starts = np.flatnonzero(np.concatenate(([True], prefixes[1:] != prefixes[:-1])))
+    return np.add.reduceat(counts, starts)
+
+
+def _orbit_codes(map_, partition, n, sample_count, rng, depths):
+    """Counts of the distinct depth-d orbit codes for each d in depths.
+
+    Each orbit is one uint64 code with 2 * level bits per step and step 0 in
+    the most significant bits, so code order is the lexicographic order of
+    the label sequences and every depth-d code is a right shift of the
+    depth-n one.  Before a shift would overflow 64 bits the codes are
+    replaced by their dense ranks, which keep that order.  Returns
+    {depth: counts}, each in ascending code order.
+    """
+    step_bits = 2 * partition.level
+    wanted = {int(d) for d in depths}
+    counts = {}
+
+    def read(values, tally, first, last):
+        # depths first..last were packed since the last re-rank
+        for depth in range(first, last + 1):
+            if depth in wanted:
+                counts[depth] = _grouped_counts(values, tally, step_bits * (last - depth))
+
     points = uniform_points(rng, sample_count)
-    labels = np.empty((sample_count, n), dtype=np.int64)
-    for t in range(n):
-        labels[:, t] = partition.labels(points)
-        if t < n - 1:
+    codes = np.zeros(sample_count, dtype=np.uint64)
+    bits, first = 0, 1
+    for depth in range(1, n + 1):
+        if bits + step_bits > 64:
+            values, ranks, tally = np.unique(codes, return_inverse=True, return_counts=True)
+            read(values, tally, first, depth - 1)
+            codes = ranks.astype(np.uint64)
+            bits, first = (len(values) - 1).bit_length(), depth
+        codes <<= np.uint64(step_bits)
+        codes |= partition.labels(points).astype(np.uint64)
+        bits += step_bits
+        if depth < n:
             points = map_.apply(points)
-    return labels
+    values, tally = np.unique(codes, return_counts=True)
+    read(values, tally, first, n)
+    return counts
 
 
-def _plugin_entropy(labels, depth):
-    sub = np.ascontiguousarray(labels[:, :depth])
-    view = sub.view([("", sub.dtype)] * depth)
-    _, counts = np.unique(view, return_counts=True)
-    p = counts / len(sub)
-    return float(-np.sum(p * np.log(p))), len(counts)
+def _plugin_entropy(counts, sample_count):
+    p = counts / sample_count
+    return float(-np.sum(p * np.log(p)))
 
 
 def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: int):
@@ -233,16 +267,27 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
     Orbit segments are coded by the dyadic partition; the plug-in joint
     entropies H_j over the trailing depths j = ceil(n/2) .. n grow linearly
     once transients die out, and the fitted slope estimates the entropy rate.
-    Returns (estimate, plug-in bias bound); raises UndersampledError when the
-    sample barely covers the observed codebook.
+
+    Each orbit is coded as one uint64 integer (2 * level bits per step) and
+    the codes are sorted once; every depth's counts are read off the sorted
+    codes by a right shift.  Codes wider than 64 bits are re-ranked densely
+    (np.unique) before the shift that would overflow, which keeps their
+    lexicographic order.  Memory is O(sample_count) words, not
+    O(sample_count * n).
+
+    Returns (estimate, plug-in bias bound, number of distinct depth-n codes);
+    raises UndersampledError when the sample barely covers the observed
+    codebook.
     """
     if n < 1:
         raise ErgomixError(f"n must be >= 1, got {n}")
     if sample_count < 1:
         raise ErgomixError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    labels = _orbit_codes(map_, partition, n, sample_count, rng)
-    h_full, codes_full = _plugin_entropy(labels, n)
+    start = (n + 1) // 2
+    depths = np.arange(start, n + 1)
+    counts = _orbit_codes(map_, partition, n, sample_count, rng, depths)
+    codes_full = len(counts[n])
     required = int(np.ceil(ENTROPY_GUARD_FACTOR * codes_full))
     if sample_count < required:
         raise UndersampledError(
@@ -250,21 +295,12 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
             f"{required} samples (factor {ENTROPY_GUARD_FACTOR}), got {sample_count}"
         )
     if n == 1:
-        return h_full, (codes_full - 1) / (2.0 * sample_count)
-    start = max(1, (n + 1) // 2)
-    if start == n:
-        start = n - 1
-    depths = np.arange(start, n + 1)
-    entropies = np.empty(len(depths))
-    code_counts = np.empty(len(depths), dtype=int)
-    for i, depth in enumerate(depths):
-        if depth == n:
-            entropies[i], code_counts[i] = h_full, codes_full
-        else:
-            entropies[i], code_counts[i] = _plugin_entropy(labels, depth)
+        h_full = _plugin_entropy(counts[n], sample_count)
+        return h_full, (codes_full - 1) / (2.0 * sample_count), codes_full
+    entropies = np.array([_plugin_entropy(counts[d], sample_count) for d in depths])
     slope = np.polyfit(depths, entropies, 1)[0]
-    bias_bound = (codes_full - code_counts[0]) / (2.0 * sample_count * (n - start))
-    return float(slope), float(bias_bound)
+    bias_bound = (codes_full - len(counts[start])) / (2.0 * sample_count * (n - start))
+    return float(slope), float(bias_bound), codes_full
 
 
 def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: int = 0) -> float:

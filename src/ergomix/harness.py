@@ -26,9 +26,9 @@ from .diagnostics import (
     mixing_scale,
     nu_log_bound,
 )
-from .errors import ErgomixError
+from .errors import ConfigError, ErgomixError
 from .fields import VelocityFieldSpec, grad_l1_time_average, make_field
-from .lyapunov import ensemble_spectrum, top_exponent_bound_gap
+from .lyapunov import ensemble_spectrum
 from .maps import make_map
 from .scalar import make_initial, scalar_series
 from .seeding import child_seed
@@ -39,15 +39,21 @@ STABILITY_FRACTION = 0.2
 TREND_ALPHA = 0.05
 
 
+def _require_fit_window(mask, burn_in):
+    count = np.count_nonzero(mask)
+    if count < 4:
+        raise ConfigError(
+            f"need at least 4 points after burn_in={burn_in}, got {count}; "
+            "raise horizon or lower burn_in_fraction"
+        )
+
+
 def fit_exponential_rate(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of -log(values) against time after burn_in."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = times >= burn_in
-    if np.count_nonzero(mask) < 4:
-        raise ErgomixError(
-            f"need at least 4 points after burn_in={burn_in}, got {np.count_nonzero(mask)}"
-        )
+    _require_fit_window(mask, burn_in)
     if np.any(values[mask] <= 0.0):
         raise ErgomixError("values must be positive for a log-linear rate fit")
     return float(np.polyfit(times[mask], -np.log(values[mask]), 1)[0])
@@ -58,10 +64,7 @@ def fit_linear_slope(times, values, burn_in: float = 0.0) -> float:
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = times >= burn_in
-    if np.count_nonzero(mask) < 4:
-        raise ErgomixError(
-            f"need at least 4 points after burn_in={burn_in}, got {np.count_nonzero(mask)}"
-        )
+    _require_fit_window(mask, burn_in)
     return float(np.polyfit(times[mask], values[mask], 1)[0])
 
 
@@ -106,12 +109,6 @@ class RuelleReport:
         payload.update(self.details)
         return payload
 
-    def summary(self):
-        return (
-            f"ruelle: entropy={self.entropy_estimate:.4f} (bias<={self.entropy_bias_bound:.4f}) "
-            f"sum_positive={self.sum_positive_exponents:.4f} pass={self.passed}"
-        )
-
 
 @dataclass
 class MixingReport:
@@ -147,13 +144,6 @@ class MixingReport:
         payload.update(self.details)
         return payload
 
-    def summary(self):
-        return (
-            f"mixing: beta={self.fitted_h_minus_one_rate:.4f} "
-            f"lsq_slope={self.fitted_log_sobolev_slope:.4f} "
-            f"lambda_int={self.lambda_max_integral:.4f} pass={self.pass_direction}"
-        )
-
 
 def _build_map(config: Config):
     if config.map.kind == "time_one_flow":
@@ -184,8 +174,9 @@ def run_lyapunov(config: Config):
     payload["exponent_sum"] = float(np.sum(report.mean_exponents))
     if config.map.kind == "time_one_flow":
         field = make_field(_field_spec(config))
-        gap = top_exponent_bound_gap(field, report)
-        payload["grad_l1_average"] = grad_l1_time_average(field)
+        grad_avg = grad_l1_time_average(field)
+        gap = grad_avg - report.lambda_max_integral  # as top_exponent_bound_gap
+        payload["grad_l1_average"] = grad_avg
         payload["top_exponent_bound_gap"] = gap
         passed = passed and gap >= -3.0 * float(report.stderr[0])
     passed = bool(passed)
@@ -197,7 +188,7 @@ def run_ruelle(config: Config) -> RuelleReport:
     """Entropy-rate vs positive-exponent-sum verification on one map."""
     map_ = _build_map(config)
     partition = Partition(config.level)
-    estimate, bias_bound = entropy_rate(
+    estimate, bias_bound, codes = entropy_rate(
         map_, partition, config.n, config.samples, child_seed(config.seed, "entropy")
     )
     nu_value = nu_log_bound(
@@ -220,6 +211,7 @@ def run_ruelle(config: Config) -> RuelleReport:
             "partition_level": config.level,
             "n": config.n,
             "samples": config.samples,
+            "entropy_codes": codes,
             "lambda_max_integral": lyap.lambda_max_integral,
             "seed": config.seed,
         },
@@ -349,40 +341,8 @@ def run_experiment(config: Config):
     raise ErgomixError(f"experiment {config.experiment!r} is not runnable here")
 
 
-def write_json_atomic(payload, path):
-    """Serialize to a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def write_series_csv_atomic(series: DiagnosticSeries, path):
-    """CSV with header t,h_minus_one,log_sobolev,mixing_scale; atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write("t,h_minus_one,log_sobolev,mixing_scale\n")
-            for row in zip(series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale):
-                handle.write(",".join(repr(v) for v in row) + "\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def write_text_atomic(text, path):
+def _write_atomic(text, path):
+    """Write text to a temp file in the target directory, then rename it over path."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -394,3 +354,21 @@ def write_text_atomic(text, path):
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+# The three public writers only render their text; perfbench/tracer.py wraps
+# each of them by name, so none of them calls another.
+def write_json_atomic(payload, path):
+    """Sorted, 2-space-indented JSON with a trailing newline."""
+    _write_atomic(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+
+
+def write_series_csv_atomic(series: DiagnosticSeries, path):
+    """CSV with header t,h_minus_one,log_sobolev,mixing_scale."""
+    rows = zip(series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale)
+    lines = ["t,h_minus_one,log_sobolev,mixing_scale"] + [",".join(repr(v) for v in row) for row in rows]
+    _write_atomic("\n".join(lines) + "\n", path)
+
+
+def write_text_atomic(text, path):
+    _write_atomic(text, path)

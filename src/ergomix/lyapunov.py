@@ -56,6 +56,7 @@ class LyapunovReport:
             "lambda_max_integral": self.lambda_max_integral,
             "sum_positive": self.sum_positive,
             "stderr": self.stderr.tolist(),
+            "skipped_samples": self.skipped_samples,
         }
 
 

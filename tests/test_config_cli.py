@@ -15,7 +15,7 @@ from ergomix.config import (
     parse_config,
     render_config,
 )
-from ergomix.errors import ConfigError
+from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import make_initial, sample_scalar, save_grid
 from ergomix.fields import VelocityFieldSpec, make_field
 
@@ -210,6 +210,31 @@ def test_cli_gate_failure_exits_1(tmp_path, monkeypatch):
     path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
     assert main(["run", path]) == 1
     assert (tmp_path / "o" / "ruelle_report.json").exists()
+
+
+def test_cli_short_fit_window_exits_2_without_traceback(tmp_path, capsys):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "mixing_alternating.cfg")
+    overrides = ["horizon=3", "resolution=32", f"output_dir={tmp_path / 'o'}"]
+    argv = ["run", config]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "need at least 4 points" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_other_package_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken_run(config):
+        raise ErgomixError("all samples hit the singular set")
+
+    monkeypatch.setattr("ergomix.cli.run_experiment", broken_run)
+    path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "numeric failure: all samples hit the singular set"
+    assert not (tmp_path / "o" / "ruelle_report.json").exists()
 
 
 def test_cli_catalog(capsys):

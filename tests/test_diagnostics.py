@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergomix.diagnostics import (
     Partition,
+    _orbit_codes,
+    _plugin_entropy,
     ball_averages,
     entropy_rate,
     h_minus_one,
@@ -19,6 +21,7 @@ from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.flow import time_one_map
 from ergomix.maps import make_map
 from ergomix.scalar import GridField, grid_nodes, make_initial, sample_scalar
+from ergomix.torus import uniform_points
 from tests.test_lyapunov import IdentityMap
 
 
@@ -249,19 +252,20 @@ def test_partition_labels_cover_all_cells():
 
 def test_entropy_rate_identity_is_zero():
     # codes never refine, so the block entropies are flat and the rate is 0
-    est, bias = entropy_rate(IdentityMap(), Partition(level=2), 8, 20_000, seed=0)
+    est, bias, codes = entropy_rate(IdentityMap(), Partition(level=2), 8, 20_000, seed=0)
     assert est == pytest.approx(0.0, abs=1e-12)
     assert bias >= 0.0
+    assert codes == Partition(level=2).cell_count
 
 
 def test_entropy_rate_cat_map_pesin_value():
     lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
-    est, bias = entropy_rate(make_map("cat"), Partition(level=4), 8, 1_000_000, seed=1)
+    est, bias, _ = entropy_rate(make_map("cat"), Partition(level=4), 8, 1_000_000, seed=1)
     assert abs(est - lam) <= 0.15 * lam
 
 
 def test_entropy_rate_baker_map():
-    est, bias = entropy_rate(make_map("baker"), Partition(level=4), 8, 200_000, seed=2)
+    est, bias, _ = entropy_rate(make_map("baker"), Partition(level=4), 8, 200_000, seed=2)
     assert abs(est - np.log(2.0)) <= 0.15 * np.log(2.0)
 
 
@@ -270,10 +274,47 @@ def test_entropy_rate_undersampled_error_names_requirement():
         entropy_rate(make_map("cat"), Partition(level=5), 8, 2_000, seed=3)
 
 
+def _structured_orbit_codes(map_, partition, n, sample_count, rng):
+    """Oracle coder: (samples, n) label rows, one structured np.unique per depth."""
+    points = uniform_points(rng, sample_count)
+    labels = np.empty((sample_count, n), dtype=np.int64)
+    for t in range(n):
+        labels[:, t] = partition.labels(points)
+        if t < n - 1:
+            points = map_.apply(points)
+    counts = {}
+    for depth in range(1, n + 1):
+        sub = np.ascontiguousarray(labels[:, :depth])
+        _, counts[depth] = np.unique(sub.view([("", sub.dtype)] * depth), return_counts=True)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "map_, level, n",
+    [
+        pytest.param(make_map("cat"), 4, 8, id="cat-64-bits"),
+        pytest.param(make_map("cat"), 5, 8, id="cat-80-bits"),
+        pytest.param(make_map("cat"), 12, 3, id="cat-72-bits"),
+        pytest.param(make_map("cat"), 8, 8, id="cat-128-bits-two-reranks"),
+        pytest.param(make_map("baker"), 4, 8, id="baker"),
+        pytest.param(IdentityMap(), 3, 8, id="identity"),
+    ],
+)
+def test_integer_orbit_codes_match_structured_oracle(map_, level, n):
+    samples = 50_000
+    partition = Partition(level=level)
+    depths = range(1, n + 1)
+    fast = _orbit_codes(map_, partition, n, samples, np.random.default_rng(7), depths)
+    oracle = _structured_orbit_codes(map_, partition, n, samples, np.random.default_rng(7))
+    for depth in depths:
+        assert np.array_equal(fast[depth], oracle[depth]), depth
+        assert _plugin_entropy(fast[depth], samples) == _plugin_entropy(oracle[depth], samples)
+
+
 def test_entropy_rate_monotone_in_n():
     part = Partition(level=2)
-    est4, bias4 = entropy_rate(make_map("cat"), part, 4, 400_000, seed=4)
-    est8, bias8 = entropy_rate(make_map("cat"), part, 8, 400_000, seed=4)
+    est4, bias4, _ = entropy_rate(make_map("cat"), part, 4, 400_000, seed=4)
+    est8, bias8, _ = entropy_rate(make_map("cat"), part, 8, 400_000, seed=4)
     assert est8 <= est4 + bias4 + bias8 + 1e-9
 
 
@@ -292,7 +333,7 @@ def test_nu_log_bound_grid_aligned_translation():
 
 
 def test_nu_log_bound_dominates_entropy_rate_for_cat():
-    est, bias = entropy_rate(make_map("cat"), Partition(level=5), 6, 600_000, seed=5)
+    est, bias, _ = entropy_rate(make_map("cat"), Partition(level=5), 6, 600_000, seed=5)
     nu = nu_log_bound(make_map("cat"), Partition(level=5), 64, seed=6)
     assert nu >= est - 2.0 * bias
 

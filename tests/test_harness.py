@@ -5,8 +5,8 @@ import pytest
 from scipy import special
 
 from ergomix.config import parse_config
-from ergomix.diagnostics import h_minus_one
-from ergomix.errors import ErgomixError
+from ergomix.diagnostics import DiagnosticSeries, h_minus_one
+from ergomix.errors import ConfigError, ErgomixError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.harness import (
     fit_exponential_rate,
@@ -16,6 +16,7 @@ from ergomix.harness import (
     run_regularity,
     run_ruelle,
     write_json_atomic,
+    write_series_csv_atomic,
 )
 from ergomix.scalar import make_initial, sample_scalar
 
@@ -48,8 +49,10 @@ def test_fit_exponential_rate_noisy_against_regression_oracle():
 
 
 def test_fit_exponential_rate_errors():
-    with pytest.raises(ErgomixError):
+    with pytest.raises(ConfigError, match="at least 4 points"):
         fit_exponential_rate([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
+    with pytest.raises(ConfigError, match="at least 4 points"):
+        fit_linear_slope([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
     with pytest.raises(ErgomixError):
         fit_exponential_rate(np.arange(6.0), [1.0, 0.5, 0.2, -0.1, 0.1, 0.1])
 
@@ -126,8 +129,10 @@ kind = cat
         "stderr",
         "nu_log_bound_value",
         "pass",
+        "entropy_codes",
     ):
         assert key in payload
+    assert 0 < payload["entropy_codes"] <= payload["samples"]
     json.dumps(payload)
 
 
@@ -268,3 +273,15 @@ def test_write_json_atomic_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
     write_json_atomic({"ok": 1}, str(target))
     assert json.loads(target.read_text()) == {"ok": 1}
+
+
+def test_write_series_csv_atomic_text(tmp_path):
+    series = DiagnosticSeries()
+    series.append(0.0, 0.5, 1.25, 0.5)
+    series.append(1.0, 0.1, 2.0, 0.125)
+    target = tmp_path / "series.csv"
+    write_series_csv_atomic(series, str(target))
+    assert target.read_text() == (
+        "t,h_minus_one,log_sobolev,mixing_scale\n0.0,0.5,1.25,0.5\n1.0,0.1,2.0,0.125\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]

@@ -134,7 +134,9 @@ def test_ensemble_report_json_fields():
         "lambda_max_integral",
         "sum_positive",
         "stderr",
+        "skipped_samples",
     }
+    assert payload["skipped_samples"] == 0
 
 
 def test_subadditive_trend_in_n():
@@ -217,6 +219,17 @@ def test_skip_counting_errors_when_excessive():
 
     with pytest.raises(ErgomixError):
         ensemble_spectrum(MostlySingular(), 1000, 3, seed=9)
+
+
+def test_skipped_samples_are_reported():
+    class RarelySingular(IdentityMap):
+        def singular_mask(self, points):
+            return np.asarray(points, dtype=float)[..., 0] < 0.005
+
+    report = ensemble_spectrum(RarelySingular(), 1000, 3, seed=9)
+    assert 0 < report.skipped_samples <= 10
+    assert report.to_json_dict()["skipped_samples"] == report.skipped_samples
+    assert len(report.per_sample_exponents) == 1000 - report.skipped_samples
 
 
 def test_invalid_n_rejected():
