@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config> [--set key=value ...]   run an experiment, write report + series
-  diagnose <gridfield-file> [--seed S] one-shot diagnostics of a saved grid
+  diagnose <gridfield-file>            one-shot diagnostics of a saved grid
   catalog                              list field, map, and datum kinds
 
 Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error
@@ -21,7 +21,6 @@ from .fields import FIELD_KINDS
 from .harness import run_experiment, write_json_atomic, write_series_csv_atomic, write_text_atomic
 from .maps import MAP_KINDS
 from .scalar import DATUM_KINDS, load_grid
-from .seeding import child_seed
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 1
@@ -46,7 +45,6 @@ def _build_parser():
 
     diag = sub.add_parser("diagnose", help="print diagnostics of a saved grid field")
     diag.add_argument("grid", help="grid stem or sidecar path written by the scalar module")
-    diag.add_argument("--seed", type=int, default=0, help="seed for the sampled diagnostics")
     diag.add_argument("--kappa", type=float, default=1.0 / 3.0)
 
     sub.add_parser("catalog", help="list available fields, maps, and initial data")
@@ -65,7 +63,7 @@ def _cmd_run(args) -> int:
     print(resolved, end="")
 
     if config.experiment == "diagnose":
-        return _diagnose_path(config.grid_file, config.seed, config.kappa)
+        return _diagnose_path(config.grid_file, config.kappa)
 
     payload, passed, series = run_experiment(config)
     out = config.output_dir
@@ -94,13 +92,13 @@ def _summary_line(experiment, payload, passed):
     )
 
 
-def _diagnose_path(path, seed, kappa) -> int:
+def _diagnose_path(path, kappa) -> int:
     if not os.path.exists(path) and not os.path.exists(path + ".json"):
         print(f"error: grid file not found: {path}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     grid = load_grid(path)
     h1 = h_minus_one(grid)
-    lsq = log_sobolev(grid, shell_samples=64, seed=child_seed(seed, "diagnose"))
+    lsq = log_sobolev(grid)
     mix = mixing_scale(grid, kappa, default_radii(grid.resolution))
     print(f"resolution = {grid.resolution}")
     print(f"time = {grid.time}")
@@ -123,7 +121,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "diagnose":
-            return _diagnose_path(args.grid, args.seed, args.kappa)
+            return _diagnose_path(args.grid, args.kappa)
         return _cmd_catalog()
     except (ConfigError, UndersampledError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -75,7 +75,6 @@ class Config:
     lyapunov_samples: int = 400
     lyapunov_n: int = 100
     probes_per_cell: int = 64
-    shell_samples: int = 64
     horizon: int = 20
     resolution: int = 512
     kappa: float = 1.0 / 3.0
@@ -130,7 +129,6 @@ _ROOT_KEYS = {
     "lyapunov_samples": (_parse_int, _int_range(1)),
     "lyapunov_n": (_parse_int, _int_range(1)),
     "probes_per_cell": (_parse_int, _int_range(16)),
-    "shell_samples": (_parse_int, _int_range(32)),
     "horizon": (_parse_int, _int_range(1)),
     "resolution": (_parse_int, _int_range(16)),
     "kappa": (_parse_float, _float_open(0.0, 1.0)),

@@ -1,9 +1,10 @@
 """Mixing and entropy diagnostics for grid scalars and torus maps.
 
 Fourier convention: rho_hat(k) = integral of rho(x) exp(-2 pi i k.x) dx,
-realized on the grid as fft2(values) / N^2.  The homogeneous H^-1 norm is
-sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2); with this convention
-sin(2 pi x) has norm 1/sqrt(2).
+realized on the grid as fft2(values) / N^2.  The grid diagnostics read its
+half, rfft2(values), computed once per grid as GridField.spectrum.  The
+homogeneous H^-1 norm is sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2);
+with this convention sin(2 pi x) has norm 1/sqrt(2).
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -59,80 +60,46 @@ class DiagnosticSeries:
 
 
 def h_minus_one(grid: GridField) -> float:
-    """Homogeneous H^-1 norm of the (mean-subtracted) grid scalar."""
+    """Homogeneous H^-1 norm of the (mean-subtracted) grid scalar.
+
+    Reads the half spectrum grid.spectrum; every column other than k_y = 0
+    and the Nyquist column of an even N stands for a conjugate pair and
+    counts twice.
+    """
     n = grid.resolution
-    coeffs = np.fft.fft2(grid.values) / n**2
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    coeffs = grid.spectrum / n**2
+    kx = np.fft.fftfreq(n, d=1.0 / n)
+    ky = np.fft.rfftfreq(n, d=1.0 / n)
+    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
     k2[0, 0] = 1.0  # k = 0 excluded below
     weight = np.abs(coeffs) ** 2 / k2
     weight[0, 0] = 0.0
+    weight[:, 1 : (n + 1) // 2] *= 2.0
     return float(np.sqrt(np.sum(weight)))
 
 
-def _shell_edges(resolution):
-    count = max(1, int(round(np.log2(LOG_SOBOLEV_OUTER_RADIUS * resolution))))
-    return np.geomspace(1.0 / resolution, LOG_SOBOLEV_OUTER_RADIUS, count + 1)
+def log_sobolev(grid: GridField) -> float:
+    """Squared homogeneous log-Sobolev norm, exact on the grid.
 
-
-def _shell_offsets(n, lo, hi, inclusive_hi):
-    """Lattice offsets with lo <= |delta|/n < hi (or <= hi on the last shell)."""
-    reach = int(np.floor(hi * n)) + 1
+    Computes the double Riemann sum over nodes x and lattice offsets
+    0 < |h| <= 1/5 of |rho(x + h) - rho(x)|^2 / |h|^2, the same sum as
+    log_sobolev_brute_force.  By Wiener-Khinchin the mean-square increment
+    at offset h is 2 (C(0) - C(h)), with the autocorrelation
+    C = irfft2(|rfft2 rho|^2) / N^2 of the mean-subtracted scalar, so one
+    inverse transform of the grid's spectrum gives every offset at once.
+    """
+    n = grid.resolution
+    power = np.abs(grid.spectrum) ** 2
+    power[0, 0] = 0.0  # the mean does not change any increment
+    autocorrelation = np.fft.irfft2(power, s=grid.values.shape) / n**2
+    reach = int(np.floor(LOG_SOBOLEV_OUTER_RADIUS * n))
     axis = np.arange(-reach, reach + 1)
     di, dj = np.meshgrid(axis, axis, indexing="ij")
-    dist = np.hypot(di, dj) / n
-    if inclusive_hi:
-        keep = (dist >= lo) & (dist <= hi)
-    else:
-        keep = (dist >= lo) & (dist < hi)
-    keep &= (di != 0) | (dj != 0)
-    return np.stack([di[keep], dj[keep]], axis=1)
-
-
-def log_sobolev(grid: GridField, shell_samples: int = 256, seed: int = 0) -> float:
-    """Squared homogeneous log-Sobolev norm by stratified offset integration.
-
-    The outer x-integral is the exact grid mean.  The inner integral over
-    offsets |h| in [1/N, 1/5] is stratified over logarithmic shells.  Sparse
-    shells (at most shell_samples lattice offsets) are summed exactly; dense
-    shells are estimated by uniform sampling with the shell's area weight
-    applied analytically and offsets snapped to the grid, so rho(x + h) is a
-    pure lookup either way.
-    """
-    if shell_samples < 32:
-        raise ConfigError(f"shell_samples must be >= 32, got {shell_samples}")
-    n = grid.resolution
-    values = grid.values
-    rng = np.random.default_rng(seed)
-    edges = _shell_edges(n)
-    cell_area = 1.0 / n**2
-
-    def mean_sq_increment(di, dj):
-        shifted = np.roll(values, (-di, -dj), axis=(0, 1))
-        return np.mean((shifted - values) ** 2)
-
-    total = 0.0
-    last = len(edges) - 2
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        offsets = _shell_offsets(n, lo, hi, inclusive_hi=(j == last))
-        if len(offsets) <= shell_samples:
-            # exact Riemann sum over this shell's lattice offsets
-            for di, dj in offsets:
-                dist2 = (di * di + dj * dj) / n**2
-                total += mean_sq_increment(di, dj) / dist2 * cell_area
-            continue
-        radii = np.sqrt(rng.uniform(lo**2, hi**2, shell_samples))
-        angles = rng.uniform(0.0, 2.0 * np.pi, shell_samples)
-        shifts = np.round(
-            np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1) * n
-        ).astype(int)
-        area = np.pi * (hi**2 - lo**2)
-        mean_f = 0.0
-        for di, dj in shifts:
-            dist2 = (di * di + dj * dj) / n**2
-            mean_f += mean_sq_increment(di, dj) / dist2
-        total += area * mean_f / shell_samples
-    return float(total)
+    dist2 = (di * di + dj * dj) / n**2
+    keep = (dist2 <= LOG_SOBOLEV_OUTER_RADIUS**2) & ((di != 0) | (dj != 0))
+    di, dj = di[keep], dj[keep]
+    increments = 2.0 * (autocorrelation[0, 0] - autocorrelation[di % n, dj % n])
+    return float(np.sum(increments / (di * di + dj * dj)))
 
 
 def log_sobolev_brute_force(grid: GridField) -> float:
@@ -164,9 +131,7 @@ def ball_averages(grid: GridField, radius: float):
     """Average of the scalar over the discrete ball of each grid node."""
     kernel = _ball_kernel(grid.resolution, radius)
     count = kernel.sum()
-    conv = np.fft.irfft2(
-        np.fft.rfft2(grid.values) * np.fft.rfft2(kernel), s=grid.values.shape
-    )
+    conv = np.fft.irfft2(grid.spectrum * np.fft.rfft2(kernel), s=grid.values.shape)
     return conv / count
 
 
@@ -187,15 +152,11 @@ def mixing_scale(grid: GridField, kappa: float, radii) -> float:
     if sup is None:
         sup = float(np.max(np.abs(grid.values)))
     threshold = kappa * sup
-    last_failure = -1
-    for i, r in enumerate(radii):
-        if np.max(np.abs(ball_averages(grid, r))) > threshold:
-            last_failure = i
-    if last_failure == len(radii) - 1:
-        return radii[-1]
-    if last_failure < 0:
-        return radii[0]
-    return radii[last_failure + 1]
+    # scan downward: the answer is the radius above the largest failing one
+    for i in range(len(radii) - 1, -1, -1):
+        if np.max(np.abs(ball_averages(grid, radii[i]))) > threshold:
+            return radii[min(i + 1, len(radii) - 1)]
+    return radii[0]
 
 
 def partition_entropy(weights) -> float:

@@ -62,9 +62,7 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     pts = wrap(np.asarray(points, dtype=float))
     if with_tangent:
         tangent = np.broadcast_to(np.eye(2), pts.shape + (2,)).copy()
-    if t0 == t1:
-        return (pts, tangent) if with_tangent else pts
-    segments = _segments(field, t0, t1)
+    segments = _segments(field, t0, t1) if t0 != t1 else []
     counts = _allocate_steps(segments, steps)
     for (a, b), count in zip(segments, counts):
         h = (b - a) / count
@@ -92,6 +90,8 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
                         "tangent entry exceeded 1e12; reduce the step size or the field amplitude"
                     )
             pts = wrap(pts + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
+    if not np.all(np.isfinite(pts)):
+        raise IntegrationDivergedError("a flow position is not finite; check the input points")
     return (pts, tangent) if with_tangent else pts
 
 

@@ -9,12 +9,12 @@ are reported and regression-baselined, never gated on target values.
 """
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import stats
 
 from .config import Config, default_radii, render_config
 from .diagnostics import (
@@ -68,17 +68,45 @@ def fit_linear_slope(times, values, burn_in: float = 0.0) -> float:
     return float(np.polyfit(times[mask], values[mask], 1)[0])
 
 
+def _student_t_sf(t: float, df: int) -> float:
+    """P(T > t) for Student's t with integer df >= 2.
+
+    Finite-series closed form of P(|T| < t) (Abramowitz and Stegun 26.7.3
+    for odd df, 26.7.4 for even df), exact for integer degrees of freedom.
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    odd = df % 2
+    term = total = 1.0
+    for k in range(1, (df - odd) // 2):
+        term *= math.cos(theta) ** 2 * (2 * k - 1 + odd) / (2 * k + odd)
+        total += term
+    if odd:
+        inside = (2.0 / math.pi) * (theta + math.sin(theta) * math.cos(theta) * total)
+    else:
+        inside = math.sin(theta) * total
+    return (1.0 - inside) / 2.0 if t >= 0 else (1.0 + inside) / 2.0
+
+
 def growth_trend_pvalue(times, values) -> float:
     """One-sided p-value for a positive linear trend over the whole series.
 
     Small p-values mean statistically significant growth; the boundedness
-    gates require p >= 0.05 (no detectable upward trend).
+    gates require p >= 0.05 (no detectable upward trend).  This is the
+    least-squares slope t-test with len(values) - 2 degrees of freedom
+    (scipy.stats.linregress with alternative="greater"), with the t tail in
+    closed form so that no run imports scipy.stats, a large and slow import.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(values) < 4 or np.ptp(values) < 1e-14:
         return 1.0
-    return float(stats.linregress(times, values, alternative="greater").pvalue)
+    dt = times - times.mean()
+    dv = values - values.mean()
+    r = float(np.sum(dt * dv) / np.sqrt(np.sum(dt * dt) * np.sum(dv * dv)))
+    r = min(max(r, -1.0), 1.0)
+    df = len(values) - 2
+    t = r * math.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+    return _student_t_sf(t, df)
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -236,12 +264,9 @@ def _series_pipeline(config: Config, resolution: int):
         }
     )
     l2_values = []
-    # one offset sample shared by the whole series: with common random
-    # offsets the time differences reflect the transport, not re-sampling
-    offset_seed = child_seed(config.seed, "log_sobolev", resolution)
     for grid in scalar_series(field, datum, config.horizon, resolution, config.steps_per_unit):
         h1 = h_minus_one(grid)
-        lsq = log_sobolev(grid, config.shell_samples, offset_seed)
+        lsq = log_sobolev(grid)
         mix = mixing_scale(grid, config.kappa, radii)
         series.append(grid.time, h1, lsq, mix)
         l2_values.append(grid.l2_norm())

@@ -12,6 +12,7 @@ the discontinuity lines of the two-valued catalog data.
 import json
 import os
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,11 @@ class GridField:
     time: float
     metadata: dict = dataclass_field(default_factory=dict)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft2 of the values, computed once per grid and shared by the diagnostics."""
+        return np.fft.rfft2(self.values)
+
     def l2_norm(self) -> float:
         return float(np.sqrt(np.mean(self.values**2)))
 
@@ -198,17 +204,40 @@ def save_grid(grid: GridField, stem: str):
 
 
 def load_grid(path: str) -> GridField:
-    """Load a grid saved by save_grid; accepts the stem or the .json sidecar."""
+    """Load a grid saved by save_grid; accepts the stem or the .json sidecar.
+
+    A sidecar that is not JSON, lacks a required key, names a dtype other
+    than '<f8', or points at a values file whose size is not 8 N^2 bytes
+    raises ConfigError.
+    """
     if path.endswith(".json"):
         sidecar_path = path
     elif path.endswith(".bin"):
         sidecar_path = path[: -len(".bin")] + ".json"
     else:
         sidecar_path = path + ".json"
-    with open(sidecar_path) as handle:
-        sidecar = json.load(handle)
+    try:
+        with open(sidecar_path) as handle:
+            sidecar = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable grid sidecar {sidecar_path}: {exc}")
+    if not isinstance(sidecar, dict):
+        raise ConfigError(f"grid sidecar {sidecar_path} is not a JSON object")
+    for key in ("resolution", "values_file", "time"):
+        if key not in sidecar:
+            raise ConfigError(f"grid sidecar {sidecar_path} lacks the key {key!r}")
     n = sidecar["resolution"]
-    values_path = os.path.join(os.path.dirname(sidecar_path), sidecar["values_file"])
+    if not isinstance(n, int) or n < 1:
+        raise ConfigError(f"grid sidecar {sidecar_path}: resolution {n!r} is not an integer >= 1")
+    if sidecar.get("dtype", "<f8") != "<f8":
+        raise ConfigError(f"grid sidecar {sidecar_path}: dtype {sidecar['dtype']!r} is not '<f8'")
+    values_path = os.path.join(os.path.dirname(sidecar_path), str(sidecar["values_file"]))
+    try:
+        size = os.path.getsize(values_path)
+    except OSError as exc:
+        raise ConfigError(f"unreadable grid values {values_path}: {exc}")
+    if size != 8 * n * n:
+        raise ConfigError(f"grid values {values_path} hold {size} bytes, not 8 N^2 = {8 * n * n}")
     values = np.fromfile(values_path, dtype="<f8").reshape(n, n)
     return GridField(
         resolution=n, values=values, time=sidecar["time"], metadata=sidecar.get("metadata", {})

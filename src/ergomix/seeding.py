@@ -12,9 +12,6 @@ _STREAMS = {
     "lyapunov": 1,
     "entropy": 2,
     "nu": 3,
-    "log_sobolev": 4,
-    "scalar": 5,
-    "diagnose": 6,
 }
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,7 +85,6 @@ valid_configs = st.builds(
     lyapunov_samples=st.integers(1, 5000),
     lyapunov_n=st.integers(1, 400),
     probes_per_cell=st.integers(16, 256),
-    shell_samples=st.integers(32, 1024),
     horizon=st.integers(1, 60),
     resolution=st.integers(16, 2048),
     kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
@@ -251,10 +252,47 @@ def test_cli_diagnose_roundtrip(tmp_path, capsys):
     )
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
-    assert main(["diagnose", stem, "--seed", "5"]) == 0
+    assert main(["diagnose", stem]) == 0
     out = capsys.readouterr().out
     assert "h_minus_one" in out
     assert main(["diagnose", str(tmp_path / "missing")]) == 2
+
+
+def test_cli_diagnose_bad_grid_exits_2_without_traceback(tmp_path, capsys):
+    grid = sample_scalar(
+        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 32
+    )
+    stem = str(tmp_path / "grid")
+    save_grid(grid, stem)
+    with open(stem + ".bin", "r+b") as handle:
+        handle.truncate(100)
+    assert main(["diagnose", stem]) == 2
+    with open(stem + ".json", "w") as handle:
+        handle.write('{"resolution": 32')
+    assert main(["diagnose", stem]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("config error: ") for line in err)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIG_DIR) if n.endswith(".cfg")))
+def test_shipped_config_parses_and_round_trips(name):
+    with open(os.path.join(CONFIG_DIR, name)) as handle:
+        config = parse_config(handle.read())
+    assert parse_config(render_config(config)) == config
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, ergomix.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cli_run_is_deterministic_across_thread_env(tmp_path, monkeypatch):
@@ -266,7 +304,6 @@ seed = 14
 horizon = 5
 resolution = 128
 steps_per_unit = 8
-shell_samples = 32
 lyapunov_samples = 20
 lyapunov_n = 5
 output_dir = {out}

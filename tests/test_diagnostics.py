@@ -64,19 +64,39 @@ def test_h_minus_one_is_absolutely_homogeneous():
     assert h_minus_one(scaled) == pytest.approx(2.5 * h_minus_one(base), rel=1e-12)
 
 
+def _h_minus_one_full_spectrum(grid):
+    # the full-fft2 formula the half-spectrum sum replaces
+    n = grid.resolution
+    coeffs = np.fft.fft2(grid.values) / n**2
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    k2[0, 0] = 1.0
+    weight = np.abs(coeffs) ** 2 / k2
+    weight[0, 0] = 0.0
+    return float(np.sqrt(np.sum(weight)))
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 17, 63])
+def test_h_minus_one_half_spectrum_matches_full_fft(resolution):
+    rng = np.random.default_rng(resolution)
+    for _ in range(3):
+        grid = GridField(resolution, rng.normal(size=(resolution, resolution)), 0.0, {})
+        assert h_minus_one(grid) == pytest.approx(_h_minus_one_full_spectrum(grid), rel=1e-12)
+
+
 # --- log_sobolev -----------------------------------------------------------
 
 
 def test_log_sobolev_constant_is_zero():
     grid = _grid_from_function(lambda p: np.ones(p.shape[:-1]), 64)
-    assert log_sobolev(grid, 64, seed=0) == 0.0
+    assert log_sobolev(grid) == 0.0
 
 
 def test_log_sobolev_quadratic_homogeneity():
     grid = _grid_from_function(lambda p: np.sin(2 * np.pi * p[..., 0]), 64)
     doubled = GridField(64, 2.0 * grid.values, 0.0, grid.metadata)
-    a = log_sobolev(grid, 64, seed=3)
-    b = log_sobolev(doubled, 64, seed=3)
+    a = log_sobolev(grid)
+    b = log_sobolev(doubled)
     assert b == pytest.approx(4.0 * a, rel=1e-12)
 
 
@@ -94,20 +114,20 @@ def test_log_sobolev_quadratic_homogeneity():
             64,
             steps_per_unit=16,
         ),
+        lambda: sample_scalar(
+            make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
+            make_initial("checkerboard", level=2),
+            2.0,
+            63,
+            steps_per_unit=16,
+        ),
     ],
-    ids=["sinusoid", "checkerboard", "advected"],
+    ids=["sinusoid", "checkerboard", "advected", "advected_odd"],
 )
 def test_log_sobolev_matches_brute_force(make_grid):
     grid = make_grid()
     exact = log_sobolev_brute_force(grid)
-    estimate = log_sobolev(grid, 256, seed=11)
-    assert abs(estimate - exact) <= 0.05 * exact
-
-
-def test_log_sobolev_rejects_few_samples():
-    grid = _grid_from_function(lambda p: np.sin(2 * np.pi * p[..., 0]), 64)
-    with pytest.raises(ConfigError):
-        log_sobolev(grid, 16, seed=0)
+    assert abs(log_sobolev(grid) - exact) <= 1e-12 * exact
 
 
 # --- mixing_scale ----------------------------------------------------------

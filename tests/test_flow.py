@@ -172,6 +172,14 @@ def test_divergence_is_reported():
         advect_cocycle(hot, np.array([0.3, 0.4]), 0.0, 1.0, 4)
 
 
+def test_nan_position_is_reported():
+    pts = np.array([[0.3, 0.4], [np.nan, 0.5]])
+    with pytest.raises(IntegrationDivergedError):
+        advect(ALTERNATING, pts, 1.0, 0.0, 16)
+    with pytest.raises(IntegrationDivergedError):
+        advect(ALTERNATING, pts, 0.0, 0.0, 16)
+
+
 def test_time_one_map_wraps_field():
     mapping = time_one_map(make_field(VelocityFieldSpec(kind="zero")), steps=16)
     x = np.array([0.123, 0.456])

@@ -72,6 +72,18 @@ def test_growth_trend_pvalue_flat_and_growing():
     assert growth_trend_pvalue(t, -t + 0.1 * rng.standard_normal(20)) > 0.5
 
 
+@pytest.mark.parametrize("length", [4, 5, 6, 7, 12, 21, 40])
+def test_growth_trend_pvalue_matches_scipy_linregress(length):
+    from scipy import stats
+
+    rng = np.random.default_rng(length)
+    t = np.arange(float(length))
+    for trend in (-0.3, -0.02, 0.0, 0.02, 0.3, 5.0):
+        values = trend * t + rng.standard_normal(length)
+        expected = stats.linregress(t, values, alternative="greater").pvalue
+        assert growth_trend_pvalue(t, values) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
 # --- ruelle experiment ------------------------------------------------------
 
 
@@ -165,7 +177,6 @@ seed = 6
 horizon = 6
 resolution = 64
 steps_per_unit = 8
-shell_samples = 32
 lyapunov_samples = 20
 lyapunov_n = 5
 
@@ -217,7 +228,6 @@ seed = 7
 horizon = 10
 resolution = 128
 steps_per_unit = 16
-shell_samples = 32
 lyapunov_samples = 50
 lyapunov_n = 50
 

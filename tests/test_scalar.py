@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,53 @@ def test_binary_round_trip(tmp_path):
     assert loaded.metadata["datum"]["sup_norm"] == 1.0
     also = load_grid(stem + ".json")
     assert np.array_equal(also.values, grid.values)
+
+
+def _saved_grid(tmp_path):
+    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
+    stem = str(tmp_path / "grid")
+    save_grid(grid, stem)
+    return stem
+
+
+def test_load_grid_rejects_truncated_values(tmp_path):
+    stem = _saved_grid(tmp_path)
+    with open(stem + ".bin", "r+b") as handle:
+        handle.truncate(100)
+    with pytest.raises(ConfigError, match="100 bytes"):
+        load_grid(stem)
+
+
+def test_load_grid_rejects_malformed_sidecar(tmp_path):
+    stem = _saved_grid(tmp_path)
+    with open(stem + ".json", "w") as handle:
+        handle.write('{"resolution": 32')
+    with pytest.raises(ConfigError, match="sidecar"):
+        load_grid(stem)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("resolution", None), ("values_file", None), ("time", None), ("resolution", 32.0), ("dtype", ">f4")],
+)
+def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
+    stem = _saved_grid(tmp_path)
+    with open(stem + ".json") as handle:
+        sidecar = json.load(handle)
+    if value is None:
+        del sidecar[key]
+    else:
+        sidecar[key] = value
+    with open(stem + ".json", "w") as handle:
+        json.dump(sidecar, handle)
+    with pytest.raises(ConfigError, match=key):
+        load_grid(stem)
+
+
+def test_spectrum_is_computed_once_per_grid():
+    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
+    assert grid.spectrum is grid.spectrum
+    assert np.array_equal(grid.spectrum, np.fft.rfft2(grid.values))
 
 
 def test_csv_export(tmp_path):
