@@ -20,9 +20,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ergomix.diagnostics import h_minus_one  # noqa: E402
 from ergomix.fields import VelocityFieldSpec, make_field  # noqa: E402
-from ergomix.flow import time_one_map  # noqa: E402
 from ergomix.harness import fit_exponential_rate  # noqa: E402
 from ergomix.lyapunov import ensemble_spectrum  # noqa: E402
+from ergomix.maps import TimeOneFlowMap  # noqa: E402
 from ergomix.scalar import make_initial, scalar_series  # noqa: E402
 
 AMPLITUDES = (0.35, 0.45, 0.65, 0.8, 0.95, 1.05, 1.25)
@@ -37,13 +37,10 @@ def sweep(resolution=256, horizon=20):
     for amp in AMPLITUDES:
         spec = VelocityFieldSpec(kind="alternating_shear", amplitude=amp, phases=PHASES)
         field = make_field(spec)
-        h1 = [
-            h_minus_one(grid)
-            for grid in scalar_series(field, datum, horizon, resolution, steps_per_unit=16)
-        ]
+        h1 = [h_minus_one(grid) for grid in scalar_series(field, datum, horizon, resolution)]
         times = np.arange(horizon + 1.0)
         beta = fit_exponential_rate(times, h1, burn_in)
-        lam = ensemble_spectrum(time_one_map(field, 16), 300, 100, seed=5).lambda_max_integral
+        lam = ensemble_spectrum(TimeOneFlowMap(field), 300, 100, seed=5).lambda_max_integral
         tail = np.array(h1)[times >= burn_in]
         strict = bool(np.all(np.diff(tail) < 0))
         print(f"{amp:<5} {lam:<8.4f} {beta:<8.4f} {h1[-1]:<8.4f} {strict}")

@@ -78,7 +78,6 @@ class Config:
     horizon: int = 20
     resolution: int = 512
     kappa: float = 1.0 / 3.0
-    steps_per_unit: int = 256
     burn_in_fraction: float = 0.2
     radii: tuple = ()
     grid_file: str = ""
@@ -132,7 +131,6 @@ _ROOT_KEYS = {
     "horizon": (_parse_int, _int_range(1)),
     "resolution": (_parse_int, _int_range(16)),
     "kappa": (_parse_float, _float_open(0.0, 1.0)),
-    "steps_per_unit": (_parse_int, _int_range(1)),
     "burn_in_fraction": (_parse_float, _float_closed(0.0, 0.9)),
     "radii": (_parse_floats, None),
     "grid_file": (str, None),

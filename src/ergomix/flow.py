@@ -5,7 +5,8 @@ RK4.  The integration interval is split at every crossing of a field time
 breakpoint, so no step straddles a switching time; within a step the field is
 queried at the step's midpoint time.  Catalog fields are constant in time
 between breakpoints, so this is exact in t, and leaves the classical order
-for the autonomous members.
+for the autonomous members.  ``VelocityField.rk4_steps`` gives the step
+count to use; one step per steady piece is exact for the shear members.
 
 Positions are wrapped to [0,1) after every full step; tangents live on the
 universal cover and are never wrapped.
@@ -96,6 +97,8 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
 
 
 def _dispatch(field, x, t0, t1, steps, with_tangent):
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         from .workers import run_chunked
@@ -108,21 +111,10 @@ def _dispatch(field, x, t0, t1, steps, with_tangent):
 
 def advect(field: VelocityField, x, t0: float, t1: float, steps: int):
     """RK4 approximation of the flow X(t1, t0, x); t1 < t0 gives the inverse flow."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
     return _dispatch(field, x, float(t0), float(t1), steps, with_tangent=False)
 
 
 def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int) -> CocycleState:
     """Jointly integrate position and tangent matrix along the trajectory."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
     pos, tangent = _dispatch(field, x, float(t0), float(t1), steps, with_tangent=True)
     return CocycleState(position=pos, tangent=tangent)
-
-
-def time_one_map(field: VelocityField, steps: int = 256):
-    """Wrap the field's period map X_1 as a MeasurePreservingMap."""
-    from .maps import TimeOneFlowMap
-
-    return TimeOneFlowMap(field, steps)

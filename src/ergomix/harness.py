@@ -176,7 +176,7 @@ class MixingReport:
 def _build_map(config: Config):
     if config.map.kind == "time_one_flow":
         field = make_field(_field_spec(config))
-        return make_map("time_one_flow", field=field, steps=config.steps_per_unit)
+        return make_map("time_one_flow", field=field)
     return make_map(config.map.kind)
 
 
@@ -260,11 +260,10 @@ def _series_pipeline(config: Config, resolution: int):
             "radii": list(radii),
             "field": _field_spec(config).__dict__ | {"phases": list(config.field.phases)},
             "datum": datum.metadata(),
-            "steps_per_unit": config.steps_per_unit,
         }
     )
     l2_values = []
-    for grid in scalar_series(field, datum, config.horizon, resolution, config.steps_per_unit):
+    for grid in scalar_series(field, datum, config.horizon, resolution):
         h1 = h_minus_one(grid)
         lsq = log_sobolev(grid)
         mix = mixing_scale(grid, config.kappa, radii)
@@ -291,7 +290,7 @@ def _mixing_report(config: Config, series: DiagnosticSeries) -> MixingReport:
     mix_rate = fit_exponential_rate(times, series.mixing_scale, burn_in)
     field = make_field(_field_spec(config))
     lyap = ensemble_spectrum(
-        make_map("time_one_flow", field=field, steps=config.steps_per_unit),
+        make_map("time_one_flow", field=field),
         config.lyapunov_samples,
         config.lyapunov_n,
         child_seed(config.seed, "lyapunov"),

@@ -108,11 +108,9 @@ class TimeOneFlowMap(MeasurePreservingMap):
 
     kind = "time_one_flow"
 
-    def __init__(self, field, steps=256):
-        if steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
+    def __init__(self, field):
         self.field = field
-        self.steps = steps
+        self.steps = field.rk4_steps(1.0)
 
     def apply(self, points):
         return flow.advect(self.field, points, 0.0, 1.0, self.steps)
@@ -128,7 +126,7 @@ class TimeOneFlowMap(MeasurePreservingMap):
         return state.position, state.tangent
 
 
-def make_map(kind, field=None, steps=256) -> MeasurePreservingMap:
+def make_map(kind, field=None) -> MeasurePreservingMap:
     """Construct a map by kind name; time_one_flow requires a field."""
     if kind == "cat":
         return CatMap()
@@ -137,5 +135,5 @@ def make_map(kind, field=None, steps=256) -> MeasurePreservingMap:
     if kind == "time_one_flow":
         if field is None:
             raise ConfigError("map kind time_one_flow requires a velocity field")
-        return TimeOneFlowMap(field, steps)
+        return TimeOneFlowMap(field)
     raise ConfigError(f"unknown map kind {kind!r}; valid kinds: {', '.join(MAP_KINDS)}")

@@ -137,7 +137,7 @@ def _check_resolution(resolution):
         raise ConfigError(f"grid resolution must be >= 16, got {resolution}")
 
 
-def sample_scalar(field, datum: InitialDatum, t: float, resolution: int, steps_per_unit: int = 256) -> GridField:
+def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> GridField:
     """Transported scalar at time t >= 0 on the N x N grid."""
     _check_resolution(resolution)
     if t < 0:
@@ -146,18 +146,17 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int, steps_p
     if t == 0:
         feet = nodes
     else:
-        steps = max(1, int(round(steps_per_unit * t)))
-        feet = advect(field, nodes, t, 0.0, steps)
+        feet = advect(field, nodes, t, 0.0, field.rk4_steps(t))
     values = datum.evaluate(feet).reshape(resolution, resolution)
     return GridField(
         resolution=resolution,
         values=values,
         time=float(t),
-        metadata={"datum": datum.metadata(), "field": _field_meta(field), "steps_per_unit": steps_per_unit},
+        metadata={"datum": datum.metadata(), "field": _field_meta(field)},
     )
 
 
-def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int, steps_per_unit: int = 256):
+def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
     """Yield GridFields at integer times 0..horizon.
 
     The backward feet are marched incrementally: by time periodicity the
@@ -167,10 +166,10 @@ def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int, ste
     _check_resolution(resolution)
     nodes = grid_nodes(resolution).reshape(-1, 2)
     feet = nodes
-    meta = {"datum": datum.metadata(), "field": _field_meta(field), "steps_per_unit": steps_per_unit}
+    meta = {"datum": datum.metadata(), "field": _field_meta(field)}
     for t in range(horizon + 1):
         if t > 0:
-            feet = advect(field, feet, 1.0, 0.0, steps_per_unit)
+            feet = advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0))
         values = datum.evaluate(feet).reshape(resolution, resolution)
         yield GridField(resolution=resolution, values=values, time=float(t), metadata=dict(meta))
 

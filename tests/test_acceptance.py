@@ -23,7 +23,7 @@ from ergomix.diagnostics import (
     maximal_ergodic,
 )
 from ergomix.fields import VelocityFieldSpec, grad_l1_time_average, make_field
-from ergomix.flow import advect_cocycle, time_one_map
+from ergomix.flow import advect_cocycle
 from ergomix.harness import (
     _series_pipeline,
     fit_exponential_rate,
@@ -32,7 +32,7 @@ from ergomix.harness import (
     run_ruelle,
 )
 from ergomix.lyapunov import ensemble_spectrum, finite_time_spectrum, top_exponent_bound_gap
-from ergomix.maps import make_map
+from ergomix.maps import TimeOneFlowMap, make_map
 from ergomix.scalar import grid_nodes, make_initial, sample_scalar
 from ergomix.cli import main
 
@@ -43,7 +43,6 @@ experiment = mixing
 seed = 20260809
 horizon = 20
 resolution = 512
-steps_per_unit = 16
 lyapunov_samples = 300
 lyapunov_n = 100
 
@@ -136,16 +135,16 @@ kind = baker
 
 def test_criterion_04_top_exponent_bound_across_catalog():
     cases = [
-        (VelocityFieldSpec(kind="zero"), 10, 8),
-        (VelocityFieldSpec(kind="constant", amplitude=1.0), 10, 8),
-        (VelocityFieldSpec(kind="steady_shear", amplitude=1.0), 200, 32),
-        (VelocityFieldSpec(kind="alternating_shear", amplitude=1.0), 60, 16),
-        (VelocityFieldSpec(kind="cellular", amplitude=1.0), 60, 32),
+        (VelocityFieldSpec(kind="zero"), 10),
+        (VelocityFieldSpec(kind="constant", amplitude=1.0), 10),
+        (VelocityFieldSpec(kind="steady_shear", amplitude=1.0), 200),
+        (VelocityFieldSpec(kind="alternating_shear", amplitude=1.0), 60),
+        (VelocityFieldSpec(kind="cellular", amplitude=1.0), 60),
     ]
     with _Budget(4, 120.0):
-        for spec, n, steps in cases:
+        for spec, n in cases:
             field = make_field(spec)
-            report = ensemble_spectrum(time_one_map(field, steps), 200, n, seed=103)
+            report = ensemble_spectrum(TimeOneFlowMap(field), 200, n, seed=103)
             gap = top_exponent_bound_gap(field, report)
             assert gap >= -3.0 * float(report.stderr[0]), spec.kind
             if spec.kind == "steady_shear":
@@ -172,7 +171,7 @@ def test_criterion_05_volume_preservation():
             state = advect_cocycle(field, pts, 0.0, 10.0, 2560)
             assert np.max(np.abs(np.linalg.det(state.tangent) - 1.0)) <= 1e-6, spec.kind
         for spec in det_cases + [VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)]:
-            mapping = time_one_map(make_field(spec), 256)
+            mapping = TimeOneFlowMap(make_field(spec))
             report = ensemble_spectrum(mapping, 200, 10, seed=105)
             sums = np.sum(report.per_sample_exponents, axis=1)
             assert np.max(np.abs(sums)) <= 1e-3, spec.kind
@@ -196,8 +195,8 @@ def test_criterion_07_log_sobolev_versus_brute_force():
     grids = [
         sample_scalar(zero, make_initial("sinusoid", wavevector=(1, 0)), 0.0, 64),
         sample_scalar(zero, make_initial("checkerboard", level=1), 0.0, 64),
-        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 64, steps_per_unit=16),
-        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 63, steps_per_unit=16),
+        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 64),
+        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 63),
     ]
     with _Budget(7, 120.0):
         for grid in grids:
@@ -266,7 +265,6 @@ experiment = mixing
 seed = 108
 horizon = 6
 resolution = 128
-steps_per_unit = 8
 lyapunov_samples = 50
 lyapunov_n = 10
 output_dir = {out}

@@ -38,7 +38,6 @@ def test_minimal_config_materializes_documented_defaults():
     assert config.resolution == 512
     assert config.horizon == 20
     assert config.kappa == pytest.approx(1.0 / 3.0)
-    assert config.steps_per_unit == 256
     assert config.seed == 11
     assert config.field.kind == "alternating_shear"
     assert config.field.amplitude == 1.0
@@ -88,7 +87,6 @@ valid_configs = st.builds(
     horizon=st.integers(1, 60),
     resolution=st.integers(16, 2048),
     kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
-    steps_per_unit=st.integers(1, 512),
     burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
     radii=st.lists(st.floats(1e-3, 0.5, allow_nan=False), max_size=4).map(tuple),
     grid_file=st.just(""),
@@ -183,7 +181,6 @@ experiment = lyapunov
 seed = 13
 n = 2
 samples = 10
-steps_per_unit = 4
 output_dir = {out}
 
 [map]
@@ -303,7 +300,6 @@ experiment = mixing
 seed = 14
 horizon = 5
 resolution = 128
-steps_per_unit = 8
 lyapunov_samples = 20
 lyapunov_n = 5
 output_dir = {out}

@@ -18,8 +18,7 @@ from ergomix.diagnostics import (
 )
 from ergomix.errors import ConfigError, ErgomixError, UndersampledError
 from ergomix.fields import VelocityFieldSpec, make_field
-from ergomix.flow import time_one_map
-from ergomix.maps import make_map
+from ergomix.maps import TimeOneFlowMap, make_map
 from ergomix.scalar import GridField, grid_nodes, make_initial, sample_scalar
 from ergomix.torus import uniform_points
 from tests.test_lyapunov import IdentityMap
@@ -112,14 +111,12 @@ def test_log_sobolev_quadratic_homogeneity():
             make_initial("checkerboard", level=2),
             2.0,
             64,
-            steps_per_unit=16,
         ),
         lambda: sample_scalar(
             make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
             make_initial("checkerboard", level=2),
             2.0,
             63,
-            steps_per_unit=16,
         ),
     ],
     ids=["sinusoid", "checkerboard", "advected", "advected_odd"],
@@ -197,7 +194,6 @@ def test_mixing_scale_monotone_in_kappa():
         make_initial("checkerboard", level=2),
         2.0,
         128,
-        steps_per_unit=16,
     )
     radii = sorted(0.4 / 2**k for k in range(7))
     results = [mixing_scale(grid, kappa, radii) for kappa in (0.15, 0.3, 0.5, 0.7)]
@@ -348,7 +344,7 @@ def test_nu_log_bound_identity():
 def test_nu_log_bound_grid_aligned_translation():
     # constant field translating by exactly one cell width maps cube onto cube
     field = make_field(VelocityFieldSpec(kind="constant", amplitude=2**-4))
-    mapping = time_one_map(field, steps=8)
+    mapping = TimeOneFlowMap(field)
     assert nu_log_bound(mapping, Partition(level=4), 16, seed=1) == 0.0
 
 

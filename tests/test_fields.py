@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from ergomix.errors import ConfigError
 from ergomix.fields import (
     FIELD_KINDS,
     VelocityFieldSpec,
+    _gauss2_nodes,
     grad_l1_time_average,
     make_field,
     spectral_norm_2x2,
@@ -99,11 +100,15 @@ def test_steady_shear_is_x_independent():
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(0.9999999999999999, 0.5, 0.25)
 @settings(max_examples=100, deadline=None)
 def test_alternating_shear_periodicity_property(t, x, y):
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.9, phases=(0.1, 0.6)))
     p = np.array([x, y])
-    assert np.allclose(field.velocity(t + 1.0, p), field.velocity(t, p), atol=1e-12)
+    # s and s - 1.0 are exactly one period apart; t and t + 1.0 need not be
+    # (t + 1.0 rounds to 2.0 at t = 0.9999999999999999)
+    s = t + 1.0
+    assert np.allclose(field.velocity(s, p), field.velocity(s - 1.0, p), atol=1e-12)
 
 
 # --- gradient average ------------------------------------------------------
@@ -120,28 +125,45 @@ def test_grad_l1_steady_shear_quadrature_oracle():
     assert err < 1e-10
     assert oracle == pytest.approx(4.0, abs=1e-9)
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-    value = grad_l1_time_average(field, space_points=1024, time_points=16)
+    value = grad_l1_time_average(field, space_points=1024)
     assert value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_grad_l1_alternating_shear_scales_with_amplitude():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.7))
-    value = grad_l1_time_average(field, space_points=512, time_points=16)
+    value = grad_l1_time_average(field, space_points=512)
     assert value == pytest.approx(4.0 * 1.7, abs=1e-6)
 
 
 def test_grad_l1_cellular_closed_form():
     # |grad b| = 2 pi w A (|cos X cos Y| + |sin X sin Y|), integral = 16 w A / pi
     field = make_field(VelocityFieldSpec(kind="cellular", amplitude=1.3, wavenumber=2))
-    value = grad_l1_time_average(field, space_points=512, time_points=16)
+    value = grad_l1_time_average(field, space_points=512)
     assert value == pytest.approx(16.0 * 2 * 1.3 / np.pi, rel=1e-6)
+
+
+GRAD_L1_SPECS = [
+    VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
+    VelocityFieldSpec(kind="steady_shear", amplitude=1.0),
+    VelocityFieldSpec(kind="cellular", amplitude=1.3, wavenumber=2),
+]
+
+
+@pytest.mark.parametrize("spec", GRAD_L1_SPECS, ids=[s.kind for s in GRAD_L1_SPECS])
+def test_grad_l1_exact_time_integral_matches_time_quadrature(spec):
+    # oracle: the spatial mean at two Gauss-Legendre nodes on each of 16 time cells
+    field = make_field(spec)
+    xs = _gauss2_nodes(64)
+    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+    oracle = np.mean([np.mean(spectral_norm_2x2(field.gradient(t, grid))) for t in _gauss2_nodes(16)])
+    assert grad_l1_time_average(field, space_points=64) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_grad_l1_converges_at_first_order_or_better():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
     errors = []
     for cells in (20, 40, 80):
-        errors.append(abs(grad_l1_time_average(field, space_points=cells, time_points=16) - 4.0))
+        errors.append(abs(grad_l1_time_average(field, space_points=cells) - 4.0))
     assert errors[1] <= errors[0] / 2.0
     assert errors[2] <= errors[1] / 2.0
 
@@ -149,7 +171,7 @@ def test_grad_l1_converges_at_first_order_or_better():
 def test_grad_l1_rejects_coarse_quadrature():
     field = make_field(VelocityFieldSpec(kind="zero"))
     with pytest.raises(ConfigError):
-        grad_l1_time_average(field, space_points=8, time_points=16)
+        grad_l1_time_average(field, space_points=8)
 
 
 def test_spectral_norm_closed_form_matches_svd():

@@ -3,7 +3,8 @@ import pytest
 
 from ergomix.errors import IntegrationDivergedError
 from ergomix.fields import VelocityFieldSpec, make_field
-from ergomix.flow import advect, advect_cocycle, time_one_map
+from ergomix.flow import advect, advect_cocycle
+from ergomix.maps import TimeOneFlowMap
 from ergomix.torus import distance
 
 STEADY = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
@@ -124,7 +125,7 @@ def test_exponent_sum_vanishes_on_long_horizon():
     from ergomix.lyapunov import ensemble_spectrum
 
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-    mapping = time_one_map(field, steps=256)
+    mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 200, 10, seed=17)
     sums = np.sum(report.per_sample_exponents, axis=1)
     assert np.max(np.abs(sums)) <= 1e-3
@@ -158,6 +159,46 @@ def test_alternating_shear_integrates_exactly_at_coarse_steps():
     assert np.max(distance(coarse, fine)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "t0,t1,steps", [(0.25, 1.75, 5), (0.25, 1.75, 7), (0.3, 1.9, 5), (0.0, 2.0, 6), (0.0, 2.0, 10)]
+)
+def test_steps_straddling_integer_times_match_composition(t0, t1, steps):
+    # alternating_shear also switches at integer times; a step across t = 1
+    # must not integrate both sides with one piece
+    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+    pts = np.random.default_rng(11).random((200, 2))
+    composed = advect(field, advect(field, pts, t0, 1.0, 512), 1.0, t1, 512)
+    assert np.max(distance(advect(field, pts, t0, t1, steps), composed)) < 1e-11
+    assert np.max(distance(advect(field, composed, t1, t0, steps), pts)) < 1e-11
+
+
+SHEAR_SPECS = [
+    VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41))
+    for kind in ("zero", "constant", "steady_shear", "alternating_shear")
+]
+# off the breakpoints, across integer and half-integer times, both directions
+EXACT_INTERVALS = [(0.3, 2.7), (2.7, 0.3), (0.8, 1.2), (1.45, 0.55), (0.0, 1.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("spec", SHEAR_SPECS, ids=[s.kind for s in SHEAR_SPECS])
+def test_shear_members_one_step_per_piece_matches_fine_rk4(spec):
+    field = make_field(spec)
+    pts = np.random.default_rng(12).random((300, 2))
+    for t0, t1 in EXACT_INTERVALS:
+        steps = field.rk4_steps(t1 - t0)
+        assert steps == 1
+        fine = int(512 * abs(t1 - t0))
+        state = advect_cocycle(field, pts, t0, t1, steps)
+        reference = advect_cocycle(field, pts, t0, t1, fine)
+        assert np.max(distance(advect(field, pts, t0, t1, steps), reference.position)) < 1e-11
+        assert np.max(distance(state.position, reference.position)) < 1e-11
+        # relative Frobenius error; |W| reaches ~240 over [0.3, 2.7] and the
+        # 1228-step reference's own roundoff then reaches ~4e-12
+        scale = np.linalg.norm(reference.tangent, axis=(-2, -1))
+        error = np.linalg.norm(state.tangent - reference.tangent, axis=(-2, -1))
+        assert np.max(error / scale) < 1e-10
+
+
 def test_positions_bitwise_equal_with_and_without_tangent():
     rng = np.random.default_rng(9)
     pts = rng.random((64, 2))
@@ -181,10 +222,11 @@ def test_nan_position_is_reported():
 
 
 def test_time_one_map_wraps_field():
-    mapping = time_one_map(make_field(VelocityFieldSpec(kind="zero")), steps=16)
+    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="zero")))
     x = np.array([0.123, 0.456])
     assert np.array_equal(mapping.apply(x), x)
-    mapping = time_one_map(STEADY, steps=64)
+    mapping = TimeOneFlowMap(STEADY)
+    assert mapping.steps == 1 and TimeOneFlowMap(CELLULAR).steps == 256
     rng = np.random.default_rng(10)
     pts = rng.random((50, 2))
     expected = np.stack([(pts[:, 0] + np.sin(2 * np.pi * pts[:, 1])) % 1.0, pts[:, 1]], axis=1)

@@ -97,7 +97,6 @@ level = 2
 samples = 50000
 lyapunov_samples = 30
 lyapunov_n = 5
-steps_per_unit = 8
 
 [map]
 kind = time_one_flow
@@ -176,7 +175,6 @@ experiment = mixing
 seed = 6
 horizon = 6
 resolution = 64
-steps_per_unit = 8
 lyapunov_samples = 20
 lyapunov_n = 5
 
@@ -214,7 +212,7 @@ def test_steady_shear_h_minus_one_matches_bessel_oracle():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
     datum = make_initial("sinusoid", wavevector=(1, 0))
     for t in (1.0, 2.0, 5.0):
-        grid = sample_scalar(field, datum, t, 256, steps_per_unit=32)
+        grid = sample_scalar(field, datum, t, 256)
         ms = np.arange(-80, 81)
         oracle = np.sqrt(np.sum(special.jv(ms, 2 * np.pi * t) ** 2 / (2.0 * (1.0 + ms**2))))
         assert h_minus_one(grid) == pytest.approx(oracle, rel=1e-3)
@@ -227,7 +225,6 @@ experiment = mixing
 seed = 7
 horizon = 10
 resolution = 128
-steps_per_unit = 16
 lyapunov_samples = 50
 lyapunov_n = 50
 

@@ -5,7 +5,6 @@ import pytest
 
 from ergomix.errors import ErgomixError
 from ergomix.fields import VelocityFieldSpec, make_field
-from ergomix.flow import time_one_map
 from ergomix.lyapunov import (
     DegenerateSpectrumWarning,
     ensemble_spectrum,
@@ -13,7 +12,7 @@ from ergomix.lyapunov import (
     oseledets_filtration,
     top_exponent_bound_gap,
 )
-from ergomix.maps import MeasurePreservingMap, make_map
+from ergomix.maps import MeasurePreservingMap, TimeOneFlowMap, make_map
 
 CAT_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -103,7 +102,7 @@ def test_constant_cocycle_invariant_across_start():
 
 
 def test_ensemble_zero_field():
-    mapping = time_one_map(make_field(VelocityFieldSpec(kind="zero")), steps=8)
+    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="zero")))
     report = ensemble_spectrum(mapping, 50, 5, seed=1)
     assert report.lambda_max_integral == 0.0
     assert np.all(report.mean_exponents == 0.0)
@@ -118,7 +117,7 @@ def test_ensemble_cat_statistics():
 
 
 def test_ensemble_steady_shear_sublinear():
-    mapping = time_one_map(make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0)), steps=32)
+    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0)))
     report = ensemble_spectrum(mapping, 400, 200, seed=3)
     assert 0.0 < report.lambda_max_integral <= 0.05
 
@@ -142,7 +141,7 @@ def test_ensemble_report_json_fields():
 def test_subadditive_trend_in_n():
     # mean (1/n) log |W_n| is non-increasing along n up to Monte Carlo slack
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
-    mapping = time_one_map(field, steps=16)
+    mapping = TimeOneFlowMap(field)
     stats = {}
     for n in (25, 50, 100, 200):
         report = ensemble_spectrum(mapping, 200, n, seed=5)
@@ -176,14 +175,14 @@ def test_oseledets_baker_axes():
 
 def test_top_exponent_bound_gap_zero_field():
     field = make_field(VelocityFieldSpec(kind="zero"))
-    mapping = time_one_map(field, steps=8)
+    mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 20, 5, seed=6)
     assert top_exponent_bound_gap(field, report) == 0.0
 
 
 def test_top_exponent_bound_gap_steady_shear():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-    mapping = time_one_map(field, steps=32)
+    mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 200, 200, seed=7)
     gap = top_exponent_bound_gap(field, report)
     assert gap == pytest.approx(4.0 - report.lambda_max_integral, abs=1e-6)
@@ -192,7 +191,7 @@ def test_top_exponent_bound_gap_steady_shear():
 
 def test_top_exponent_bound_gap_alternating():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-    mapping = time_one_map(field, steps=16)
+    mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 300, 60, seed=8)
     gap = top_exponent_bound_gap(field, report)
     assert report.lambda_max_integral > 0.5

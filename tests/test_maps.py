@@ -4,8 +4,7 @@ from scipy import stats
 
 from ergomix.errors import SingularInputError
 from ergomix.fields import VelocityFieldSpec, make_field
-from ergomix.flow import time_one_map
-from ergomix.maps import BakerMap, CatMap, make_map
+from ergomix.maps import BakerMap, CatMap, TimeOneFlowMap, make_map
 from ergomix.torus import distance
 
 
@@ -53,7 +52,7 @@ def test_baker_inverse_consistency_off_singular_set():
 
 def test_time_one_flow_inverse_consistency():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-    mapping = time_one_map(field, steps=256)
+    mapping = TimeOneFlowMap(field)
     rng = np.random.default_rng(2)
     pts = rng.random((1000, 2))
     assert np.max(distance(mapping.inverse(mapping.apply(pts)), pts)) <= 1e-5
@@ -72,7 +71,7 @@ def test_make_map_dispatch():
 def test_measure_preservation_chi_squared(kind):
     if kind == "time_one_flow":
         field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-        mapping = time_one_map(field, steps=32)
+        mapping = TimeOneFlowMap(field)
     else:
         mapping = make_map(kind)
     rng = np.random.default_rng(3)
