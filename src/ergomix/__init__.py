@@ -1,6 +1,6 @@
 """Ergodic-theory diagnostics for incompressible flows on the torus."""
 
-from .fields import FIELD_KINDS, FieldSample, VelocityField, VelocityFieldSpec, grad_l1_time_average, make_field
+from .fields import FIELD_KINDS, VelocityField, VelocityFieldSpec, grad_l1_time_average, make_field
 from .flow import CocycleState, advect, advect_cocycle
 from .maps import MAP_KINDS, BakerMap, CatMap, MeasurePreservingMap, TimeOneFlowMap, make_map
 from .lyapunov import (
@@ -24,8 +24,6 @@ from .diagnostics import (
     partition_entropy,
 )
 from .harness import (
-    MixingReport,
-    RuelleReport,
     fit_exponential_rate,
     run_mixing,
     run_regularity,

@@ -52,18 +52,15 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     with open(args.config) as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc}")
     config = parse_config(text, overrides=args.overrides)
 
     resolved = render_config(config)
     print(resolved, end="")
-
-    if config.experiment == "diagnose":
-        return _diagnose_path(config.grid_file, config.kappa)
 
     payload, passed, series = run_experiment(config)
     out = config.output_dir
@@ -93,9 +90,6 @@ def _summary_line(experiment, payload, passed):
 
 
 def _diagnose_path(path, kappa) -> int:
-    if not os.path.exists(path) and not os.path.exists(path + ".json"):
-        print(f"error: grid file not found: {path}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     grid = load_grid(path)
     h1 = h_minus_one(grid)
     lsq = log_sobolev(grid)
@@ -125,6 +119,10 @@ def main(argv=None) -> int:
         return _cmd_catalog()
     except (ConfigError, UndersampledError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:
+        # a config path that is a directory, an output_dir under a file, ...
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except ErgomixError as exc:
         # diverged integration, degenerate cocycle, singular orbits, bad fits

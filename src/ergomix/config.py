@@ -6,15 +6,14 @@ line; ``--set section.key=value`` overrides compose textually on top of the
 parsed file.  ``parse_config(render_config(c)) == c`` for every valid config.
 """
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import ConfigError
+from .fields import VelocityFieldSpec
 
-EXPERIMENTS = ("lyapunov", "ruelle", "mixing", "regularity", "diagnose")
-
-_TRUE_RANGE = None  # marker: any value of the right type
+EXPERIMENTS = ("lyapunov", "ruelle", "mixing", "regularity")
 
 
 def _int_range(lo, hi=None):
@@ -45,14 +44,6 @@ def _float_closed(lo, hi):
 
 
 @dataclass(frozen=True)
-class FieldBlock:
-    kind: str = ""
-    amplitude: float = 1.0
-    phases: tuple = ()
-    wavenumber: int = 1
-
-
-@dataclass(frozen=True)
 class DatumBlock:
     kind: str = ""
     wavevector: tuple = (1, 0)
@@ -80,8 +71,7 @@ class Config:
     kappa: float = 1.0 / 3.0
     burn_in_fraction: float = 0.2
     radii: tuple = ()
-    grid_file: str = ""
-    field: FieldBlock = dataclass_field(default_factory=FieldBlock)
+    field: VelocityFieldSpec = dataclass_field(default_factory=VelocityFieldSpec)
     datum: DatumBlock = dataclass_field(default_factory=DatumBlock)
     map: MapBlock = dataclass_field(default_factory=MapBlock)
 
@@ -133,7 +123,6 @@ _ROOT_KEYS = {
     "kappa": (_parse_float, _float_open(0.0, 1.0)),
     "burn_in_fraction": (_parse_float, _float_closed(0.0, 0.9)),
     "radii": (_parse_floats, None),
-    "grid_file": (str, None),
 }
 
 _FIELD_KEYS = {
@@ -218,7 +207,7 @@ def parse_config(text, overrides=()) -> Config:
 
     config = Config(
         **root,
-        field=FieldBlock(**blocks["field"]),
+        field=VelocityFieldSpec(**blocks["field"]),
         datum=DatumBlock(**blocks["datum"]),
         map=MapBlock(**blocks["map"]),
     )
@@ -238,8 +227,6 @@ def _validate_blocks(config: Config):
             raise ConfigError(f"experiment {experiment} requires map.kind")
         if config.map.kind == "time_one_flow" and not config.field.kind:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
-    if experiment == "diagnose" and not config.grid_file:
-        raise ConfigError("experiment diagnose requires grid_file")
     for p in config.field.phases:
         if not (0.0 <= p < 1.0):
             raise ConfigError(f"field.phases entries must lie in [0, 1), got {p}")

@@ -7,7 +7,7 @@ sequence of steady fields switched at the fractions-of-a-period listed in
 ``VelocityField.time_breakpoints``.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,11 @@ class VelocityFieldSpec:
     """Parameters selecting one catalog field.
 
     phases are fractions of a period in [0, 1); their meaning depends on kind
-    (shear offset, switching-half offsets, or cell offsets).
+    (shear offset, switching-half offsets, or cell offsets).  An empty kind
+    stands for a config with no field, and fails ``validate``.
     """
 
-    kind: str
+    kind: str = ""
     amplitude: float = 1.0
     phases: tuple = ()
     wavenumber: int = 1
@@ -43,14 +44,6 @@ class VelocityFieldSpec:
         for p in self.phases:
             if not (0.0 <= p < 1.0):
                 raise ConfigError(f"field phases must lie in [0, 1), got {p}")
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Velocity vector and gradient matrix at one space-time point."""
-
-    velocity: np.ndarray
-    gradient: np.ndarray
 
 
 class VelocityField:
@@ -142,11 +135,6 @@ class VelocityField:
         grad[..., 1, 0] = c * np.sin(xs) * np.sin(ys)
         grad[..., 1, 1] = -c * np.cos(xs) * np.cos(ys)
         return grad
-
-    def sample(self, t, x) -> FieldSample:
-        """Velocity and gradient at a single point."""
-        x = np.asarray(x, dtype=float)
-        return FieldSample(velocity=self.velocity(t, x), gradient=self.gradient(t, x))
 
 
 def make_field(spec: VelocityFieldSpec) -> VelocityField:

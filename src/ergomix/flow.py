@@ -101,6 +101,8 @@ def _dispatch(field, x, t0, t1, steps, with_tangent):
         raise ConfigError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
+        # imported on first use: concurrent.futures (with logging) is a slow
+        # import that runs which never advect a batch, such as ruelle, skip
         from .workers import run_chunked
 
         return run_chunked(

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .diagnostics import (
     nu_log_bound,
 )
 from .errors import ConfigError, ErgomixError
-from .fields import VelocityFieldSpec, grad_l1_time_average, make_field
+from .fields import grad_l1_time_average, make_field
 from .lyapunov import ensemble_spectrum
 from .maps import make_map
 from .scalar import make_initial, scalar_series
@@ -115,78 +115,15 @@ def _ratio(numerator: float, denominator: float) -> float:
     return 0.0 if abs(numerator) <= 1e-12 else float("inf")
 
 
-@dataclass
-class RuelleReport:
-    entropy_estimate: float
-    entropy_bias_bound: float
-    sum_positive_exponents: float
-    stderr: float
-    nu_log_bound_value: float
-    passed: bool
-    details: dict = dataclass_field(default_factory=dict)
-
-    def to_json_dict(self):
-        payload = {
-            "entropy_estimate": self.entropy_estimate,
-            "entropy_bias_bound": self.entropy_bias_bound,
-            "sum_positive_exponents": self.sum_positive_exponents,
-            "stderr": self.stderr,
-            "nu_log_bound_value": self.nu_log_bound_value,
-            "pass": self.passed,
-        }
-        payload.update(self.details)
-        return payload
-
-
-@dataclass
-class MixingReport:
-    series: DiagnosticSeries
-    fitted_h_minus_one_rate: float
-    fitted_log_sobolev_slope: float
-    lambda_max_integral: float
-    grad_l1_average: float
-    ratio_mixing: float
-    ratio_regularity: float
-    pass_direction: bool
-    fitted_mixing_scale_rate: float = 0.0
-    details: dict = dataclass_field(default_factory=dict)
-
-    def to_json_dict(self):
-        payload = {
-            "series": {
-                "times": self.series.times,
-                "h_minus_one": self.series.h_minus_one,
-                "log_sobolev": self.series.log_sobolev,
-                "mixing_scale": self.series.mixing_scale,
-                "metadata": self.series.metadata,
-            },
-            "fitted_h_minus_one_rate": self.fitted_h_minus_one_rate,
-            "fitted_log_sobolev_slope": self.fitted_log_sobolev_slope,
-            "lambda_max_integral": self.lambda_max_integral,
-            "grad_l1_average": self.grad_l1_average,
-            "ratio_mixing": self.ratio_mixing,
-            "ratio_regularity": self.ratio_regularity,
-            "pass_direction": self.pass_direction,
-            "fitted_mixing_scale_rate": self.fitted_mixing_scale_rate,
-        }
-        payload.update(self.details)
-        return payload
-
-
 def _build_map(config: Config):
     if config.map.kind == "time_one_flow":
-        field = make_field(_field_spec(config))
-        return make_map("time_one_flow", field=field)
+        return make_map("time_one_flow", field=make_field(config.field))
     return make_map(config.map.kind)
 
 
-def _field_spec(config: Config) -> VelocityFieldSpec:
-    block = config.field
-    return VelocityFieldSpec(
-        kind=block.kind,
-        amplitude=block.amplitude,
-        phases=tuple(block.phases),
-        wavenumber=block.wavenumber,
+def _make_datum(config: Config):
+    return make_initial(
+        config.datum.kind, wavevector=config.datum.wavevector, level=config.datum.level
     )
 
 
@@ -201,8 +138,7 @@ def run_lyapunov(config: Config):
     passed = sum_zero <= 1e-3 * 2  # d = 2 per the incompressible-sum contract
     payload["exponent_sum"] = float(np.sum(report.mean_exponents))
     if config.map.kind == "time_one_flow":
-        field = make_field(_field_spec(config))
-        grad_avg = grad_l1_time_average(field)
+        grad_avg = grad_l1_time_average(make_field(config.field))
         gap = grad_avg - report.lambda_max_integral  # as top_exponent_bound_gap
         payload["grad_l1_average"] = grad_avg
         payload["top_exponent_bound_gap"] = gap
@@ -212,7 +148,7 @@ def run_lyapunov(config: Config):
     return payload, passed, None
 
 
-def run_ruelle(config: Config) -> RuelleReport:
+def run_ruelle(config: Config):
     """Entropy-rate vs positive-exponent-sum verification on one map."""
     map_ = _build_map(config)
     partition = Partition(config.level)
@@ -226,40 +162,37 @@ def run_ruelle(config: Config) -> RuelleReport:
         map_, config.lyapunov_samples, config.lyapunov_n, child_seed(config.seed, "lyapunov")
     )
     stderr = lyap.sum_positive_stderr()
-    passed = estimate - bias_bound <= lyap.sum_positive + 3.0 * stderr + GATE_EPSILON
-    return RuelleReport(
-        entropy_estimate=estimate,
-        entropy_bias_bound=bias_bound,
-        sum_positive_exponents=lyap.sum_positive,
-        stderr=stderr,
-        nu_log_bound_value=nu_value,
-        passed=passed,
-        details={
-            "map_kind": config.map.kind,
-            "partition_level": config.level,
-            "n": config.n,
-            "samples": config.samples,
-            "entropy_codes": codes,
-            "lambda_max_integral": lyap.lambda_max_integral,
-            "seed": config.seed,
-        },
-    )
+    passed = bool(estimate - bias_bound <= lyap.sum_positive + 3.0 * stderr + GATE_EPSILON)
+    payload = {
+        "entropy_estimate": estimate,
+        "entropy_bias_bound": bias_bound,
+        "sum_positive_exponents": lyap.sum_positive,
+        "stderr": stderr,
+        "nu_log_bound_value": nu_value,
+        "pass": passed,
+        "map_kind": config.map.kind,
+        "partition_level": config.level,
+        "n": config.n,
+        "samples": config.samples,
+        "entropy_codes": codes,
+        "lambda_max_integral": lyap.lambda_max_integral,
+        "seed": config.seed,
+    }
+    return payload, passed, None
 
 
 def _series_pipeline(config: Config, resolution: int):
     """Evolve the scalar and collect the diagnostic series at one resolution."""
-    field = make_field(_field_spec(config))
-    datum = make_initial(
-        config.datum.kind, wavevector=config.datum.wavevector, level=config.datum.level
-    )
+    field = make_field(config.field)
+    datum = _make_datum(config)
     radii = config.radii if config.radii else default_radii(resolution)
     series = DiagnosticSeries(
         metadata={
             "resolution": resolution,
             "kappa": config.kappa,
             "radii": list(radii),
-            "field": _field_spec(config).__dict__ | {"phases": list(config.field.phases)},
-            "datum": datum.metadata(),
+            "field": asdict(config.field),
+            "datum": asdict(datum),
         }
     )
     l2_values = []
@@ -282,87 +215,80 @@ def _interpolation_ratio_series(series: DiagnosticSeries):
     return ratios
 
 
-def _mixing_report(config: Config, series: DiagnosticSeries) -> MixingReport:
+def run_mixing(config: Config):
+    """Mixing-direction verification at the configured resolution."""
+    series = _series_pipeline(config, config.resolution)
     burn_in = config.burn_in_fraction * config.horizon
     times = series.times
     beta = fit_exponential_rate(times, series.h_minus_one, burn_in)
     lsq_slope = fit_linear_slope(times, series.log_sobolev, burn_in)
     mix_rate = fit_exponential_rate(times, series.mixing_scale, burn_in)
-    field = make_field(_field_spec(config))
+    field = make_field(config.field)
     lyap = ensemble_spectrum(
         make_map("time_one_flow", field=field),
         config.lyapunov_samples,
         config.lyapunov_n,
         child_seed(config.seed, "lyapunov"),
     )
-    grad_avg = grad_l1_time_average(field)
     c_obs = _interpolation_ratio_series(series)
-    trend_p = growth_trend_pvalue(times, c_obs)
     ratio_mixing = _ratio(beta, lyap.lambda_max_integral)
     ratio_regularity = _ratio(lsq_slope, lyap.lambda_max_integral)
-    pass_direction = bool(
+    passed = bool(
         beta >= -RATE_TOLERANCE
         and lsq_slope >= -RATE_TOLERANCE
         and mix_rate >= -RATE_TOLERANCE
         and np.isfinite(ratio_mixing)
         and np.isfinite(ratio_regularity)
     )
-    return MixingReport(
-        series=series,
-        fitted_h_minus_one_rate=beta,
-        fitted_log_sobolev_slope=lsq_slope,
-        lambda_max_integral=lyap.lambda_max_integral,
-        grad_l1_average=grad_avg,
-        ratio_mixing=ratio_mixing,
-        ratio_regularity=ratio_regularity,
-        pass_direction=pass_direction,
-        fitted_mixing_scale_rate=mix_rate,
-        details={
-            "burn_in": burn_in,
-            "fit_window": [burn_in, float(config.horizon)],
-            "interpolation_ratio": c_obs,
-            "interpolation_trend_pvalue": trend_p,
-            "lambda_stderr": float(lyap.stderr[0]),
-            "seed": config.seed,
-        },
-    )
+    payload = {
+        "series": asdict(series),
+        "fitted_h_minus_one_rate": beta,
+        "fitted_log_sobolev_slope": lsq_slope,
+        "lambda_max_integral": lyap.lambda_max_integral,
+        "grad_l1_average": grad_l1_time_average(field),
+        "ratio_mixing": ratio_mixing,
+        "ratio_regularity": ratio_regularity,
+        "pass_direction": passed,
+        "fitted_mixing_scale_rate": mix_rate,
+        "burn_in": burn_in,
+        "fit_window": [burn_in, float(config.horizon)],
+        "interpolation_ratio": c_obs,
+        "interpolation_trend_pvalue": growth_trend_pvalue(times, c_obs),
+        "lambda_stderr": float(lyap.stderr[0]),
+        "seed": config.seed,
+    }
+    return payload, passed, series
 
 
-def run_mixing(config: Config) -> MixingReport:
-    """Mixing-direction verification at the configured resolution."""
-    series = _series_pipeline(config, config.resolution)
-    return _mixing_report(config, series)
-
-
-def run_regularity(config: Config) -> MixingReport:
+def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
-    report = run_mixing(config)
-    series_double = _series_pipeline(config, 2 * config.resolution)
-    burn_in = config.burn_in_fraction * config.horizon
-    slope_double = fit_linear_slope(series_double.times, series_double.log_sobolev, burn_in)
-    slope = report.fitted_log_sobolev_slope
+    payload, _, series = run_mixing(config)
+    grids = scalar_series(
+        make_field(config.field), _make_datum(config), config.horizon, 2 * config.resolution
+    )
+    times, values = zip(*[(grid.time, log_sobolev(grid)) for grid in grids])
+    slope_double = fit_linear_slope(times, values, payload["burn_in"])
+    slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)
     stable = abs(slope - slope_double) <= STABILITY_FRACTION * scale
-    report.details["log_sobolev_slope_double_resolution"] = slope_double
-    report.details["slope_stability_fraction"] = abs(slope - slope_double) / scale
-    report.pass_direction = bool(np.isfinite(slope) and slope >= -RATE_TOLERANCE and stable)
-    return report
+    passed = bool(np.isfinite(slope) and slope >= -RATE_TOLERANCE and stable)
+    payload["log_sobolev_slope_double_resolution"] = slope_double
+    payload["slope_stability_fraction"] = abs(slope - slope_double) / scale
+    payload["pass_direction"] = passed
+    return payload, passed, series
+
+
+_RUNNERS = {
+    "lyapunov": run_lyapunov,
+    "ruelle": run_ruelle,
+    "mixing": run_mixing,
+    "regularity": run_regularity,
+}
 
 
 def run_experiment(config: Config):
     """Dispatch on config.experiment; returns (payload, passed, series or None)."""
-    if config.experiment == "lyapunov":
-        return run_lyapunov(config)
-    if config.experiment == "ruelle":
-        report = run_ruelle(config)
-        return report.to_json_dict(), report.passed, None
-    if config.experiment == "mixing":
-        report = run_mixing(config)
-        return report.to_json_dict(), report.pass_direction, report.series
-    if config.experiment == "regularity":
-        report = run_regularity(config)
-        return report.to_json_dict(), report.pass_direction, report.series
-    raise ErgomixError(f"experiment {config.experiment!r} is not runnable here")
+    return _RUNNERS[config.experiment](config)
 
 
 def _write_atomic(text, path):

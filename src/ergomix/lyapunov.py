@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCocycleError, ErgomixError
+from .errors import DegenerateCocycleError, ErgomixError, SingularInputError
 from .fields import grad_l1_time_average
 from .maps import MeasurePreservingMap
 from .torus import uniform_points
@@ -154,8 +154,6 @@ def finite_time_spectrum(map_: MeasurePreservingMap, x, n: int):
         raise ErgomixError(f"n must be >= 1, got {n}")
     exps, alive = _batch_spectrum(map_, np.asarray(x, dtype=float).reshape(1, 2), n)
     if not alive[0]:
-        from .errors import SingularInputError
-
         raise SingularInputError("orbit hit the singular set before n iterations")
     return exps[0]
 
@@ -204,8 +202,6 @@ def oseledets_filtration(map_: MeasurePreservingMap, x, n: int) -> OseledetsResu
         map_, np.asarray(x, dtype=float).reshape(1, 2), n, collect_vectors=True
     )
     if not alive[0]:
-        from .errors import SingularInputError
-
         raise SingularInputError("orbit hit the singular set before n iterations")
     if abs(exps[0, 0] - exps[0, 1]) < DEGENERATE_GAP:
         warnings.warn(

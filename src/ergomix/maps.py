@@ -19,7 +19,7 @@ CAT_INVERSE_MATRIX = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
 
 class MeasurePreservingMap:
-    """Interface: apply, jacobian, inverse, all Lebesgue-measure preserving."""
+    """Interface: apply, apply_with_jacobian, inverse, all Lebesgue-measure preserving."""
 
     kind = "abstract"
 
@@ -114,9 +114,6 @@ class TimeOneFlowMap(MeasurePreservingMap):
 
     def apply(self, points):
         return flow.advect(self.field, points, 0.0, 1.0, self.steps)
-
-    def jacobian(self, points):
-        return flow.advect_cocycle(self.field, points, 0.0, 1.0, self.steps).tangent
 
     def inverse(self, points):
         return flow.advect(self.field, points, 1.0, 0.0, self.steps)

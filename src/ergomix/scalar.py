@@ -11,14 +11,13 @@ the discontinuity lines of the two-valued catalog data.
 
 import json
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .flow import advect
-from .torus import wrap
 
 DATUM_KINDS = ("sinusoid", "checkerboard", "stripe")
 
@@ -54,16 +53,6 @@ class InitialDatum:
         # stripe
         freq = 2**self.level
         return np.where(np.sin(2.0 * np.pi * freq * x) >= 0.0, 1.0, -1.0)
-
-    def metadata(self):
-        return {
-            "kind": self.kind,
-            "wavevector": list(self.wavevector),
-            "level": self.level,
-            "sup_norm": self.sup_norm,
-            "l2_norm": self.l2_norm,
-            "bv_seminorm": self.bv_seminorm,
-        }
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
@@ -152,7 +141,7 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> Grid
         resolution=resolution,
         values=values,
         time=float(t),
-        metadata={"datum": datum.metadata(), "field": _field_meta(field)},
+        metadata=_grid_meta(field, datum),
     )
 
 
@@ -166,7 +155,7 @@ def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
     _check_resolution(resolution)
     nodes = grid_nodes(resolution).reshape(-1, 2)
     feet = nodes
-    meta = {"datum": datum.metadata(), "field": _field_meta(field)}
+    meta = _grid_meta(field, datum)
     for t in range(horizon + 1):
         if t > 0:
             feet = advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0))
@@ -174,14 +163,8 @@ def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
         yield GridField(resolution=resolution, values=values, time=float(t), metadata=dict(meta))
 
 
-def _field_meta(field):
-    spec = field.spec
-    return {
-        "kind": spec.kind,
-        "amplitude": spec.amplitude,
-        "phases": list(spec.phases),
-        "wavenumber": spec.wavenumber,
-    }
+def _grid_meta(field, datum: InitialDatum):
+    return {"datum": asdict(datum), "field": asdict(field.spec)}
 
 
 def save_grid(grid: GridField, stem: str):
@@ -205,9 +188,11 @@ def save_grid(grid: GridField, stem: str):
 def load_grid(path: str) -> GridField:
     """Load a grid saved by save_grid; accepts the stem or the .json sidecar.
 
-    A sidecar that is not JSON, lacks a required key, names a dtype other
-    than '<f8', or points at a values file whose size is not 8 N^2 bytes
-    raises ConfigError.
+    Raises ConfigError when the sidecar is not JSON, lacks a required key,
+    names a dtype other than '<f8', has a time that is not a number, has a
+    metadata or metadata.datum that is not an object or a datum sup_norm that
+    is not a finite positive number, or when the values file does not hold
+    8 N^2 bytes.
     """
     if path.endswith(".json"):
         sidecar_path = path
@@ -230,6 +215,17 @@ def load_grid(path: str) -> GridField:
         raise ConfigError(f"grid sidecar {sidecar_path}: resolution {n!r} is not an integer >= 1")
     if sidecar.get("dtype", "<f8") != "<f8":
         raise ConfigError(f"grid sidecar {sidecar_path}: dtype {sidecar['dtype']!r} is not '<f8'")
+    if not _is_number(sidecar["time"]):
+        raise ConfigError(f"grid sidecar {sidecar_path}: time {sidecar['time']!r} is not a number")
+    metadata = sidecar.get("metadata", {})
+    datum = metadata.get("datum", {}) if isinstance(metadata, dict) else None
+    if not isinstance(datum, dict):
+        raise ConfigError(f"grid sidecar {sidecar_path}: metadata and metadata.datum must be objects")
+    sup = datum.get("sup_norm", 1.0)
+    if not (_is_number(sup) and 0.0 < sup < float("inf")):
+        raise ConfigError(
+            f"grid sidecar {sidecar_path}: metadata.datum.sup_norm {sup!r} is not a finite number > 0"
+        )
     values_path = os.path.join(os.path.dirname(sidecar_path), str(sidecar["values_file"]))
     try:
         size = os.path.getsize(values_path)
@@ -238,16 +234,8 @@ def load_grid(path: str) -> GridField:
     if size != 8 * n * n:
         raise ConfigError(f"grid values {values_path} hold {size} bytes, not 8 N^2 = {8 * n * n}")
     values = np.fromfile(values_path, dtype="<f8").reshape(n, n)
-    return GridField(
-        resolution=n, values=values, time=sidecar["time"], metadata=sidecar.get("metadata", {})
-    )
+    return GridField(resolution=n, values=values, time=sidecar["time"], metadata=metadata)
 
 
-def grid_to_csv(grid: GridField, path: str):
-    """Plain-text export: one row per node, columns x, y, value."""
-    nodes = grid_nodes(grid.resolution).reshape(-1, 2)
-    flat = grid.values.reshape(-1)
-    with open(path, "w") as handle:
-        handle.write("x,y,value\n")
-        for (x, y), v in zip(nodes, flat):
-            handle.write(f"{x!r},{y!r},{v!r}\n")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -32,11 +32,12 @@ def worker_count() -> int:
 def run_chunked(func, points):
     """Apply ``func`` to row chunks of ``points``; concatenate in order.
 
-    ``func`` must be independent across rows.  Small batches run inline.
+    ``func`` must be independent across rows.  Small batches run inline, and
+    no chunk is smaller than _MIN_CHUNKED_BATCH rows.
     """
     count = len(points)
-    workers = worker_count()
-    if workers == 1 or count < _MIN_CHUNKED_BATCH:
+    workers = min(worker_count(), count // _MIN_CHUNKED_BATCH)
+    if workers <= 1:
         return func(points)
     bounds = np.linspace(0, count, workers + 1, dtype=int)
     chunks = [points[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

@@ -100,12 +100,12 @@ lyapunov_n = 30
 kind = cat
 """
         )
-        report = run_ruelle(config)
-        slack = report.sum_positive_exponents + 3.0 * report.stderr + 1e-12
-        assert report.entropy_estimate - report.entropy_bias_bound <= slack
-        assert report.passed
-        assert abs(report.entropy_estimate - report.sum_positive_exponents) <= (
-            0.15 * report.sum_positive_exponents
+        payload, passed, _ = run_ruelle(config)
+        slack = payload["sum_positive_exponents"] + 3.0 * payload["stderr"] + 1e-12
+        assert payload["entropy_estimate"] - payload["entropy_bias_bound"] <= slack
+        assert passed
+        assert abs(payload["entropy_estimate"] - payload["sum_positive_exponents"]) <= (
+            0.15 * payload["sum_positive_exponents"]
         )
 
 
@@ -128,9 +128,9 @@ lyapunov_n = 20
 kind = baker
 """
         )
-        report = run_ruelle(config)
-        assert report.passed
-        assert abs(report.entropy_estimate - math.log(2.0)) <= 0.15 * math.log(2.0)
+        payload, passed, _ = run_ruelle(config)
+        assert passed
+        assert abs(payload["entropy_estimate"] - math.log(2.0)) <= 0.15 * math.log(2.0)
 
 
 def test_criterion_04_top_exponent_bound_across_catalog():
@@ -208,40 +208,40 @@ def test_criterion_07_log_sobolev_versus_brute_force():
 def mixing_runs():
     start = time.perf_counter()
     config = parse_config(MIXING_CONFIG_TEXT)
-    report = run_mixing(config)
+    payload, _, series = run_mixing(config)
     series_double = _series_pipeline(config, 1024)
-    return config, report, series_double, time.perf_counter() - start
+    return config, payload, series, series_double, time.perf_counter() - start
 
 
 def test_criterion_08_mixing_direction(mixing_runs):
-    config, report, series_double, shared_elapsed = mixing_runs
+    config, payload, series, series_double, shared_elapsed = mixing_runs
     # the shared 512/1024 series computation counts against this budget
     assert shared_elapsed < 600.0
     print(f"[criterion 08] shared series runtime {shared_elapsed:.1f}s")
     with _Budget(8, 600.0 - shared_elapsed):
         burn_in = config.burn_in_fraction * config.horizon
-        times = np.array(report.series.times)
-        h1 = np.array(report.series.h_minus_one)
+        times = np.array(series.times)
+        h1 = np.array(series.h_minus_one)
         window = times >= burn_in
         assert np.all(np.diff(h1[window]) < 0.0), "H^-1 not strictly decreasing after burn-in"
-        beta = report.fitted_h_minus_one_rate
+        beta = payload["fitted_h_minus_one_rate"]
         assert beta > 0.0
-        assert np.isfinite(report.ratio_mixing)
+        assert np.isfinite(payload["ratio_mixing"])
         beta_double = fit_exponential_rate(series_double.times, series_double.h_minus_one, burn_in)
-        lam = report.lambda_max_integral
+        lam = payload["lambda_max_integral"]
         ratio, ratio_double = beta / lam, beta_double / lam
         assert abs(ratio - ratio_double) <= 0.2 * max(abs(ratio), abs(ratio_double))
-        mix = np.array(report.series.mixing_scale)
+        mix = np.array(series.mixing_scale)
         assert np.all(np.diff(mix[window]) <= 0.0), "mixing scale increased after burn-in"
 
 
 def test_criterion_09_regularity_slope(mixing_runs):
     # runtime shared with criterion 8
     with _Budget(9, 600.0):
-        _, report, _, _ = mixing_runs
-        slope = report.fitted_log_sobolev_slope
+        _, payload, series, _, _ = mixing_runs
+        slope = payload["fitted_log_sobolev_slope"]
         assert np.isfinite(slope)
-        trend_p = growth_trend_pvalue(report.series.times, report.details["interpolation_ratio"])
+        trend_p = growth_trend_pvalue(series.times, payload["interpolation_ratio"])
         assert trend_p >= 0.05, f"interpolation ratio grows significantly (p={trend_p:.4f})"
 
 

@@ -11,7 +11,6 @@ from ergomix.cli import main
 from ergomix.config import (
     Config,
     DatumBlock,
-    FieldBlock,
     MapBlock,
     default_radii,
     parse_config,
@@ -89,9 +88,8 @@ valid_configs = st.builds(
     kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
     burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
     radii=st.lists(st.floats(1e-3, 0.5, allow_nan=False), max_size=4).map(tuple),
-    grid_file=st.just(""),
     field=st.builds(
-        FieldBlock,
+        VelocityFieldSpec,
         kind=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]),
         amplitude=st.floats(0.0, 8.0, allow_nan=False),
         phases=st.lists(st.floats(0.0, 0.999), max_size=2).map(tuple),
@@ -160,6 +158,34 @@ def test_cli_run_ruelle_writes_report(tmp_path, capsys):
 def test_cli_missing_config_exits_2(capsys):
     assert main(["run", "does/not/exist.cfg"]) == 2
     assert "does/not/exist.cfg" in capsys.readouterr().err
+
+
+def _assert_one_line_file_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_cli_config_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert str(tmp_path) in _assert_one_line_file_error(capsys)
+
+
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"experiment = ruelle\nseed = \xff\n")
+    assert main(["run", str(path)]) == 2
+    assert "bad.cfg" in _assert_one_line_file_error(capsys)
+
+
+def test_cli_output_dir_under_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("ergomix.cli.run_experiment", lambda config: ({"pass": True}, True, None))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
+    assert main(["run", path, "--set", f"output_dir={blocker / 'sub'}"]) == 2
+    assert "Not a directory" in _assert_one_line_file_error(capsys)
 
 
 def test_cli_bad_override_exits_2(tmp_path, capsys):

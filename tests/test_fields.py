@@ -39,27 +39,28 @@ def test_make_field_rejects_bad_phase():
 
 def test_zero_field_is_zero():
     field = make_field(VelocityFieldSpec(kind="zero"))
-    sample = field.sample(0.3, np.array([0.2, 0.9]))
-    assert np.all(sample.velocity == 0.0)
-    assert np.all(sample.gradient == 0.0)
+    x = np.array([0.2, 0.9])
+    assert np.all(field.velocity(0.3, x) == 0.0)
+    assert np.all(field.gradient(0.3, x) == 0.0)
 
 
 def test_steady_shear_catalog_formula():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-    sample = field.sample(0.0, np.array([0.4, 0.25]))
+    x = np.array([0.4, 0.25])
     # sin(pi/2) = 1, and the gradient entry d_y b_1 = 2 pi cos(pi/2) = 0
-    assert sample.velocity == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert sample.gradient[0, 1] == pytest.approx(0.0, abs=1e-12)
+    assert field.velocity(0.0, x) == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert field.gradient(0.0, x)[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alternating_shear_switches_halves():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-    early = field.sample(0.25, np.array([0.25, 0.1]))
-    assert early.velocity[1] == 0.0
+    x = np.array([0.25, 0.1])
+    early = field.velocity(0.25, x)
+    assert early[1] == 0.0
     # second half at x = 0.25: purely vertical with speed |sin(pi/2)| = 1
-    late = field.sample(0.75, np.array([0.25, 0.1]))
-    assert late.velocity[0] == 0.0
-    assert abs(late.velocity[1]) == pytest.approx(1.0, abs=1e-12)
+    late = field.velocity(0.75, x)
+    assert late[0] == 0.0
+    assert abs(late[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.kind for s in ALL_SPECS])

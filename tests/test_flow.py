@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergomix import workers
 from ergomix.errors import IntegrationDivergedError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.flow import advect, advect_cocycle
@@ -231,3 +232,39 @@ def test_time_one_map_wraps_field():
     pts = rng.random((50, 2))
     expected = np.stack([(pts[:, 0] + np.sin(2 * np.pi * pts[:, 1])) % 1.0, pts[:, 1]], axis=1)
     assert np.max(distance(mapping.apply(pts), expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "threads, rows, pool_size",
+    [("100000", 3 * 8192 + 5, 3), ("2", 3 * 8192 + 5, 2), ("100000", 2 * 8192 - 1, None)],
+)
+def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, pool_size):
+    # a fake pool that records its size and runs serially: no thread is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, chunks):
+            return [func(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(workers, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv("ERGOMIX_THREADS", threads)
+    chunk_rows = []
+
+    def double(chunk):
+        chunk_rows.append(len(chunk))
+        return 2.0 * chunk
+
+    points = np.arange(2.0 * rows).reshape(rows, 2)
+    assert np.array_equal(workers.run_chunked(double, points), 2.0 * points)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(chunk_rows) == (pool_size or 1)
+    assert min(chunk_rows) >= 8192

@@ -12,6 +12,7 @@ from ergomix.harness import (
     fit_exponential_rate,
     fit_linear_slope,
     growth_trend_pvalue,
+    run_experiment,
     run_mixing,
     run_regularity,
     run_ruelle,
@@ -105,10 +106,10 @@ kind = time_one_flow
 kind = zero
 """
     )
-    report = run_ruelle(config)
-    assert report.entropy_estimate == pytest.approx(0.0, abs=1e-12)
-    assert report.sum_positive_exponents == 0.0
-    assert report.passed
+    payload, passed, _ = run_ruelle(config)
+    assert payload["entropy_estimate"] == pytest.approx(0.0, abs=1e-12)
+    assert payload["sum_positive_exponents"] == 0.0
+    assert passed
 
 
 def test_run_ruelle_cat_map():
@@ -126,13 +127,14 @@ lyapunov_n = 30
 kind = cat
 """
     )
-    report = run_ruelle(config)
+    payload, passed, _ = run_ruelle(config)
     lam = np.log((3.0 + np.sqrt(5.0)) / 2.0)
-    assert report.passed
-    assert report.sum_positive_exponents == pytest.approx(lam, abs=1e-9)
-    assert abs(report.entropy_estimate - lam) <= 0.15 * lam
-    assert report.nu_log_bound_value >= report.entropy_estimate - 2.0 * report.entropy_bias_bound
-    payload = report.to_json_dict()
+    assert passed
+    assert payload["sum_positive_exponents"] == pytest.approx(lam, abs=1e-9)
+    assert abs(payload["entropy_estimate"] - lam) <= 0.15 * lam
+    assert payload["nu_log_bound_value"] >= (
+        payload["entropy_estimate"] - 2.0 * payload["entropy_bias_bound"]
+    )
     for key in (
         "entropy_estimate",
         "entropy_bias_bound",
@@ -162,10 +164,10 @@ lyapunov_n = 20
 kind = baker
 """
     )
-    report = run_ruelle(config)
-    assert report.passed
-    assert abs(report.entropy_estimate - np.log(2.0)) <= 0.15 * np.log(2.0)
-    assert report.sum_positive_exponents == pytest.approx(np.log(2.0), abs=1e-9)
+    payload, passed, _ = run_ruelle(config)
+    assert passed
+    assert abs(payload["entropy_estimate"] - np.log(2.0)) <= 0.15 * np.log(2.0)
+    assert payload["sum_positive_exponents"] == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 # --- mixing / regularity experiments ----------------------------------------
@@ -188,22 +190,22 @@ wavevector = 1, 0
 
 
 def test_run_mixing_zero_field_is_flat():
-    report = run_mixing(_config(ZERO_MIXING))
-    assert report.fitted_h_minus_one_rate == pytest.approx(0.0, abs=1e-9)
-    assert report.fitted_log_sobolev_slope == pytest.approx(0.0, abs=1e-9)
-    assert report.lambda_max_integral == 0.0
-    assert report.ratio_mixing == 0.0
-    assert report.ratio_regularity == 0.0
-    assert report.pass_direction
-    json.dumps(report.to_json_dict())
+    payload, passed, _ = run_mixing(_config(ZERO_MIXING))
+    assert payload["fitted_h_minus_one_rate"] == pytest.approx(0.0, abs=1e-9)
+    assert payload["fitted_log_sobolev_slope"] == pytest.approx(0.0, abs=1e-9)
+    assert payload["lambda_max_integral"] == 0.0
+    assert payload["ratio_mixing"] == 0.0
+    assert payload["ratio_regularity"] == 0.0
+    assert passed
+    json.dumps(payload)
 
 
 def test_run_regularity_zero_field():
     config = _config(ZERO_MIXING.replace("experiment = mixing", "experiment = regularity"))
-    report = run_regularity(config)
-    assert report.fitted_log_sobolev_slope == pytest.approx(0.0, abs=1e-9)
-    assert report.details["log_sobolev_slope_double_resolution"] == pytest.approx(0.0, abs=1e-9)
-    assert report.pass_direction
+    payload, passed, _ = run_regularity(config)
+    assert payload["fitted_log_sobolev_slope"] == pytest.approx(0.0, abs=1e-9)
+    assert payload["log_sobolev_slope_double_resolution"] == pytest.approx(0.0, abs=1e-9)
+    assert passed
 
 
 def test_steady_shear_h_minus_one_matches_bessel_oracle():
@@ -236,19 +238,19 @@ kind = sinusoid
 wavevector = 1, 0
 """
     )
-    report = run_mixing(config)
+    payload, passed, _ = run_mixing(config)
     # polynomial H^-1 decay: positive but small fitted exponential rate
-    assert 0.0 < report.fitted_h_minus_one_rate < 0.5
-    assert report.lambda_max_integral <= 0.12
-    assert report.pass_direction
+    assert 0.0 < payload["fitted_h_minus_one_rate"] < 0.5
+    assert payload["lambda_max_integral"] <= 0.12
+    assert passed
 
 
 def test_mixing_report_determinism_across_worker_counts(monkeypatch):
     config = _config(ZERO_MIXING.replace("resolution = 64", "resolution = 128"))
     monkeypatch.setenv("ERGOMIX_THREADS", "1")
-    first = json.dumps(run_mixing(config).to_json_dict(), sort_keys=True)
+    first = json.dumps(run_mixing(config)[0], sort_keys=True)
     monkeypatch.setenv("ERGOMIX_THREADS", "3")
-    second = json.dumps(run_mixing(config).to_json_dict(), sort_keys=True)
+    second = json.dumps(run_mixing(config)[0], sort_keys=True)
     assert first == second
 
 
@@ -267,9 +269,102 @@ lyapunov_n = 10
 kind = baker
 """
     )
-    a = json.dumps(run_ruelle(config).to_json_dict(), sort_keys=True)
-    b = json.dumps(run_ruelle(config).to_json_dict(), sort_keys=True)
+    a = json.dumps(run_ruelle(config)[0], sort_keys=True)
+    b = json.dumps(run_ruelle(config)[0], sort_keys=True)
     assert a == b
+
+
+_LYAPUNOV_KEYS = {
+    "exponent_sum",
+    "grad_l1_average",
+    "lambda_max_integral",
+    "mean_exponents",
+    "n",
+    "pass",
+    "per_sample_exponents",
+    "sample_count",
+    "skipped_samples",
+    "stderr",
+    "sum_positive",
+    "top_exponent_bound_gap",
+}
+_RUELLE_KEYS = {
+    "entropy_bias_bound",
+    "entropy_codes",
+    "entropy_estimate",
+    "lambda_max_integral",
+    "map_kind",
+    "n",
+    "nu_log_bound_value",
+    "partition_level",
+    "pass",
+    "samples",
+    "seed",
+    "stderr",
+    "sum_positive_exponents",
+}
+_MIXING_KEYS = {
+    "burn_in",
+    "fit_window",
+    "fitted_h_minus_one_rate",
+    "fitted_log_sobolev_slope",
+    "fitted_mixing_scale_rate",
+    "grad_l1_average",
+    "interpolation_ratio",
+    "interpolation_trend_pvalue",
+    "lambda_max_integral",
+    "lambda_stderr",
+    "pass_direction",
+    "ratio_mixing",
+    "ratio_regularity",
+    "seed",
+    "series",
+}
+_REGULARITY_KEYS = _MIXING_KEYS | {"log_sobolev_slope_double_resolution", "slope_stability_fraction"}
+
+_SMALL_LYAPUNOV = """
+experiment = lyapunov
+seed = 15
+n = 2
+samples = 20
+
+[map]
+kind = time_one_flow
+
+[field]
+kind = steady_shear
+"""
+
+_SMALL_RUELLE = """
+experiment = ruelle
+seed = 16
+n = 4
+level = 2
+samples = 20000
+lyapunov_samples = 10
+lyapunov_n = 5
+
+[map]
+kind = baker
+"""
+
+
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        (_SMALL_LYAPUNOV, _LYAPUNOV_KEYS),
+        (_SMALL_RUELLE, _RUELLE_KEYS),
+        (ZERO_MIXING, _MIXING_KEYS),
+        (ZERO_MIXING.replace("experiment = mixing", "experiment = regularity"), _REGULARITY_KEYS),
+    ],
+    ids=["lyapunov", "ruelle", "mixing", "regularity"],
+)
+def test_report_top_level_keys(text, keys):
+    payload, passed, series = run_experiment(_config(text))
+    assert set(payload) == keys
+    assert passed is payload.get("pass", payload.get("pass_direction"))
+    assert (series is None) == ("series" not in payload)
+    json.dumps(payload)
 
 
 def test_write_json_atomic_leaves_no_partial_file(tmp_path):

@@ -8,7 +8,6 @@ from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.scalar import (
     GridField,
     grid_nodes,
-    grid_to_csv,
     load_grid,
     make_initial,
     sample_scalar,
@@ -183,7 +182,18 @@ def test_load_grid_rejects_malformed_sidecar(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("resolution", None), ("values_file", None), ("time", None), ("resolution", 32.0), ("dtype", ">f4")],
+    [
+        ("resolution", None),
+        ("values_file", None),
+        ("time", None),
+        ("resolution", 32.0),
+        ("dtype", ">f4"),
+        ("time", "later"),
+        ("metadata", []),
+        ("metadata", {"datum": []}),
+        ("metadata", {"datum": {"sup_norm": "x"}}),
+        ("metadata", {"datum": {"sup_norm": 0.0}}),
+    ],
 )
 def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
     stem = _saved_grid(tmp_path)
@@ -203,13 +213,3 @@ def test_spectrum_is_computed_once_per_grid():
     grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
     assert grid.spectrum is grid.spectrum
     assert np.array_equal(grid.spectrum, np.fft.rfft2(grid.values))
-
-
-def test_csv_export(tmp_path):
-    datum = make_initial("stripe")
-    grid = sample_scalar(ZERO, datum, 0.0, 16)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + 16 * 16
