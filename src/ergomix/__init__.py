@@ -1,7 +1,7 @@
 """Ergodic-theory diagnostics for incompressible flows on the torus."""
 
 from .fields import FIELD_KINDS, VelocityField, VelocityFieldSpec, grad_l1_time_average, make_field
-from .flow import CocycleState, advect, advect_cocycle
+from .flow import advect, advect_cocycle
 from .maps import MAP_KINDS, BakerMap, CatMap, MeasurePreservingMap, TimeOneFlowMap, make_map
 from .lyapunov import (
     LyapunovReport,

@@ -70,7 +70,6 @@ class Config:
     resolution: int = 512
     kappa: float = 1.0 / 3.0
     burn_in_fraction: float = 0.2
-    radii: tuple = ()
     field: VelocityFieldSpec = dataclass_field(default_factory=VelocityFieldSpec)
     datum: DatumBlock = dataclass_field(default_factory=DatumBlock)
     map: MapBlock = dataclass_field(default_factory=MapBlock)
@@ -122,7 +121,6 @@ _ROOT_KEYS = {
     "resolution": (_parse_int, _int_range(16)),
     "kappa": (_parse_float, _float_open(0.0, 1.0)),
     "burn_in_fraction": (_parse_float, _float_closed(0.0, 0.9)),
-    "radii": (_parse_floats, None),
 }
 
 _FIELD_KEYS = {
@@ -230,9 +228,6 @@ def _validate_blocks(config: Config):
     for p in config.field.phases:
         if not (0.0 <= p < 1.0):
             raise ConfigError(f"field.phases entries must lie in [0, 1), got {p}")
-    for r in config.radii:
-        if not (0.0 < r <= 0.5):
-            raise ConfigError(f"radii entries must lie in (0, 1/2], got {r}")
 
 
 def _format_value(value):

@@ -16,6 +16,7 @@ from .errors import ConfigError
 TWO_PI = 2.0 * np.pi
 
 FIELD_KINDS = ("zero", "constant", "steady_shear", "alternating_shear", "cellular")
+SHEAR_KINDS = ("steady_shear", "alternating_shear")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class VelocityField:
     def __init__(self, spec: VelocityFieldSpec):
         spec.validate()
         self.spec = spec
-        self.dim = 2
         self.time_breakpoints = (0.0, 0.5) if spec.kind == "alternating_shear" else ()
 
     def rk4_steps(self, duration):
@@ -77,6 +77,16 @@ class VelocityField:
     def _phase(self, i):
         return self.spec.phases[i] if i < len(self.spec.phases) else 0.0
 
+    def _shear(self, t):
+        """(moved axis, driving axis, phase) of the shear acting at time t.
+
+        The steady shear and the first half of each alternating period move x
+        by a sine of y; the second alternating half moves y by a sine of x.
+        """
+        if self.spec.kind == "steady_shear" or (t % 1.0) < 0.5:
+            return 0, 1, self._phase(0)
+        return 1, 0, self._phase(1)
+
     def velocity(self, t, points):
         """Velocity b(t, x) for points of shape (..., 2)."""
         points = np.asarray(points, dtype=float)
@@ -90,14 +100,9 @@ class VelocityField:
             out[..., 0] = amp * np.cos(angle)
             out[..., 1] = amp * np.sin(angle)
             return out
-        if spec.kind == "steady_shear":
-            out[..., 0] = amp * np.sin(TWO_PI * w * (points[..., 1] + self._phase(0)))
-            return out
-        if spec.kind == "alternating_shear":
-            if (t % 1.0) < 0.5:
-                out[..., 0] = amp * np.sin(TWO_PI * w * (points[..., 1] + self._phase(0)))
-            else:
-                out[..., 1] = amp * np.sin(TWO_PI * w * (points[..., 0] + self._phase(1)))
+        if spec.kind in SHEAR_KINDS:
+            moved, driving, phase = self._shear(t)
+            out[..., moved] = amp * np.sin(TWO_PI * w * (points[..., driving] + phase))
             return out
         # cellular: b = (d psi/dy, -d psi/dx) for psi ~ sin(2 pi w x) sin(2 pi w y)
         xs = TWO_PI * w * (points[..., 0] + self._phase(0))
@@ -114,18 +119,9 @@ class VelocityField:
         grad = np.zeros(points.shape[:-1] + (2, 2))
         if spec.kind in ("zero", "constant"):
             return grad
-        if spec.kind == "steady_shear":
-            grad[..., 0, 1] = TWO_PI * w * amp * np.cos(TWO_PI * w * (points[..., 1] + self._phase(0)))
-            return grad
-        if spec.kind == "alternating_shear":
-            if (t % 1.0) < 0.5:
-                grad[..., 0, 1] = TWO_PI * w * amp * np.cos(
-                    TWO_PI * w * (points[..., 1] + self._phase(0))
-                )
-            else:
-                grad[..., 1, 0] = TWO_PI * w * amp * np.cos(
-                    TWO_PI * w * (points[..., 0] + self._phase(1))
-                )
+        if spec.kind in SHEAR_KINDS:
+            moved, driving, phase = self._shear(t)
+            grad[..., moved, driving] = TWO_PI * w * amp * np.cos(TWO_PI * w * (points[..., driving] + phase))
             return grad
         xs = TWO_PI * w * (points[..., 0] + self._phase(0))
         ys = TWO_PI * w * (points[..., 1] + self._phase(1))

@@ -12,8 +12,6 @@ Positions are wrapped to [0,1) after every full step; tangents live on the
 universal cover and are never wrapped.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, IntegrationDivergedError
@@ -21,14 +19,6 @@ from .fields import VelocityField
 from .torus import wrap
 
 TANGENT_BLOWUP = 1e12
-
-
-@dataclass
-class CocycleState:
-    """Flow position paired with the tangent matrix W_t (identity at t0)."""
-
-    position: np.ndarray  # (..., 2)
-    tangent: np.ndarray  # (..., 2, 2)
 
 
 def _segments(field, t0, t1):
@@ -53,8 +43,7 @@ def _segments(field, t0, t1):
 def _allocate_steps(segments, steps):
     """Distribute `steps` over segments proportionally, at least one each."""
     total = sum(abs(b - a) for a, b in segments)
-    counts = [max(1, int(round(steps * abs(b - a) / total))) for a, b in segments]
-    return counts
+    return [max(1, int(round(steps * abs(b - a) / total))) for a, b in segments]
 
 
 def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
@@ -116,7 +105,9 @@ def advect(field: VelocityField, x, t0: float, t1: float, steps: int):
     return _dispatch(field, x, float(t0), float(t1), steps, with_tangent=False)
 
 
-def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int) -> CocycleState:
-    """Jointly integrate position and tangent matrix along the trajectory."""
-    pos, tangent = _dispatch(field, x, float(t0), float(t1), steps, with_tangent=True)
-    return CocycleState(position=pos, tangent=tangent)
+def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int):
+    """Jointly integrate position and tangent matrix W_t (identity at t0).
+
+    Returns (position (..., 2), tangent (..., 2, 2)).
+    """
+    return _dispatch(field, x, float(t0), float(t1), steps, with_tangent=True)

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import Config, default_radii, render_config
+from .config import Config, default_radii
 from .diagnostics import (
     DiagnosticSeries,
     Partition,
@@ -36,7 +36,6 @@ from .seeding import child_seed
 RATE_TOLERANCE = 1e-9  # fitted rates this close to zero count as non-negative
 GATE_EPSILON = 1e-12  # absolute slack so exact-zero cases survive float dust
 STABILITY_FRACTION = 0.2
-TREND_ALPHA = 0.05
 
 
 def _require_fit_window(mask, burn_in):
@@ -181,31 +180,6 @@ def run_ruelle(config: Config):
     return payload, passed, None
 
 
-def _series_pipeline(config: Config, resolution: int):
-    """Evolve the scalar and collect the diagnostic series at one resolution."""
-    field = make_field(config.field)
-    datum = _make_datum(config)
-    radii = config.radii if config.radii else default_radii(resolution)
-    series = DiagnosticSeries(
-        metadata={
-            "resolution": resolution,
-            "kappa": config.kappa,
-            "radii": list(radii),
-            "field": asdict(config.field),
-            "datum": asdict(datum),
-        }
-    )
-    l2_values = []
-    for grid in scalar_series(field, datum, config.horizon, resolution):
-        h1 = h_minus_one(grid)
-        lsq = log_sobolev(grid)
-        mix = mixing_scale(grid, config.kappa, radii)
-        series.append(grid.time, h1, lsq, mix)
-        l2_values.append(grid.l2_norm())
-    series.metadata["l2_norm"] = l2_values
-    return series
-
-
 def _interpolation_ratio_series(series: DiagnosticSeries):
     """Observed constant in the L2 / H^-1 / log-Sobolev interpolation bound."""
     ratios = []
@@ -217,13 +191,31 @@ def _interpolation_ratio_series(series: DiagnosticSeries):
 
 def run_mixing(config: Config):
     """Mixing-direction verification at the configured resolution."""
-    series = _series_pipeline(config, config.resolution)
+    field = make_field(config.field)
+    datum = _make_datum(config)
+    radii = default_radii(config.resolution)
+    series = DiagnosticSeries(
+        metadata={
+            "resolution": config.resolution,
+            "kappa": config.kappa,
+            "radii": list(radii),
+            "field": asdict(config.field),
+            "datum": asdict(datum),
+        }
+    )
+    l2_values = []
+    for grid in scalar_series(field, datum, config.horizon, config.resolution):
+        h1 = h_minus_one(grid)
+        lsq = log_sobolev(grid)
+        mix = mixing_scale(grid, config.kappa, radii)
+        series.append(grid.time, h1, lsq, mix)
+        l2_values.append(grid.l2_norm())
+    series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
     times = series.times
     beta = fit_exponential_rate(times, series.h_minus_one, burn_in)
     lsq_slope = fit_linear_slope(times, series.log_sobolev, burn_in)
     mix_rate = fit_exponential_rate(times, series.mixing_scale, burn_in)
-    field = make_field(config.field)
     lyap = ensemble_spectrum(
         make_map("time_one_flow", field=field),
         config.lyapunov_samples,
@@ -297,6 +289,10 @@ def _write_atomic(text, path):
     os.makedirs(directory, exist_ok=True)
     descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would give
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(descriptor, 0o666 & ~umask)
         with os.fdopen(descriptor, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

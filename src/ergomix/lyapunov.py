@@ -11,7 +11,7 @@ values of the full cocycle product.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,16 +48,7 @@ class LyapunovReport:
         return float(np.std(per_sample, ddof=1) / np.sqrt(len(per_sample)))
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "sample_count": self.sample_count,
-            "per_sample_exponents": self.per_sample_exponents.tolist(),
-            "mean_exponents": self.mean_exponents.tolist(),
-            "lambda_max_integral": self.lambda_max_integral,
-            "sum_positive": self.sum_positive,
-            "stderr": self.stderr.tolist(),
-            "skipped_samples": self.skipped_samples,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
 class _TriangularAccumulator:
@@ -69,10 +60,9 @@ class _TriangularAccumulator:
         self.log_r22 = np.zeros(count)
         self.tau = np.zeros(count)
 
-    def push(self, jacobians, idx=None):
-        """Absorb one QR re-orthonormalization step, optionally for a subset."""
-        q = self.q if idx is None else self.q[idx]
-        m = jacobians @ q
+    def push(self, jacobians):
+        """Absorb one QR re-orthonormalization step."""
+        m = jacobians @ self.q
         col0, col1 = m[:, :, 0], m[:, :, 1]
         r11 = np.linalg.norm(col0, axis=1)
         if np.any(r11 == 0.0):
@@ -83,18 +73,17 @@ class _TriangularAccumulator:
         r22 = np.linalg.norm(residual, axis=1)
         if np.any(r22 == 0.0):
             raise DegenerateCocycleError("zero QR diagonal: cocycle factor is rank deficient")
-        q2 = residual / r22[:, None]
-        new_q = np.stack([q1, q2], axis=-1)
-        if idx is None:
-            self.tau = self.tau + (r12 / r11) * np.exp(self.log_r22 - self.log_r11)
-            self.log_r11 = self.log_r11 + np.log(r11)
-            self.log_r22 = self.log_r22 + np.log(r22)
-            self.q = new_q
-        else:
-            self.tau[idx] += (r12 / r11) * np.exp(self.log_r22[idx] - self.log_r11[idx])
-            self.log_r11[idx] += np.log(r11)
-            self.log_r22[idx] += np.log(r22)
-            self.q[idx] = new_q
+        self.tau = self.tau + (r12 / r11) * np.exp(self.log_r22 - self.log_r11)
+        self.log_r11 = self.log_r11 + np.log(r11)
+        self.log_r22 = self.log_r22 + np.log(r22)
+        self.q = np.stack([q1, residual / r22[:, None]], axis=-1)
+
+    def keep(self, mask):
+        """Drop the rows where ``mask`` is False."""
+        self.q = self.q[mask]
+        self.log_r11 = self.log_r11[mask]
+        self.log_r22 = self.log_r22[mask]
+        self.tau = self.tau[mask]
 
     def log_singular_values(self):
         """Exact (log sigma_1, log sigma_2) of the accumulated triangular factor."""
@@ -108,11 +97,9 @@ class _TriangularAccumulator:
         log_s2 = (self.log_r11 + self.log_r22) - log_s1
         return log_s1, log_s2
 
-    def right_singular_vectors(self, index=0):
-        """Rows = right singular vectors, ordered by descending singular value."""
-        a = self.log_r11[index]
-        g = self.log_r22[index]
-        t = self.tau[index]
+    def right_singular_vectors(self):
+        """Rows = right singular vectors of the one orbit, by descending singular value."""
+        (a,), (g,), (t,) = self.log_r11, self.log_r22, self.tau
         scale = max(a + 0.5 * np.log1p(t * t), g)
         balanced = np.array(
             [[np.exp(a - scale), np.exp(a - scale) * t], [0.0, np.exp(g - scale)]]
@@ -121,41 +108,38 @@ class _TriangularAccumulator:
         return vh
 
 
-def _batch_spectrum(map_: MeasurePreservingMap, points, n, collect_vectors=False):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    count = points.shape[0]
-    acc = _TriangularAccumulator(count)
-    alive = np.ones(count, dtype=bool)
-    current = points.copy()
+def _batch_spectrum(map_: MeasurePreservingMap, points, n):
+    """(exponents, alive, accumulator) of the orbits that avoid the singular set.
+
+    ``alive`` is indexed by input row; an orbit is dropped at its first singular iterate.
+    """
+    current = np.atleast_2d(np.asarray(points, dtype=float))
+    acc = _TriangularAccumulator(len(current))
+    alive = np.ones(len(current), dtype=bool)
     for _ in range(n):
-        hit = map_.singular_mask(current) & alive
+        hit = map_.singular_mask(current)
         if np.any(hit):
-            alive &= ~hit
+            alive[alive] = ~hit
             if not np.any(alive):
-                raise ErgomixError("all samples hit the singular set")
-        if alive.all():
-            current, jacs = map_.apply_with_jacobian(current)
-            acc.push(jacs)
-        else:
-            idx = np.nonzero(alive)[0]
-            new_pos, jacs = map_.apply_with_jacobian(current[idx])
-            current[idx] = new_pos
-            acc.push(jacs, idx)
+                raise SingularInputError("all samples hit the singular set")
+            current = current[~hit]
+            acc.keep(~hit)
+        current, jacs = map_.apply_with_jacobian(current)
+        acc.push(jacs)
     log_s1, log_s2 = acc.log_singular_values()
-    exps = np.stack([log_s1, log_s2], axis=1) / n
-    if collect_vectors:
-        return exps, alive, acc
-    return exps, alive
+    return np.stack([log_s1, log_s2], axis=1) / n, alive, acc
+
+
+def _single_orbit(map_: MeasurePreservingMap, x, n):
+    exps, _, acc = _batch_spectrum(map_, np.asarray(x, dtype=float).reshape(1, 2), n)
+    return exps[0], acc
 
 
 def finite_time_spectrum(map_: MeasurePreservingMap, x, n: int):
     """Sorted finite-time exponents (1/n) log chi_i of the n-fold product at x."""
     if n < 1:
         raise ErgomixError(f"n must be >= 1, got {n}")
-    exps, alive = _batch_spectrum(map_, np.asarray(x, dtype=float).reshape(1, 2), n)
-    if not alive[0]:
-        raise SingularInputError("orbit hit the singular set before n iterations")
-    return exps[0]
+    return _single_orbit(map_, x, n)[0]
 
 
 def ensemble_spectrum(map_: MeasurePreservingMap, sample_count: int, n: int, seed: int) -> LyapunovReport:
@@ -164,13 +148,12 @@ def ensemble_spectrum(map_: MeasurePreservingMap, sample_count: int, n: int, see
         raise ErgomixError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     points = uniform_points(rng, sample_count)
-    exps, alive = _batch_spectrum(map_, points, n)
+    kept, alive, _ = _batch_spectrum(map_, points, n)
     skipped = int(np.sum(~alive))
     if skipped > MAX_SKIP_FRACTION * sample_count:
         raise ErgomixError(
             f"{skipped} of {sample_count} samples hit the singular set (> {MAX_SKIP_FRACTION:.0%})"
         )
-    kept = exps[alive]
     mean = kept.mean(axis=0)
     if len(kept) > 1:
         stderr = kept.std(axis=0, ddof=1) / np.sqrt(len(kept))
@@ -198,18 +181,14 @@ def oseledets_filtration(map_: MeasurePreservingMap, x, n: int) -> OseledetsResu
     """Finite-time singular vectors of the n-fold product (flag of the filtration)."""
     if n < 2:
         raise ErgomixError(f"n must be >= 2, got {n}")
-    exps, alive, acc = _batch_spectrum(
-        map_, np.asarray(x, dtype=float).reshape(1, 2), n, collect_vectors=True
-    )
-    if not alive[0]:
-        raise SingularInputError("orbit hit the singular set before n iterations")
-    if abs(exps[0, 0] - exps[0, 1]) < DEGENERATE_GAP:
+    exps, acc = _single_orbit(map_, x, n)
+    if abs(exps[0] - exps[1]) < DEGENERATE_GAP:
         warnings.warn(
             "top finite-time exponents within 1e-6; filtration is ill-conditioned",
             DegenerateSpectrumWarning,
         )
-    vh = acc.right_singular_vectors(0)
-    return OseledetsResult(exponents=exps[0], subspaces=[vh[0], vh[1]])
+    vh = acc.right_singular_vectors()
+    return OseledetsResult(exponents=exps, subspaces=[vh[0], vh[1]])
 
 
 def top_exponent_bound_gap(field, report: LyapunovReport, space_points=256) -> float:

@@ -119,8 +119,7 @@ class TimeOneFlowMap(MeasurePreservingMap):
         return flow.advect(self.field, points, 1.0, 0.0, self.steps)
 
     def apply_with_jacobian(self, points):
-        state = flow.advect_cocycle(self.field, points, 0.0, 1.0, self.steps)
-        return state.position, state.tangent
+        return flow.advect_cocycle(self.field, points, 0.0, 1.0, self.steps)
 
 
 def make_map(kind, field=None) -> MeasurePreservingMap:

@@ -20,6 +20,7 @@ from .errors import ConfigError
 from .flow import advect
 
 DATUM_KINDS = ("sinusoid", "checkerboard", "stripe")
+MIN_RESOLUTION = 16
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,13 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
             l2_norm=1.0 / np.sqrt(2.0),
             bv_seminorm=4.0 * norm_k,
         )
-    if kind == "checkerboard":
-        level = 1 if level is None else int(level)
-        if level < 1:
-            raise ConfigError(f"checkerboard level must be >= 1, got {level}")
+    if kind in ("checkerboard", "stripe"):
+        lowest = 1 if kind == "checkerboard" else 0
+        level = lowest if level is None else int(level)
+        if level < lowest:
+            raise ConfigError(f"{kind} level must be >= {lowest}, got {level}")
         return InitialDatum(
-            kind="checkerboard",
-            level=level,
-            sup_norm=1.0,
-            l2_norm=1.0,
-            bv_seminorm=4.0 * 2**level,
-        )
-    if kind == "stripe":
-        level = 0 if level is None else int(level)
-        if level < 0:
-            raise ConfigError(f"stripe level must be >= 0, got {level}")
-        return InitialDatum(
-            kind="stripe",
+            kind=kind,
             level=level,
             sup_norm=1.0,
             l2_norm=1.0,
@@ -122,8 +113,8 @@ def grid_nodes(resolution: int):
 
 
 def _check_resolution(resolution):
-    if resolution < 16:
-        raise ConfigError(f"grid resolution must be >= 16, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise ConfigError(f"grid resolution must be >= {MIN_RESOLUTION}, got {resolution}")
 
 
 def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> GridField:
@@ -189,10 +180,11 @@ def load_grid(path: str) -> GridField:
     """Load a grid saved by save_grid; accepts the stem or the .json sidecar.
 
     Raises ConfigError when the sidecar is not JSON, lacks a required key,
-    names a dtype other than '<f8', has a time that is not a number, has a
-    metadata or metadata.datum that is not an object or a datum sup_norm that
-    is not a finite positive number, or when the values file does not hold
-    8 N^2 bytes.
+    has a resolution that is not an integer >= MIN_RESOLUTION, names a dtype
+    other than '<f8', has a time that is not a finite number, has a metadata
+    or metadata.datum that is not an object or a datum sup_norm that is not
+    a finite positive number, or when the values file does not hold 8 N^2
+    bytes.
     """
     if path.endswith(".json"):
         sidecar_path = path
@@ -211,12 +203,14 @@ def load_grid(path: str) -> GridField:
         if key not in sidecar:
             raise ConfigError(f"grid sidecar {sidecar_path} lacks the key {key!r}")
     n = sidecar["resolution"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"grid sidecar {sidecar_path}: resolution {n!r} is not an integer >= 1")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= MIN_RESOLUTION):
+        raise ConfigError(
+            f"grid sidecar {sidecar_path}: resolution {n!r} is not an integer >= {MIN_RESOLUTION}"
+        )
     if sidecar.get("dtype", "<f8") != "<f8":
         raise ConfigError(f"grid sidecar {sidecar_path}: dtype {sidecar['dtype']!r} is not '<f8'")
-    if not _is_number(sidecar["time"]):
-        raise ConfigError(f"grid sidecar {sidecar_path}: time {sidecar['time']!r} is not a number")
+    if not (_is_number(sidecar["time"]) and abs(sidecar["time"]) < float("inf")):
+        raise ConfigError(f"grid sidecar {sidecar_path}: time {sidecar['time']!r} is not a finite number")
     metadata = sidecar.get("metadata", {})
     datum = metadata.get("datum", {}) if isinstance(metadata, dict) else None
     if not isinstance(datum, dict):

@@ -87,7 +87,6 @@ valid_configs = st.builds(
     resolution=st.integers(16, 2048),
     kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
     burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
-    radii=st.lists(st.floats(1e-3, 0.5, allow_nan=False), max_size=4).map(tuple),
     field=st.builds(
         VelocityFieldSpec,
         kind=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]),
@@ -293,8 +292,14 @@ def test_cli_diagnose_bad_grid_exits_2_without_traceback(tmp_path, capsys):
     with open(stem + ".json", "w") as handle:
         handle.write('{"resolution": 32')
     assert main(["diagnose", stem]) == 2
+    # a boolean resolution with a one-value file used to reach reshape
+    with open(stem + ".bin", "wb") as handle:
+        handle.write(bytes(8))
+    with open(stem + ".json", "w") as handle:
+        handle.write('{"resolution": true, "values_file": "grid.bin", "time": 0.0}')
+    assert main(["diagnose", stem]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2
+    assert len(err) == 3
     assert all(line.startswith("config error: ") for line in err)
 
 

@@ -24,8 +24,8 @@ def test_zero_field_identity_flow():
     field = make_field(VelocityFieldSpec(kind="zero"))
     x = np.array([0.31, 0.77])
     assert np.array_equal(advect(field, x, 0.0, 5.0, 32), x)
-    state = advect_cocycle(field, x, 0.0, 5.0, 32)
-    assert np.array_equal(state.tangent, np.eye(2))
+    _, tangent = advect_cocycle(field, x, 0.0, 5.0, 32)
+    assert np.array_equal(tangent, np.eye(2))
 
 
 def test_constant_field_translates_exactly():
@@ -50,38 +50,38 @@ def test_steady_shear_closed_form_positions():
 def test_steady_shear_cocycle_closed_form():
     rng = np.random.default_rng(1)
     pts = rng.random((50, 2))
-    state = advect_cocycle(STEADY, pts, 0.0, 1.0, 128)
+    _, tangent = advect_cocycle(STEADY, pts, 0.0, 1.0, 128)
     expected = np.zeros((50, 2, 2))
     expected[:, 0, 0] = 1.0
     expected[:, 1, 1] = 1.0
     expected[:, 0, 1] = 2 * np.pi * np.cos(2 * np.pi * pts[:, 1])
-    assert np.max(np.abs(state.tangent - expected)) < 1e-10
+    assert np.max(np.abs(tangent - expected)) < 1e-10
 
 
 def test_alternating_shear_closed_form_composition():
     # two half-period shears composed: the flow and tangent are exact for RK4
     rng = np.random.default_rng(2)
     pts = rng.random((200, 2))
-    state = advect_cocycle(ALTERNATING, pts, 0.0, 1.0, 256)
+    position, tangent = advect_cocycle(ALTERNATING, pts, 0.0, 1.0, 256)
     c1 = np.pi * np.cos(2 * np.pi * pts[:, 1])
     x1 = pts[:, 0] + 0.5 * np.sin(2 * np.pi * pts[:, 1])
     c2 = np.pi * np.cos(2 * np.pi * x1)
     y1 = pts[:, 1] + 0.5 * np.sin(2 * np.pi * x1)
     expected_pos = np.stack([x1 % 1.0, y1 % 1.0], axis=1)
-    assert np.max(distance(state.position, expected_pos)) < 1e-8
+    assert np.max(distance(position, expected_pos)) < 1e-8
     expected_tan = np.empty((200, 2, 2))
     expected_tan[:, 0, 0] = 1.0
     expected_tan[:, 0, 1] = c1
     expected_tan[:, 1, 0] = c2
     expected_tan[:, 1, 1] = 1.0 + c1 * c2
-    assert np.max(np.abs(state.tangent - expected_tan)) < 1e-8
+    assert np.max(np.abs(tangent - expected_tan)) < 1e-8
 
 
 def test_alternating_shear_determinant_one():
     rng = np.random.default_rng(3)
     pts = rng.random((100, 2))
-    state = advect_cocycle(ALTERNATING, pts, 0.0, 1.0, 256)
-    assert np.max(np.abs(np.linalg.det(state.tangent) - 1.0)) <= 1e-6
+    _, tangent = advect_cocycle(ALTERNATING, pts, 0.0, 1.0, 256)
+    assert np.max(np.abs(np.linalg.det(tangent) - 1.0)) <= 1e-6
 
 
 @pytest.mark.parametrize("spec", AMPLITUDE_TWO_SPECS, ids=[s.kind for s in AMPLITUDE_TWO_SPECS])
@@ -116,8 +116,8 @@ def test_volume_preservation_long_horizon(spec, horizon):
     field = make_field(spec)
     rng = np.random.default_rng(5)
     pts = rng.random((1000, 2))
-    state = advect_cocycle(field, pts, 0.0, horizon, int(256 * horizon))
-    assert np.max(np.abs(np.linalg.det(state.tangent) - 1.0)) <= 1e-6
+    _, tangent = advect_cocycle(field, pts, 0.0, horizon, int(256 * horizon))
+    assert np.max(np.abs(np.linalg.det(tangent) - 1.0)) <= 1e-6
 
 
 def test_exponent_sum_vanishes_on_long_horizon():
@@ -189,14 +189,14 @@ def test_shear_members_one_step_per_piece_matches_fine_rk4(spec):
         steps = field.rk4_steps(t1 - t0)
         assert steps == 1
         fine = int(512 * abs(t1 - t0))
-        state = advect_cocycle(field, pts, t0, t1, steps)
-        reference = advect_cocycle(field, pts, t0, t1, fine)
-        assert np.max(distance(advect(field, pts, t0, t1, steps), reference.position)) < 1e-11
-        assert np.max(distance(state.position, reference.position)) < 1e-11
+        position, tangent = advect_cocycle(field, pts, t0, t1, steps)
+        ref_position, ref_tangent = advect_cocycle(field, pts, t0, t1, fine)
+        assert np.max(distance(advect(field, pts, t0, t1, steps), ref_position)) < 1e-11
+        assert np.max(distance(position, ref_position)) < 1e-11
         # relative Frobenius error; |W| reaches ~240 over [0.3, 2.7] and the
         # 1228-step reference's own roundoff then reaches ~4e-12
-        scale = np.linalg.norm(reference.tangent, axis=(-2, -1))
-        error = np.linalg.norm(state.tangent - reference.tangent, axis=(-2, -1))
+        scale = np.linalg.norm(ref_tangent, axis=(-2, -1))
+        error = np.linalg.norm(tangent - ref_tangent, axis=(-2, -1))
         assert np.max(error / scale) < 1e-10
 
 
@@ -204,8 +204,8 @@ def test_positions_bitwise_equal_with_and_without_tangent():
     rng = np.random.default_rng(9)
     pts = rng.random((64, 2))
     plain = advect(CELLULAR, pts, 0.0, 1.0, 64)
-    state = advect_cocycle(CELLULAR, pts, 0.0, 1.0, 64)
-    assert np.array_equal(plain, state.position)
+    position, _ = advect_cocycle(CELLULAR, pts, 0.0, 1.0, 64)
+    assert np.array_equal(plain, position)
 
 
 def test_divergence_is_reported():

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -387,3 +389,14 @@ def test_write_series_csv_atomic_text(tmp_path):
         "t,h_minus_one,log_sobolev,mixing_scale\n0.0,0.5,1.25,0.5\n1.0,0.1,2.0,0.125\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_write_json_atomic_gives_the_mode_open_would(tmp_path, umask, mode):
+    target = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        write_json_atomic({"ok": 1}, str(target))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == mode

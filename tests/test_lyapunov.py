@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ergomix.errors import ErgomixError
+from ergomix.errors import ErgomixError, SingularInputError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.lyapunov import (
     DegenerateSpectrumWarning,
+    _batch_spectrum,
     ensemble_spectrum,
     finite_time_spectrum,
     oseledets_filtration,
@@ -234,3 +235,39 @@ def test_skipped_samples_are_reported():
 def test_invalid_n_rejected():
     with pytest.raises(ErgomixError):
         finite_time_spectrum(make_map("cat"), np.array([0.1, 0.1]), 0)
+
+
+class LeftEdgeSingularFlow(TimeOneFlowMap):
+    """Time-one map of the mixing field with a thin singular strip x < 0.002."""
+
+    def singular_mask(self, points):
+        return np.asarray(points, dtype=float)[..., 0] < 0.002
+
+
+def test_orbits_dying_mid_run_are_dropped_from_the_cocycle():
+    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+    mapping = LeftEdgeSingularFlow(field)
+    points = np.random.default_rng(10).random((2000, 2))
+    n = 12
+    exps, alive, _ = _batch_spectrum(mapping, points, n)
+
+    expected = np.ones(len(points), dtype=bool)
+    death_step = np.full(len(points), -1)
+    current = points
+    for step in range(n):
+        hit = mapping.singular_mask(current) & expected
+        death_step[hit] = step
+        expected &= ~hit
+        current = mapping.apply(current)
+    assert np.array_equal(alive, expected)
+    assert np.count_nonzero(death_step > 0) > 0, "no orbit died after its first iterate"
+
+    survivors, survivors_alive, _ = _batch_spectrum(mapping, points[alive], n)
+    assert survivors_alive.all()
+    assert np.array_equal(exps, survivors)
+
+
+@pytest.mark.parametrize("spectrum", [finite_time_spectrum, oseledets_filtration])
+def test_singular_single_orbit_raises_singular_input(spectrum):
+    with pytest.raises(SingularInputError):
+        spectrum(make_map("baker"), np.array([0.5, 0.3]), 8)

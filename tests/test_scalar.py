@@ -193,6 +193,9 @@ def test_load_grid_rejects_malformed_sidecar(tmp_path):
         ("metadata", {"datum": []}),
         ("metadata", {"datum": {"sup_norm": "x"}}),
         ("metadata", {"datum": {"sup_norm": 0.0}}),
+        ("resolution", True),
+        ("resolution", 8),
+        ("time", float("nan")),
     ],
 )
 def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
