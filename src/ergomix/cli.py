@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .config import default_radii, parse_config, render_config
+from .config import parse_config, render_config
 from .diagnostics import h_minus_one, log_sobolev, mixing_scale
 from .errors import ConfigError, ErgomixError, UndersampledError
 from .fields import FIELD_KINDS
@@ -93,7 +93,7 @@ def _diagnose_path(path, kappa) -> int:
     grid = load_grid(path)
     h1 = h_minus_one(grid)
     lsq = log_sobolev(grid)
-    mix = mixing_scale(grid, kappa, default_radii(grid.resolution))
+    mix = mixing_scale(grid, kappa)
     print(f"resolution = {grid.resolution}")
     print(f"time = {grid.time}")
     print(f"h_minus_one = {h1!r}")

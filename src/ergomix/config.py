@@ -10,10 +10,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .diagnostics import MIN_PROBES
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
+from .scalar import MIN_RESOLUTION, InitialDatum, make_initial
 
 EXPERIMENTS = ("lyapunov", "ruelle", "mixing", "regularity")
+_NO_DATUM = InitialDatum(kind="", level=2)  # a config without a [datum] kind
 
 
 def _int_range(lo, hi=None):
@@ -44,13 +47,6 @@ def _float_closed(lo, hi):
 
 
 @dataclass(frozen=True)
-class DatumBlock:
-    kind: str = ""
-    wavevector: tuple = (1, 0)
-    level: int = 2
-
-
-@dataclass(frozen=True)
 class MapBlock:
     kind: str = ""
 
@@ -71,7 +67,7 @@ class Config:
     kappa: float = 1.0 / 3.0
     burn_in_fraction: float = 0.2
     field: VelocityFieldSpec = dataclass_field(default_factory=VelocityFieldSpec)
-    datum: DatumBlock = dataclass_field(default_factory=DatumBlock)
+    datum: InitialDatum = _NO_DATUM
     map: MapBlock = dataclass_field(default_factory=MapBlock)
 
 
@@ -116,18 +112,19 @@ _ROOT_KEYS = {
     "samples": (_parse_int, _int_range(1)),
     "lyapunov_samples": (_parse_int, _int_range(1)),
     "lyapunov_n": (_parse_int, _int_range(1)),
-    "probes_per_cell": (_parse_int, _int_range(16)),
+    "probes_per_cell": (_parse_int, _int_range(MIN_PROBES)),
     "horizon": (_parse_int, _int_range(1)),
-    "resolution": (_parse_int, _int_range(16)),
+    "resolution": (_parse_int, _int_range(MIN_RESOLUTION)),
     "kappa": (_parse_float, _float_open(0.0, 1.0)),
     "burn_in_fraction": (_parse_float, _float_closed(0.0, 0.9)),
 }
 
+# VelocityFieldSpec checks its own ranges
 _FIELD_KEYS = {
     "kind": (str, None),
-    "amplitude": (_parse_float, _float_closed(0.0, float("inf"))),
+    "amplitude": (_parse_float, None),
     "phases": (_parse_floats, None),
-    "wavenumber": (_parse_int, _int_range(1)),
+    "wavenumber": (_parse_int, None),
 }
 
 _DATUM_KEYS = {
@@ -203,10 +200,11 @@ def parse_config(text, overrides=()) -> Config:
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {root['experiment']!r}"
         )
 
+    datum = {"level": 2, **blocks["datum"]}
     config = Config(
         **root,
         field=VelocityFieldSpec(**blocks["field"]),
-        datum=DatumBlock(**blocks["datum"]),
+        datum=make_initial(**datum) if datum.get("kind") else _NO_DATUM,
         map=MapBlock(**blocks["map"]),
     )
     _validate_blocks(config)
@@ -225,9 +223,6 @@ def _validate_blocks(config: Config):
             raise ConfigError(f"experiment {experiment} requires map.kind")
         if config.map.kind == "time_one_flow" and not config.field.kind:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
-    for p in config.field.phases:
-        if not (0.0 <= p < 1.0):
-            raise ConfigError(f"field.phases entries must lie in [0, 1), got {p}")
 
 
 def _format_value(value):
@@ -251,13 +246,3 @@ def render_config(config: Config) -> str:
         for key in keys:
             lines.append(f"{key} = {_format_value(getattr(block, key))}")
     return "\n".join(lines) + "\n"
-
-
-def default_radii(resolution: int) -> tuple:
-    """Dyadic scan radii from two grid cells up to 0.4."""
-    radii = []
-    r = 0.4
-    while r >= 2.0 / resolution:
-        radii.append(r)
-        r /= 2.0 ** 0.5
-    return tuple(sorted(radii))

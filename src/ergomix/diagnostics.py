@@ -21,6 +21,8 @@ ENTROPY_GUARD_FACTOR = 1.5
 
 LOG_SOBOLEV_OUTER_RADIUS = 0.2  # offsets integrate over the ball of radius 1/5
 
+MIN_PROBES = 16  # fewest forward probes per cell nu_log_bound accepts
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -135,19 +137,26 @@ def ball_averages(grid: GridField, radius: float):
     return conv / count
 
 
-def mixing_scale(grid: GridField, kappa: float, radii) -> float:
-    """Smallest scanned radius above which all ball averages are kappa-small.
+def scan_radii(resolution: int) -> tuple:
+    """Dyadic scan radii from two grid cells up to 0.4, ascending."""
+    radii = []
+    r = 0.4
+    while r >= 2.0 / resolution:
+        radii.append(r)
+        r /= 2.0 ** 0.5
+    return tuple(sorted(radii))
 
-    Returns max(radii) if the condition fails at the largest radius and
-    min(radii) if it holds at every scanned radius.
+
+def mixing_scale(grid: GridField, kappa: float) -> float:
+    """Smallest scan radius above which all ball averages are kappa-small.
+
+    Scans scan_radii(grid.resolution), the dyadic radii from two grid cells
+    up to 0.4.  Returns the largest radius if the condition fails there and
+    the smallest if it holds at every radius.
     """
     if not (0.0 < kappa < 1.0):
         raise ConfigError(f"kappa must lie in (0, 1), got {kappa}")
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise ConfigError("radii list must not be empty")
-    if radii[-1] > 0.5:
-        raise ConfigError(f"radii must not exceed 1/2, got {radii[-1]}")
+    radii = scan_radii(grid.resolution)
     sup = grid.metadata.get("datum", {}).get("sup_norm")
     if sup is None:
         sup = float(np.max(np.abs(grid.values)))
@@ -271,8 +280,8 @@ def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: in
     each cube, probes_per_cell uniform points are mapped forward and the
     distinct image cubes are counted.
     """
-    if probes_per_cell < 16:
-        raise ConfigError(f"probes_per_cell must be >= 16, got {probes_per_cell}")
+    if probes_per_cell < MIN_PROBES:
+        raise ConfigError(f"probes_per_cell must be >= {MIN_PROBES}, got {probes_per_cell}")
     rng = np.random.default_rng(seed)
     side = 2**partition.level
     cells = partition.cell_count

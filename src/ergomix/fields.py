@@ -23,9 +23,10 @@ SHEAR_KINDS = ("steady_shear", "alternating_shear")
 class VelocityFieldSpec:
     """Parameters selecting one catalog field.
 
-    phases are fractions of a period in [0, 1); their meaning depends on kind
-    (shear offset, switching-half offsets, or cell offsets).  An empty kind
-    stands for a config with no field, and fails ``validate``.
+    phases are at most two fractions of a period in [0, 1); their meaning
+    depends on kind (shear offset, switching-half offsets, or cell offsets).
+    The ranges are checked on construction.  An empty kind stands for a
+    config with no field; ``VelocityField`` rejects it.
     """
 
     kind: str = ""
@@ -33,15 +34,13 @@ class VelocityFieldSpec:
     phases: tuple = ()
     wavenumber: int = 1
 
-    def validate(self):
-        if self.kind not in FIELD_KINDS:
-            raise ConfigError(
-                f"unknown field kind {self.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}"
-            )
+    def __post_init__(self):
         if not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise ConfigError(f"field amplitude must be finite and >= 0, got {self.amplitude}")
         if int(self.wavenumber) != self.wavenumber or self.wavenumber < 1:
             raise ConfigError(f"field wavenumber must be an integer >= 1, got {self.wavenumber}")
+        if len(self.phases) > 2:
+            raise ConfigError(f"field phases must have at most 2 entries, got {len(self.phases)}")
         for p in self.phases:
             if not (0.0 <= p < 1.0):
                 raise ConfigError(f"field phases must lie in [0, 1), got {p}")
@@ -58,7 +57,10 @@ class VelocityField:
     """
 
     def __init__(self, spec: VelocityFieldSpec):
-        spec.validate()
+        if spec.kind not in FIELD_KINDS:
+            raise ConfigError(
+                f"unknown field kind {spec.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}"
+            )
         self.spec = spec
         self.time_breakpoints = (0.0, 0.5) if spec.kind == "alternating_shear" else ()
 

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import Config, default_radii
+from .config import Config
 from .diagnostics import (
     DiagnosticSeries,
     Partition,
@@ -25,12 +25,13 @@ from .diagnostics import (
     log_sobolev,
     mixing_scale,
     nu_log_bound,
+    scan_radii,
 )
 from .errors import ConfigError, ErgomixError
 from .fields import grad_l1_time_average, make_field
 from .lyapunov import ensemble_spectrum
 from .maps import make_map
-from .scalar import make_initial, scalar_series
+from .scalar import scalar_series
 from .seeding import child_seed
 
 RATE_TOLERANCE = 1e-9  # fitted rates this close to zero count as non-negative
@@ -89,8 +90,9 @@ def _student_t_sf(t: float, df: int) -> float:
 def growth_trend_pvalue(times, values) -> float:
     """One-sided p-value for a positive linear trend over the whole series.
 
-    Small p-values mean statistically significant growth; the boundedness
-    gates require p >= 0.05 (no detectable upward trend).  This is the
+    Small p-values mean statistically significant growth.  No run gates on
+    it: the mixing report carries it for the interpolation ratio, and
+    acceptance criterion 09 asserts p >= 0.05 there.  This is the
     least-squares slope t-test with len(values) - 2 degrees of freedom
     (scipy.stats.linregress with alternative="greater"), with the t tail in
     closed form so that no run imports scipy.stats, a large and slow import.
@@ -118,12 +120,6 @@ def _build_map(config: Config):
     if config.map.kind == "time_one_flow":
         return make_map("time_one_flow", field=make_field(config.field))
     return make_map(config.map.kind)
-
-
-def _make_datum(config: Config):
-    return make_initial(
-        config.datum.kind, wavevector=config.datum.wavevector, level=config.datum.level
-    )
 
 
 def run_lyapunov(config: Config):
@@ -180,36 +176,28 @@ def run_ruelle(config: Config):
     return payload, passed, None
 
 
-def _interpolation_ratio_series(series: DiagnosticSeries):
-    """Observed constant in the L2 / H^-1 / log-Sobolev interpolation bound."""
-    ratios = []
-    for h1, lsq, l2 in zip(series.h_minus_one, series.log_sobolev, series.metadata["l2_norm"]):
-        lhs = float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2
-        ratios.append(_ratio(lhs, lsq))
-    return ratios
-
-
 def run_mixing(config: Config):
     """Mixing-direction verification at the configured resolution."""
     field = make_field(config.field)
-    datum = _make_datum(config)
-    radii = default_radii(config.resolution)
     series = DiagnosticSeries(
         metadata={
             "resolution": config.resolution,
             "kappa": config.kappa,
-            "radii": list(radii),
+            "radii": list(scan_radii(config.resolution)),
             "field": asdict(config.field),
-            "datum": asdict(datum),
+            "datum": asdict(config.datum),
         }
     )
     l2_values = []
-    for grid in scalar_series(field, datum, config.horizon, config.resolution):
+    c_obs = []  # observed constant in the L2 / H^-1 / log-Sobolev interpolation bound
+    for grid in scalar_series(field, config.datum, config.horizon, config.resolution):
         h1 = h_minus_one(grid)
         lsq = log_sobolev(grid)
-        mix = mixing_scale(grid, config.kappa, radii)
+        mix = mixing_scale(grid, config.kappa)
         series.append(grid.time, h1, lsq, mix)
-        l2_values.append(grid.l2_norm())
+        l2 = grid.l2_norm()
+        l2_values.append(l2)
+        c_obs.append(_ratio(float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2, lsq))
     series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
     times = series.times
@@ -222,7 +210,6 @@ def run_mixing(config: Config):
         config.lyapunov_n,
         child_seed(config.seed, "lyapunov"),
     )
-    c_obs = _interpolation_ratio_series(series)
     ratio_mixing = _ratio(beta, lyap.lambda_max_integral)
     ratio_regularity = _ratio(lsq_slope, lyap.lambda_max_integral)
     passed = bool(
@@ -256,7 +243,7 @@ def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
     payload, _, series = run_mixing(config)
     grids = scalar_series(
-        make_field(config.field), _make_datum(config), config.horizon, 2 * config.resolution
+        make_field(config.field), config.datum, config.horizon, 2 * config.resolution
     )
     times, values = zip(*[(grid.time, log_sobolev(grid)) for grid in grids])
     slope_double = fit_linear_slope(times, values, payload["burn_in"])

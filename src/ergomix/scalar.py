@@ -60,6 +60,8 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
     """Build a catalog datum with its closed-form norms attached."""
     if kind == "sinusoid":
         wavevector = (1, 0) if wavevector is None else tuple(int(k) for k in wavevector)
+        if len(wavevector) != 2:
+            raise ConfigError(f"sinusoid wavevector must have 2 components, got {len(wavevector)}")
         if all(k == 0 for k in wavevector):
             raise ConfigError("sinusoid wavevector must be nonzero (zero mode is not mean-free)")
         norm_k = float(np.hypot(*wavevector))

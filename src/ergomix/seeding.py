@@ -15,7 +15,8 @@ _STREAMS = {
 }
 
 
-def child_seed(master: int, stream: str, index: int = 0) -> int:
+def child_seed(master: int, stream: str) -> int:
     """Derive the integer seed for a named stream of an experiment."""
-    seq = np.random.SeedSequence(master, spawn_key=(_STREAMS[stream], index))
+    # the trailing 0 is part of every stream's spawn key; dropping it changes the seeds
+    seq = np.random.SeedSequence(master, spawn_key=(_STREAMS[stream], 0))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

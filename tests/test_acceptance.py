@@ -25,7 +25,6 @@ from ergomix.diagnostics import (
 from ergomix.fields import VelocityFieldSpec, grad_l1_time_average, make_field
 from ergomix.flow import advect_cocycle
 from ergomix.harness import (
-    _make_datum,
     fit_exponential_rate,
     growth_trend_pvalue,
     run_mixing,
@@ -210,7 +209,7 @@ def mixing_runs():
     config = parse_config(MIXING_CONFIG_TEXT)
     payload, _, series = run_mixing(config)
     # criterion 08 reads only H^-1 from the doubled-resolution series
-    grids = scalar_series(make_field(config.field), _make_datum(config), config.horizon, 1024)
+    grids = scalar_series(make_field(config.field), config.datum, config.horizon, 1024)
     h1_double = tuple(zip(*[(grid.time, h_minus_one(grid)) for grid in grids]))
     return config, payload, series, h1_double, time.perf_counter() - start
 

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergomix.cli import main
-from ergomix.config import (
-    Config,
-    DatumBlock,
-    MapBlock,
-    default_radii,
-    parse_config,
-    render_config,
-)
+from ergomix.config import Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import make_initial, sample_scalar, save_grid
 from ergomix.fields import VelocityFieldSpec, make_field
@@ -94,11 +87,14 @@ valid_configs = st.builds(
         phases=st.lists(st.floats(0.0, 0.999), max_size=2).map(tuple),
         wavenumber=st.integers(1, 5),
     ),
-    datum=st.builds(
-        DatumBlock,
-        kind=st.sampled_from(["sinusoid", "checkerboard", "stripe"]),
-        wavevector=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-        level=st.integers(0, 8),
+    datum=st.one_of(
+        st.builds(
+            make_initial,
+            st.just("sinusoid"),
+            wavevector=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+        ),
+        st.builds(make_initial, st.just("checkerboard"), level=st.integers(1, 12)),
+        st.builds(make_initial, st.just("stripe"), level=st.integers(0, 12)),
     ),
     map=st.builds(MapBlock, kind=st.just("cat")),
 )
@@ -110,11 +106,14 @@ def test_config_round_trip(config):
     assert parse_config(render_config(config)) == config
 
 
-def test_default_radii_bounds():
-    radii = default_radii(256)
-    assert radii[0] >= 2.0 / 256
-    assert radii[-1] <= 0.5
-    assert all(a < b for a, b in zip(radii, radii[1:]))
+def test_resolved_config_echoes_the_datum_used():
+    sinusoid = MINIMAL_MIXING.replace("checkerboard", "sinusoid\nwavevector = 2, -1\nlevel = 5")
+    text = render_config(parse_config(sinusoid))
+    assert "wavevector = 2, -1\nlevel = 0\n" in text
+    checkerboard = MINIMAL_MIXING.replace("checkerboard", "checkerboard\nwavevector = 3, 4")
+    text = render_config(parse_config(checkerboard))
+    assert "kind = checkerboard\nwavevector = 1, 0\nlevel = 2\n" in text
+    assert parse_config(text).datum == make_initial("checkerboard", level=2)
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -164,6 +163,40 @@ def _assert_one_line_file_error(capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     return err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["field.amplitude=-1"],
+        ["field.wavenumber=0"],
+        ["field.phases=1.0"],
+        ["field.phases=0.1, 0.2, 0.3"],
+        ["datum.level=13"],
+        ["datum.level=0"],
+        ["datum.kind=blob"],
+        ["datum.kind=sinusoid", "datum.wavevector=0, 0"],
+        ["datum.kind=sinusoid", "datum.wavevector=1"],
+        ["datum.kind=sinusoid", "datum.wavevector=1, 2, 3"],
+    ],
+    ids=lambda overrides: " ".join(overrides),
+)
+def test_cli_bad_field_or_datum_exits_2_before_echo(tmp_path, capsys, overrides):
+    path = _write(tmp_path, "m.cfg", MINIMAL_MIXING)
+    argv = ["run", path, "--set", f"output_dir={tmp_path / 'o'}"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("config error: ")
+
+
+def test_datum_is_checked_for_experiments_that_do_not_read_it():
+    with pytest.raises(ConfigError, match="blob"):
+        parse_config(RUELLE_SMALL.format(out="o") + "\n[datum]\nkind = blob\n")
 
 
 def test_cli_config_directory_exits_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ from ergomix.diagnostics import (
     mixing_scale,
     nu_log_bound,
     partition_entropy,
+    scan_radii,
 )
 from ergomix.errors import ConfigError, ErgomixError, UndersampledError
 from ergomix.fields import VelocityFieldSpec, make_field
@@ -131,19 +132,22 @@ def test_log_sobolev_matches_brute_force(make_grid):
 
 
 def _brute_force_mixing_scale(grid, kappa, radii):
-    # independent direct scan: ball means via explicit offset sums
+    # independent direct scan: ball means via explicit offset sums, each
+    # ascending radius adding the offsets of its annulus to the running sum
     n = grid.resolution
     sup = grid.metadata["datum"]["sup_norm"]
     ok = []
+    total = np.zeros_like(grid.values)
+    count = 0
+    inner = -1.0
     for r in radii:
         reach = int(np.floor(r * n))
-        total = np.zeros_like(grid.values)
-        count = 0
         for di in range(-reach, reach + 1):
             for dj in range(-reach, reach + 1):
-                if (di * di + dj * dj) / n**2 <= r * r:
+                if inner < (di * di + dj * dj) / n**2 <= r * r:
                     total += np.roll(grid.values, (-di, -dj), axis=(0, 1))
                     count += 1
+        inner = r * r
         ok.append(np.max(np.abs(total / count)) <= kappa * sup)
     last_fail = -1
     for i, good in enumerate(ok):
@@ -156,36 +160,53 @@ def _brute_force_mixing_scale(grid, kappa, radii):
     return radii[last_fail + 1]
 
 
+def test_scan_radii_bounds():
+    for n in (16, 256):
+        radii = scan_radii(n)
+        assert radii[0] >= 2.0 / n > radii[0] / 2**0.5
+        assert radii[-1] == 0.4
+        assert all(a < b for a, b in zip(radii, radii[1:]))
+    assert len(scan_radii(16)) == 4
+
+
 def test_mixing_scale_checkerboard_bracket():
     grid = sample_scalar(
         make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=2), 0.0, 256
     )
-    radii = [2 ** (-k) for k in range(6, 0, -1)]
-    result = mixing_scale(grid, 1.0 / 3.0, radii)
+    result = mixing_scale(grid, 1.0 / 3.0)
     assert 2**-4 <= result <= 2**-2
-    assert result == _brute_force_mixing_scale(grid, 1.0 / 3.0, sorted(radii))
+    assert result == _brute_force_mixing_scale(grid, 1.0 / 3.0, scan_radii(256))
 
 
 def test_mixing_scale_stripe_bracket():
     grid = sample_scalar(
         make_field(VelocityFieldSpec(kind="zero")), make_initial("stripe", level=0), 0.0, 256
     )
-    radii = sorted(0.4 / 2**k for k in range(7))
-    result = mixing_scale(grid, 1.0 / 3.0, radii)
-    assert result == _brute_force_mixing_scale(grid, 1.0 / 3.0, radii)
+    result = mixing_scale(grid, 1.0 / 3.0)
+    assert result == _brute_force_mixing_scale(grid, 1.0 / 3.0, scan_radii(256))
     assert 0.1 <= result <= 0.45
 
 
+def test_mixing_scale_odd_resolution_matches_brute_force():
+    grid = sample_scalar(
+        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
+        make_initial("checkerboard", level=2),
+        2.0,
+        63,
+    )
+    for kappa in (0.15, 1.0 / 3.0, 0.7):
+        assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(63))
+
+
 def test_mixing_scale_conventions():
-    # fully uniform data mixes at every radius -> min(radii); an unmixed
-    # half-half split fails at every radius -> max(radii)
+    # fully uniform data mixes at every radius -> the smallest scan radius;
+    # an unmixed half-half split fails at every radius -> the largest
     flat = _grid_from_function(lambda p: np.zeros(p.shape[:-1]), 64)
-    radii = [0.05, 0.1, 0.2]
-    assert mixing_scale(flat, 0.5, radii) == 0.05
+    assert mixing_scale(flat, 0.5) == scan_radii(64)[0]
     stripe = sample_scalar(
         make_field(VelocityFieldSpec(kind="zero")), make_initial("stripe", level=0), 0.0, 64
     )
-    assert mixing_scale(stripe, 0.01, [0.01, 0.02]) == 0.02
+    assert mixing_scale(stripe, 0.01) == scan_radii(64)[-1]
 
 
 def test_mixing_scale_monotone_in_kappa():
@@ -195,19 +216,15 @@ def test_mixing_scale_monotone_in_kappa():
         2.0,
         128,
     )
-    radii = sorted(0.4 / 2**k for k in range(7))
-    results = [mixing_scale(grid, kappa, radii) for kappa in (0.15, 0.3, 0.5, 0.7)]
+    results = [mixing_scale(grid, kappa) for kappa in (0.15, 0.3, 0.5, 0.7)]
     assert all(a >= b for a, b in zip(results, results[1:]))
 
 
 def test_mixing_scale_validation():
     grid = _grid_from_function(lambda p: np.zeros(p.shape[:-1]), 64)
-    with pytest.raises(ConfigError):
-        mixing_scale(grid, 1.5, [0.1])
-    with pytest.raises(ConfigError):
-        mixing_scale(grid, 0.3, [])
-    with pytest.raises(ConfigError):
-        mixing_scale(grid, 0.3, [0.7])
+    for kappa in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError, match="kappa"):
+            mixing_scale(grid, kappa)
 
 
 def test_ball_averages_match_direct_sum():
