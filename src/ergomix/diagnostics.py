@@ -2,11 +2,13 @@
 
 Fourier convention: rho_hat(k) = integral of rho(x) exp(-2 pi i k.x) dx,
 realized on the grid as fft2(values) / N^2.  The grid diagnostics read its
-half, rfft2(values), computed once per grid as GridField.spectrum.  The
+half, rfft2(values), computed once per grid as GridField.spectrum; the
+ball-kernel spectra of the mixing scale are computed once per (N, radius).  The
 homogeneous H^-1 norm is sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2);
 with this convention sin(2 pi x) has norm 1/sqrt(2).
 """
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -129,11 +131,24 @@ def _ball_kernel(resolution, radius):
     return (dist2 <= radius**2).astype(float)
 
 
+@functools.lru_cache(maxsize=8)
+def _ball_spectrum(resolution, radius):
+    """(rfft2 of the ball kernel, node count of the ball), read-only and shared.
+
+    The spectrum stays complex: its imaginary parts are roundoff up to ~1e-12,
+    not zeros, and dropping them moves the ball averages.  An entry is 2 MB
+    at N = 512; the shipped mixing series visits four radii.
+    """
+    kernel = _ball_kernel(resolution, radius)
+    spectrum = np.fft.rfft2(kernel)
+    spectrum.flags.writeable = False
+    return spectrum, kernel.sum()
+
+
 def ball_averages(grid: GridField, radius: float):
     """Average of the scalar over the discrete ball of each grid node."""
-    kernel = _ball_kernel(grid.resolution, radius)
-    count = kernel.sum()
-    conv = np.fft.irfft2(grid.spectrum * np.fft.rfft2(kernel), s=grid.values.shape)
+    spectrum, count = _ball_spectrum(grid.resolution, radius)
+    conv = np.fft.irfft2(grid.spectrum * spectrum, s=grid.values.shape)
     return conv / count
 
 

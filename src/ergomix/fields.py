@@ -15,7 +15,9 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
-FIELD_KINDS = ("zero", "constant", "steady_shear", "alternating_shear", "cellular")
+# kind -> number of phases the kind reads
+PHASES_READ = {"zero": 0, "constant": 1, "steady_shear": 1, "alternating_shear": 2, "cellular": 2}
+FIELD_KINDS = tuple(PHASES_READ)
 SHEAR_KINDS = ("steady_shear", "alternating_shear")
 
 
@@ -23,10 +25,11 @@ SHEAR_KINDS = ("steady_shear", "alternating_shear")
 class VelocityFieldSpec:
     """Parameters selecting one catalog field.
 
-    phases are at most two fractions of a period in [0, 1); their meaning
-    depends on kind (shear offset, switching-half offsets, or cell offsets).
-    The ranges are checked on construction.  An empty kind stands for a
-    config with no field; ``VelocityField`` rejects it.
+    phases are fractions of a period in [0, 1); their meaning depends on kind
+    (direction, shear offset, switching-half offsets, or cell offsets), and
+    there are at most PHASES_READ[kind] of them (two for a kind outside the
+    catalog).  The ranges are checked on construction.  An empty kind stands
+    for a config with no field; ``VelocityField`` rejects it.
     """
 
     kind: str = ""
@@ -39,8 +42,11 @@ class VelocityFieldSpec:
             raise ConfigError(f"field amplitude must be finite and >= 0, got {self.amplitude}")
         if int(self.wavenumber) != self.wavenumber or self.wavenumber < 1:
             raise ConfigError(f"field wavenumber must be an integer >= 1, got {self.wavenumber}")
-        if len(self.phases) > 2:
-            raise ConfigError(f"field phases must have at most 2 entries, got {len(self.phases)}")
+        limit = PHASES_READ.get(self.kind, 2)
+        if len(self.phases) > limit:
+            raise ConfigError(
+                f"field kind {self.kind!r} reads at most {limit} phases, got {len(self.phases)}"
+            )
         for p in self.phases:
             if not (0.0 <= p < 1.0):
                 raise ConfigError(f"field phases must lie in [0, 1), got {p}")
@@ -54,6 +60,11 @@ class VelocityField:
     integer and half-integer time, and the list is empty for steady members.
     Between consecutive breakpoints the field does not depend on t, which
     integrators exploit to resolve the switching branch unambiguously.
+
+    ``constant_along_flow`` is true when, on each steady piece, the velocity
+    and its gradient do not vary along the velocity's own direction: every
+    member but ``cellular``.  Points moved along the velocity then read the
+    same velocity and gradient, bitwise, as the points they started from.
     """
 
     def __init__(self, spec: VelocityFieldSpec):
@@ -63,18 +74,19 @@ class VelocityField:
             )
         self.spec = spec
         self.time_breakpoints = (0.0, 0.5) if spec.kind == "alternating_shear" else ()
+        self.constant_along_flow = spec.kind != "cellular"
 
     def rk4_steps(self, duration):
         """RK4 steps for a flow over ``duration`` time units: 256 per unit for cellular.
 
-        On each steady piece of the other (shear) members the velocity does
-        not vary along the direction it moves points and the gradient is
-        nilpotent (G^2 = 0), so one RK4 step is the exact flow and tangent;
-        the integrator gives every piece at least one step.
+        When the field is constant along the flow, each steady piece moves
+        points along straight lines at their starting velocity and the
+        gradient is nilpotent (G^2 = 0), so one RK4 step is the exact flow
+        and tangent; the integrator gives every piece at least one step.
         """
-        if self.spec.kind == "cellular":
-            return max(1, int(round(256 * abs(duration))))
-        return 1
+        if self.constant_along_flow:
+            return 1
+        return max(1, int(round(256 * abs(duration))))
 
     def _phase(self, i):
         return self.spec.phases[i] if i < len(self.spec.phases) else 0.0
@@ -149,6 +161,9 @@ def spectral_norm_2x2(mats):
     return np.sqrt(0.5 * (frob2 + gap))
 
 
+_QUADRATURE_BLOCK_POINTS = 16384  # quadrature nodes per gradient evaluation
+
+
 def _gauss2_nodes(cells):
     # two-point Gauss-Legendre nodes on each of `cells` uniform subintervals of [0, 1]
     width = 1.0 / cells
@@ -170,9 +185,14 @@ def grad_l1_time_average(field: VelocityField, space_points=256) -> float:
     if space_points < 16:
         raise ConfigError(f"quadrature resolution must be >= 16 per axis, got {space_points}")
     xs = _gauss2_nodes(space_points)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     edges = sorted({0.0, 1.0, *field.time_breakpoints})
+    # the norms are filled in row blocks, so no full grid of gradients is held
+    rows = max(1, _QUADRATURE_BLOCK_POINTS // len(xs))
+    norms = np.empty((len(xs), len(xs)))
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        total += (b - a) * float(np.mean(spectral_norm_2x2(field.gradient(0.5 * (a + b), grid))))
+        for start in range(0, len(xs), rows):
+            block = np.stack(np.meshgrid(xs[start : start + rows], xs, indexing="ij"), axis=-1)
+            norms[start : start + rows] = spectral_norm_2x2(field.gradient(0.5 * (a + b), block))
+        total += (b - a) * float(np.mean(norms))
     return total

@@ -8,6 +8,12 @@ between breakpoints, so this is exact in t, and leaves the classical order
 for the autonomous members.  ``VelocityField.rk4_steps`` gives the step
 count to use; one step per steady piece is exact for the shear members.
 
+When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
+the same velocity and gradient bitwise, so a step evaluates them once and
+reuses them in the unchanged RK4 combination.  Batches of points run on the
+persistent worker pool of ``workers.run_chunked``, which writes them into
+outputs allocated here.
+
 Positions are wrapped to [0,1) after every full step; tangents live on the
 universal cover and are never wrapped.
 """
@@ -59,17 +65,22 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
         for j in range(count):
             t_mid = a + (j + 0.5) * h
             v1 = field.velocity(t_mid, pts)
-            p2 = pts + (0.5 * h) * v1
-            v2 = field.velocity(t_mid, p2)
-            p3 = pts + (0.5 * h) * v2
-            v3 = field.velocity(t_mid, p3)
-            p4 = pts + h * v3
-            v4 = field.velocity(t_mid, p4)
+            if field.constant_along_flow:
+                # the stage points p2..p4 differ from pts only along v1
+                v2 = v3 = v4 = v1
+            else:
+                p2 = pts + (0.5 * h) * v1
+                v2 = field.velocity(t_mid, p2)
+                p3 = pts + (0.5 * h) * v2
+                v3 = field.velocity(t_mid, p3)
+                p4 = pts + h * v3
+                v4 = field.velocity(t_mid, p4)
             if with_tangent:
                 g1 = field.gradient(t_mid, pts)
-                g2 = field.gradient(t_mid, p2)
-                g3 = field.gradient(t_mid, p3)
-                g4 = field.gradient(t_mid, p4)
+                if field.constant_along_flow:
+                    g2 = g3 = g4 = g1
+                else:
+                    g2, g3, g4 = (field.gradient(t_mid, p) for p in (p2, p3, p4))
                 k1 = g1 @ tangent
                 k2 = g2 @ (tangent + (0.5 * h) * k1)
                 k3 = g3 @ (tangent + (0.5 * h) * k2)
@@ -94,9 +105,9 @@ def _dispatch(field, x, t0, t1, steps, with_tangent):
         # import that runs which never advect a batch, such as ruelle, skip
         from .workers import run_chunked
 
-        return run_chunked(
-            lambda chunk: _integrate(field, chunk, t0, t1, steps, with_tangent), x
-        )
+        out = (np.empty_like(x), np.empty(x.shape + (2,))) if with_tangent else (np.empty_like(x),)
+        run_chunked(lambda chunk: _integrate(field, chunk, t0, t1, steps, with_tangent), x, out)
+        return out if with_tangent else out[0]
     return _integrate(field, x, t0, t1, steps, with_tangent)
 
 

@@ -31,6 +31,8 @@ class InitialDatum:
     checkerboard level m: product of coordinate square waves, sign flips
     every 2^-m (values exactly +-1).
     stripe level m: square wave in x alone, sign flips every 2^-(m+1).
+    Each square wave is +1 on [0, half period) and takes the value of the
+    right side at every jump.
     """
 
     kind: str
@@ -46,14 +48,24 @@ class InitialDatum:
         if self.kind == "sinusoid":
             kx, ky = self.wavevector
             return np.sin(2.0 * np.pi * (kx * x + ky * y))
+        # square waves: the sign is the parity of the half-period index.
+        # Scaling by a power of two and adding integers below 2^53 are exact,
+        # so the value is exact at the jumps; the steps work in place.
         if self.kind == "checkerboard":
-            freq = 2 ** (self.level - 1)
-            sx = np.where(np.sin(2.0 * np.pi * freq * x) >= 0.0, 1.0, -1.0)
-            sy = np.where(np.sin(2.0 * np.pi * freq * y) >= 0.0, 1.0, -1.0)
-            return sx * sy
-        # stripe
-        freq = 2**self.level
-        return np.where(np.sin(2.0 * np.pi * freq * x) >= 0.0, 1.0, -1.0)
+            index = _half_periods(x, self.level)
+            index += _half_periods(y, self.level)
+        else:  # stripe
+            index = _half_periods(x, self.level + 1)
+        index %= 2.0
+        index *= -2.0
+        index += 1.0
+        return index
+
+
+def _half_periods(coords, level):
+    """floor(2^level * coords), the half-period index of each coordinate, as floats."""
+    scaled = np.asarray(coords * 2.0**level)
+    return np.floor(scaled, out=scaled)
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:

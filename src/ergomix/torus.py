@@ -1,8 +1,7 @@
 """Coordinate conventions on the flat 2-torus [0,1)^2.
 
 Points are plain numpy arrays of shape (..., 2).  All public operations keep
-coordinates in the canonical box [0, 1); distances use the geodesic metric
-(minimum over integer shifts).
+coordinates in the canonical box [0, 1).
 """
 
 import numpy as np
@@ -14,17 +13,6 @@ def wrap(points):
     """Map coordinates to the canonical box [0, 1)."""
     points = np.asarray(points, dtype=float)
     return points - np.floor(points)
-
-
-def wrapped_difference(a, b):
-    """Representative of a - b with each coordinate in [-1/2, 1/2)."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return diff - np.round(diff)
-
-
-def distance(a, b):
-    """Geodesic distance on the torus."""
-    return np.linalg.norm(wrapped_difference(a, b), axis=-1)
 
 
 def uniform_points(rng, count):

@@ -11,7 +11,7 @@ from ergomix.cli import main
 from ergomix.config import Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import make_initial, sample_scalar, save_grid
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import PHASES_READ, VelocityFieldSpec, make_field
 
 MINIMAL_MIXING = """
 experiment = mixing
@@ -80,12 +80,14 @@ valid_configs = st.builds(
     resolution=st.integers(16, 2048),
     kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
     burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
-    field=st.builds(
-        VelocityFieldSpec,
-        kind=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]),
-        amplitude=st.floats(0.0, 8.0, allow_nan=False),
-        phases=st.lists(st.floats(0.0, 0.999), max_size=2).map(tuple),
-        wavenumber=st.integers(1, 5),
+    field=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]).flatmap(
+        lambda kind: st.builds(
+            VelocityFieldSpec,
+            kind=st.just(kind),
+            amplitude=st.floats(0.0, 8.0, allow_nan=False),
+            phases=st.lists(st.floats(0.0, 0.999), max_size=PHASES_READ[kind]).map(tuple),
+            wavenumber=st.integers(1, 5),
+        )
     ),
     datum=st.one_of(
         st.builds(
@@ -172,6 +174,8 @@ def _assert_one_line_file_error(capsys):
         ["field.wavenumber=0"],
         ["field.phases=1.0"],
         ["field.phases=0.1, 0.2, 0.3"],
+        ["field.kind=steady_shear", "field.phases=0.1, 0.5"],
+        ["field.kind=zero", "field.phases=0.1"],
         ["datum.level=13"],
         ["datum.level=0"],
         ["datum.kind=blob"],

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergomix.diagnostics import (
     Partition,
+    _ball_kernel,
+    _ball_spectrum,
     _orbit_codes,
     _plugin_entropy,
     ball_averages,
@@ -240,6 +242,24 @@ def test_ball_averages_match_direct_sum():
                 total += np.roll(grid.values, (-di, -dj), axis=(0, 1))
                 count += 1
     assert np.max(np.abs(means - total / count)) < 1e-10
+
+
+def test_cached_ball_spectrum_equals_a_fresh_transform():
+    rng = np.random.default_rng(6)
+    grid = GridField(48, rng.normal(size=(48, 48)), 0.0, {})
+    _ball_spectrum.cache_clear()
+    for radius in scan_radii(48):
+        kernel = _ball_kernel(48, radius)
+        fresh = np.fft.rfft2(kernel)
+        # the uncached ball averages, as computed before the spectra were cached
+        expected = np.fft.irfft2(grid.spectrum * fresh, s=grid.values.shape) / kernel.sum()
+        for _ in range(2):
+            spectrum, count = _ball_spectrum(48, radius)
+            assert np.array_equal(spectrum, fresh) and count == kernel.sum()
+            assert not spectrum.flags.writeable
+            assert np.array_equal(ball_averages(grid, radius), expected)
+    info = _ball_spectrum.cache_info()
+    assert (info.misses, info.hits) == (len(scan_radii(48)), 3 * len(scan_radii(48)))
 
 
 # --- partition entropy and entropy rate ------------------------------------

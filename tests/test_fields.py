@@ -6,6 +6,7 @@ from scipy import integrate
 from ergomix.errors import ConfigError
 from ergomix.fields import (
     FIELD_KINDS,
+    PHASES_READ,
     VelocityFieldSpec,
     _gauss2_nodes,
     grad_l1_time_average,
@@ -35,6 +36,14 @@ def test_make_field_rejects_negative_amplitude():
 def test_make_field_rejects_bad_phase():
     with pytest.raises(ConfigError):
         make_field(VelocityFieldSpec(kind="steady_shear", phases=(1.5,)))
+
+
+@pytest.mark.parametrize("kind", sorted(PHASES_READ))
+def test_spec_rejects_phases_its_kind_does_not_read(kind):
+    limit = PHASES_READ[kind]
+    assert VelocityFieldSpec(kind=kind, phases=(0.1, 0.5)[:limit]).phases == (0.1, 0.5)[:limit]
+    with pytest.raises(ConfigError, match=f"reads at most {limit} phases"):
+        VelocityFieldSpec(kind=kind, phases=(0.1, 0.5, 0.7)[: limit + 1])
 
 
 def test_zero_field_is_zero():
@@ -158,6 +167,20 @@ def test_grad_l1_exact_time_integral_matches_time_quadrature(spec):
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     oracle = np.mean([np.mean(spectral_norm_2x2(field.gradient(t, grid))) for t in _gauss2_nodes(16)])
     assert grad_l1_time_average(field, space_points=64) == pytest.approx(oracle, rel=1e-14)
+
+
+@pytest.mark.parametrize("space_points", [100, 256])
+@pytest.mark.parametrize("spec", GRAD_L1_SPECS, ids=[s.kind for s in GRAD_L1_SPECS])
+def test_grad_l1_blockwise_equals_one_shot_formula(spec, space_points):
+    # oracle: the gradients of the whole quadrature grid at once, per steady piece
+    field = make_field(spec)
+    xs = _gauss2_nodes(space_points)
+    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+    edges = sorted({0.0, 1.0, *field.time_breakpoints})
+    oracle = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        oracle += (b - a) * float(np.mean(spectral_norm_2x2(field.gradient(0.5 * (a + b), grid))))
+    assert grad_l1_time_average(field, space_points=space_points) == oracle
 
 
 def test_grad_l1_converges_at_first_order_or_better():

@@ -3,10 +3,10 @@ import pytest
 
 from ergomix import workers
 from ergomix.errors import IntegrationDivergedError
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import PHASES_READ, VelocityField, VelocityFieldSpec, make_field
 from ergomix.flow import advect, advect_cocycle
 from ergomix.maps import TimeOneFlowMap
-from ergomix.torus import distance
+from torus_distance import distance
 
 STEADY = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
 ALTERNATING = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
@@ -174,7 +174,7 @@ def test_steps_straddling_integer_times_match_composition(t0, t1, steps):
 
 
 SHEAR_SPECS = [
-    VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41))
+    VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41)[: PHASES_READ[kind]])
     for kind in ("zero", "constant", "steady_shear", "alternating_shear")
 ]
 # off the breakpoints, across integer and half-integer times, both directions
@@ -235,10 +235,10 @@ def test_time_one_map_wraps_field():
 
 
 @pytest.mark.parametrize(
-    "threads, rows, pool_size",
+    "threads, rows, blocks",
     [("100000", 3 * 8192 + 5, 3), ("2", 3 * 8192 + 5, 2), ("100000", 2 * 8192 - 1, None)],
 )
-def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, pool_size):
+def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, blocks):
     # a fake pool that records its size and runs serially: no thread is started
     sizes = []
 
@@ -256,6 +256,7 @@ def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, pool_size)
             return [func(chunk) for chunk in chunks]
 
     monkeypatch.setattr(workers, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(workers, "_POOL", None)  # no pool kept from an earlier batch
     monkeypatch.setenv("ERGOMIX_THREADS", threads)
     chunk_rows = []
 
@@ -264,7 +265,65 @@ def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, pool_size)
         return 2.0 * chunk
 
     points = np.arange(2.0 * rows).reshape(rows, 2)
-    assert np.array_equal(workers.run_chunked(double, points), 2.0 * points)
-    assert sizes == ([] if pool_size is None else [pool_size])
-    assert len(chunk_rows) == (pool_size or 1)
+    (doubled,) = workers.run_chunked(double, points, (np.empty_like(points),))
+    assert np.array_equal(doubled, 2.0 * points)
+    # the pool has one thread per worker; the rows cap the blocks mapped on it
+    assert sizes == ([] if blocks is None else [int(threads)])
+    assert len(chunk_rows) == (blocks or 1)
     assert min(chunk_rows) >= 8192
+
+
+class FourStageField(VelocityField):
+    """A catalog field that reports the four-evaluation RK4 step as needed."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.constant_along_flow = False
+
+
+@pytest.mark.parametrize("spec", SHEAR_SPECS, ids=[s.kind for s in SHEAR_SPECS])
+def test_reused_stage_step_equals_four_evaluation_step(spec):
+    field, forced = make_field(spec), FourStageField(spec)
+    assert field.constant_along_flow
+    pts = np.random.default_rng(13).random((500, 2))
+    for t0, t1 in EXACT_INTERVALS:
+        position, tangent = advect_cocycle(field, pts, t0, t1, 1)
+        ref_position, ref_tangent = advect_cocycle(forced, pts, t0, t1, 1)
+        assert np.array_equal(position, ref_position)
+        assert np.array_equal(tangent, ref_tangent)
+        assert np.array_equal(advect(field, pts, t0, t1, 3), advect(forced, pts, t0, t1, 3))
+
+
+def test_only_cellular_takes_the_four_evaluation_step():
+    kinds = {kind: make_field(VelocityFieldSpec(kind=kind)).constant_along_flow for kind in PHASES_READ}
+    assert kinds == {kind: kind != "cellular" for kind in PHASES_READ}
+
+
+def test_run_chunked_reuses_one_pool_and_bounds_pieces(monkeypatch):
+    monkeypatch.setattr(workers, "_POOL", None)
+    monkeypatch.setenv("ERGOMIX_THREADS", "2")
+    piece_rows = []
+
+    def double(chunk):
+        piece_rows.append(len(chunk))
+        return 2.0 * chunk, chunk[:, :1]
+
+    def run(points):
+        return workers.run_chunked(double, points, (np.empty_like(points), np.empty((len(points), 1))))
+
+    for rows in (8192 * 2, 262144, 100003):
+        points = np.arange(2.0 * rows).reshape(rows, 2)
+        doubled, first = run(points)
+        assert np.array_equal(doubled, 2.0 * points) and np.array_equal(first, points[:, :1])
+    pool = workers._POOL
+    assert pool._max_workers == 2
+    run(np.zeros((50000, 2)))
+    assert workers._POOL is pool
+    assert min(piece_rows) >= 8192 and max(piece_rows) <= 16384
+    # the inline path walks the same pieces
+    monkeypatch.setenv("ERGOMIX_THREADS", "1")
+    piece_rows.clear()
+    run(np.zeros((100003, 2)))
+    assert len(piece_rows) == 7 and min(piece_rows) >= 8192 and max(piece_rows) <= 16384
+    assert workers._POOL is pool
+    pool.shutdown()

@@ -5,7 +5,7 @@ from scipy import stats
 from ergomix.errors import SingularInputError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.maps import BakerMap, CatMap, TimeOneFlowMap, make_map
-from ergomix.torus import distance
+from torus_distance import distance
 
 
 def test_cat_map_example_point():

@@ -61,6 +61,48 @@ def test_stripe_level_zero():
     assert np.mean(values) == 0.0
 
 
+SQUARE_WAVES = [("checkerboard", level) for level in (1, 2, 5, 9)] + [("stripe", level) for level in (0, 1, 4, 8)]
+
+
+def _sine_rule(kind, level, points):
+    # the square waves as sign(sin) >= 0, exact away from the jumps only
+    def wave(coords, freq):
+        return np.where(np.sin(2.0 * np.pi * freq * coords) >= 0.0, 1.0, -1.0)
+
+    if kind == "checkerboard":
+        return wave(points[:, 0], 2 ** (level - 1)) * wave(points[:, 1], 2 ** (level - 1))
+    return wave(points[:, 0], 2**level)
+
+
+@pytest.mark.parametrize("kind, level", SQUARE_WAVES)
+def test_square_wave_parity_matches_sine_rule_off_the_jumps(kind, level):
+    points = np.random.default_rng(level).random((10**5, 2))
+    half_periods = (points if kind == "checkerboard" else points[:, :1]) * 2.0 ** (
+        level if kind == "checkerboard" else level + 1
+    )
+    away = np.all(np.abs(half_periods - np.round(half_periods)) > 1e-9, axis=1)
+    assert away.sum() > 0.99 * len(points)
+    datum = make_initial(kind, level=level)
+    assert np.array_equal(datum.evaluate(points[away]), _sine_rule(kind, level, points[away]))
+
+
+@pytest.mark.parametrize("kind, level", SQUARE_WAVES)
+def test_square_wave_takes_the_right_value_at_its_jumps(kind, level):
+    # each wave is +1 on [0, half period) and -1 on the next half period
+    cells = 2**level if kind == "checkerboard" else 2 ** (level + 1)
+    k = np.arange(cells + 1)
+    jumps = k / cells
+    inside = np.full_like(jumps, 0.5 / cells)
+    datum = make_initial(kind, level=level)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(datum.evaluate(np.stack([jumps, inside], axis=1)), sign)
+    if kind == "checkerboard":
+        assert np.array_equal(datum.evaluate(np.stack([inside, jumps], axis=1)), sign)
+        assert np.array_equal(datum.evaluate(np.stack([jumps, jumps], axis=1)), np.ones_like(jumps))
+    else:
+        assert np.array_equal(datum.evaluate(np.stack([jumps, jumps[::-1]], axis=1)), sign)
+
+
 def test_unknown_datum_kind():
     with pytest.raises(ConfigError):
         make_initial("blob")
