@@ -4,11 +4,11 @@
 For each benchmark workload the script runs ``perfbench/run.py`` untraced
 at seed 7 for 60 seconds and keeps its medians, quartiles, ``correct`` flag
 and ``problems``, and perfbench's ``environment`` record (commit, CPU count,
-versions, ``src/`` lines, ``ERGOMIX_THREADS``).  It then times the tier-1
-test suite and notes the ``ERGOMIX_THREADS`` of that run.  Points are only
-comparable at one seed and duration, so neither can be set.  The script
-refuses a checkout whose tracked files differ from its commit, so each point
-is the commit it names.  perfbench is called, never edited.
+versions, ``src/`` lines) as perfbench writes it.  It then times the tier-1
+test suite.  Points are only comparable at one seed and duration, so neither
+can be set.  The script refuses a checkout whose tracked files differ from
+its commit, so each point is the commit it names.  perfbench is called,
+never edited.
 
 Usage, from anywhere:
 
@@ -62,7 +62,6 @@ def tier1():
         "exit_code": done.returncode,
         "summary": summary,
         "counts": counts,
-        "ERGOMIX_THREADS": os.environ.get("ERGOMIX_THREADS", "unset"),
     }
 
 

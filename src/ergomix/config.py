@@ -13,10 +13,10 @@ import numpy as np
 from .diagnostics import MIN_PROBES
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
-from .scalar import MIN_RESOLUTION, InitialDatum, make_initial
+from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum, make_initial
 
 EXPERIMENTS = ("lyapunov", "ruelle", "mixing", "regularity")
-_NO_DATUM = InitialDatum(kind="", level=2)  # a config without a [datum] kind
+_NO_DATUM = InitialDatum(kind="")  # a config without a [datum] kind
 
 
 def _int_range(lo, hi=None):
@@ -200,7 +200,9 @@ def parse_config(text, overrides=()) -> Config:
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {root['experiment']!r}"
         )
 
-    datum = {"level": 2, **blocks["datum"]}
+    datum = blocks["datum"]
+    if DATUM_PARAMETER.get(datum.get("kind")) == "level":
+        datum = {"level": 2, **datum}
     config = Config(
         **root,
         field=VelocityFieldSpec(**blocks["field"]),
@@ -241,6 +243,8 @@ def render_config(config: Config) -> str:
         lines.append(f"{key} = {_format_value(value)}")
     for section, keys in _SECTIONS.items():
         block = getattr(config, section)
+        if section == "datum":  # only the keys the datum kind reads
+            keys = ("kind", DATUM_PARAMETER[block.kind]) if block.kind else ("kind",)
         lines.append("")
         lines.append(f"[{section}]")
         for key in keys:

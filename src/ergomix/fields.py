@@ -53,7 +53,7 @@ class VelocityFieldSpec:
 
 
 class VelocityField:
-    """A catalog field; evaluation is pure and safe to call concurrently.
+    """A catalog field; evaluation is pure.
 
     ``time_breakpoints`` lists the fractions of the unit period, in [0, 1), at
     which the closed form switches: ``alternating_shear`` switches at every
@@ -152,47 +152,18 @@ def make_field(spec: VelocityFieldSpec) -> VelocityField:
     return VelocityField(spec)
 
 
-def spectral_norm_2x2(mats):
-    """Largest singular value of a stack of 2x2 matrices, by closed form."""
-    mats = np.asarray(mats, dtype=float)
-    frob2 = np.sum(mats * mats, axis=(-2, -1))
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    gap = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0))
-    return np.sqrt(0.5 * (frob2 + gap))
+def grad_l1_time_average(field: VelocityField) -> float:
+    """Space-time average of the spectral norm of the velocity gradient, in closed form.
 
-
-_QUADRATURE_BLOCK_POINTS = 16384  # quadrature nodes per gradient evaluation
-
-
-def _gauss2_nodes(cells):
-    # two-point Gauss-Legendre nodes on each of `cells` uniform subintervals of [0, 1]
-    width = 1.0 / cells
-    centers = (np.arange(cells) + 0.5) * width
-    offset = width / (2.0 * np.sqrt(3.0))
-    return np.sort(np.concatenate([centers - offset, centers + offset]))
-
-
-def grad_l1_time_average(field: VelocityField, space_points=256) -> float:
-    """Space-time average of the spectral norm of the velocity gradient.
-
-    Time is integrated exactly: the field is steady between its time
-    breakpoints, so each piece contributes its length times the spatial mean
-    at its midpoint.  Space uses two Gauss-Legendre nodes per cell on
-    ``space_points`` cells per axis: positive weights, fourth order on the
-    smooth pieces of the catalog, and the |cos| kinks of the shear members
-    fall on cell boundaries for the power-of-two resolutions used in practice.
+    It bounds the top Lyapunov exponent integral from above.  A shear's one
+    gradient entry 2 pi w A cos(2 pi w s) has mean absolute value 4wA, in
+    either half of the alternating period; the cellular norm
+    2 pi w A (|cos X cos Y| + |sin X sin Y|) averages to 16wA/pi; ``zero`` and
+    ``constant`` have no gradient.  Phases only shift a period.
     """
-    if space_points < 16:
-        raise ConfigError(f"quadrature resolution must be >= 16 per axis, got {space_points}")
-    xs = _gauss2_nodes(space_points)
-    edges = sorted({0.0, 1.0, *field.time_breakpoints})
-    # the norms are filled in row blocks, so no full grid of gradients is held
-    rows = max(1, _QUADRATURE_BLOCK_POINTS // len(xs))
-    norms = np.empty((len(xs), len(xs)))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        for start in range(0, len(xs), rows):
-            block = np.stack(np.meshgrid(xs[start : start + rows], xs, indexing="ij"), axis=-1)
-            norms[start : start + rows] = spectral_norm_2x2(field.gradient(0.5 * (a + b), block))
-        total += (b - a) * float(np.mean(norms))
-    return total
+    spec = field.spec
+    if spec.kind in SHEAR_KINDS:
+        return 4.0 * spec.wavenumber * spec.amplitude
+    if spec.kind == "cellular":
+        return 16.0 * spec.wavenumber * spec.amplitude / np.pi
+    return 0.0

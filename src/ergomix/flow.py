@@ -10,8 +10,8 @@ count to use; one step per steady piece is exact for the shear members.
 
 When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
 the same velocity and gradient bitwise, so a step evaluates them once and
-reuses them in the unchanged RK4 combination.  Batches of points run on the
-persistent worker pool of ``workers.run_chunked``, which writes them into
+reuses them in the unchanged RK4 combination.  Batches of points are walked
+in bounded row pieces by ``workers.run_chunked``, which writes them into
 outputs allocated here.
 
 Positions are wrapped to [0,1) after every full step; tangents live on the
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, IntegrationDivergedError
 from .fields import VelocityField
 from .torus import wrap
+from .workers import run_chunked
 
 TANGENT_BLOWUP = 1e12
 
@@ -101,10 +102,6 @@ def _dispatch(field, x, t0, t1, steps, with_tangent):
         raise ConfigError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        # imported on first use: concurrent.futures (with logging) is a slow
-        # import that runs which never advect a batch, such as ruelle, skip
-        from .workers import run_chunked
-
         out = (np.empty_like(x), np.empty(x.shape + (2,))) if with_tangent else (np.empty_like(x),)
         run_chunked(lambda chunk: _integrate(field, chunk, t0, t1, steps, with_tangent), x, out)
         return out if with_tangent else out[0]

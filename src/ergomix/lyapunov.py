@@ -191,6 +191,6 @@ def oseledets_filtration(map_: MeasurePreservingMap, x, n: int) -> OseledetsResu
     return OseledetsResult(exponents=exps, subspaces=[vh[0], vh[1]])
 
 
-def top_exponent_bound_gap(field, report: LyapunovReport, space_points=256) -> float:
+def top_exponent_bound_gap(field, report: LyapunovReport) -> float:
     """Gradient-average upper bound minus the sampled top-exponent integral."""
-    return grad_l1_time_average(field, space_points) - report.lambda_max_integral
+    return grad_l1_time_average(field) - report.lambda_max_integral

@@ -19,7 +19,9 @@ import numpy as np
 from .errors import ConfigError
 from .flow import advect
 
-DATUM_KINDS = ("sinusoid", "checkerboard", "stripe")
+# datum kind -> the one parameter it reads besides its kind
+DATUM_PARAMETER = {"sinusoid": "wavevector", "checkerboard": "level", "stripe": "level"}
+DATUM_KINDS = tuple(DATUM_PARAMETER)
 MIN_RESOLUTION = 16
 
 
@@ -69,7 +71,12 @@ def _half_periods(coords, level):
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
-    """Build a catalog datum with its closed-form norms attached."""
+    """Build a catalog datum with closed-form norms, rejecting a parameter its kind ignores."""
+    if kind not in DATUM_PARAMETER:
+        raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
+    for name, value in (("wavevector", wavevector), ("level", level)):
+        if value is not None and name != DATUM_PARAMETER[kind]:
+            raise ConfigError(f"datum kind {kind} reads no {name}, only {DATUM_PARAMETER[kind]}")
     if kind == "sinusoid":
         wavevector = (1, 0) if wavevector is None else tuple(int(k) for k in wavevector)
         if len(wavevector) != 2:
@@ -84,19 +91,17 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
             l2_norm=1.0 / np.sqrt(2.0),
             bv_seminorm=4.0 * norm_k,
         )
-    if kind in ("checkerboard", "stripe"):
-        lowest = 1 if kind == "checkerboard" else 0
-        level = lowest if level is None else int(level)
-        if level < lowest:
-            raise ConfigError(f"{kind} level must be >= {lowest}, got {level}")
-        return InitialDatum(
-            kind=kind,
-            level=level,
-            sup_norm=1.0,
-            l2_norm=1.0,
-            bv_seminorm=4.0 * 2**level,
-        )
-    raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
+    lowest = 1 if kind == "checkerboard" else 0
+    level = lowest if level is None else int(level)
+    if level < lowest:
+        raise ConfigError(f"{kind} level must be >= {lowest}, got {level}")
+    return InitialDatum(
+        kind=kind,
+        level=level,
+        sup_norm=1.0,
+        l2_norm=1.0,
+        bv_seminorm=4.0 * 2**level,
+    )
 
 
 @dataclass

@@ -109,13 +109,15 @@ def test_config_round_trip(config):
 
 
 def test_resolved_config_echoes_the_datum_used():
-    sinusoid = MINIMAL_MIXING.replace("checkerboard", "sinusoid\nwavevector = 2, -1\nlevel = 5")
+    sinusoid = MINIMAL_MIXING.replace("checkerboard", "sinusoid\nwavevector = 2, -1")
     text = render_config(parse_config(sinusoid))
-    assert "wavevector = 2, -1\nlevel = 0\n" in text
-    checkerboard = MINIMAL_MIXING.replace("checkerboard", "checkerboard\nwavevector = 3, 4")
-    text = render_config(parse_config(checkerboard))
-    assert "kind = checkerboard\nwavevector = 1, 0\nlevel = 2\n" in text
+    assert text.endswith("[datum]\nkind = sinusoid\nwavevector = 2, -1\n\n[map]\nkind = \n")
+    text = render_config(parse_config(MINIMAL_MIXING))
+    assert "[datum]\nkind = checkerboard\nlevel = 2\n\n" in text
     assert parse_config(text).datum == make_initial("checkerboard", level=2)
+    for datum in ("sinusoid\nwavevector = 2, -1\nlevel = 5", "checkerboard\nwavevector = 3, 4"):
+        with pytest.raises(ConfigError, match="reads no"):
+            parse_config(MINIMAL_MIXING.replace("checkerboard", datum))
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -182,6 +184,9 @@ def _assert_one_line_file_error(capsys):
         ["datum.kind=sinusoid", "datum.wavevector=0, 0"],
         ["datum.kind=sinusoid", "datum.wavevector=1"],
         ["datum.kind=sinusoid", "datum.wavevector=1, 2, 3"],
+        ["datum.wavevector=1, 0"],
+        ["datum.kind=stripe", "datum.wavevector=0, 1"],
+        ["datum.kind=sinusoid", "datum.level=3"],
     ],
     ids=lambda overrides: " ".join(overrides),
 )
@@ -358,34 +363,3 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
-
-
-def test_cli_run_is_deterministic_across_thread_env(tmp_path, monkeypatch):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    config = """
-experiment = mixing
-seed = 14
-horizon = 5
-resolution = 128
-lyapunov_samples = 20
-lyapunov_n = 5
-output_dir = {out}
-
-[field]
-kind = alternating_shear
-amplitude = 0.95
-phases = 0.13, 0.41
-
-[datum]
-kind = checkerboard
-level = 2
-"""
-    path_a = _write(tmp_path, "a.cfg", config.format(out=out_a))
-    path_b = _write(tmp_path, "b.cfg", config.format(out=out_b))
-    monkeypatch.setenv("ERGOMIX_THREADS", "1")
-    assert main(["run", path_a]) == 0
-    monkeypatch.setenv("ERGOMIX_THREADS", "4")
-    assert main(["run", path_b]) == 0
-    assert (out_a / "mixing_report.json").read_bytes() == (out_b / "mixing_report.json").read_bytes()
-    assert (out_a / "mixing_series.csv").read_bytes() == (out_b / "mixing_series.csv").read_bytes()

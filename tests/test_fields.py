@@ -8,10 +8,8 @@ from ergomix.fields import (
     FIELD_KINDS,
     PHASES_READ,
     VelocityFieldSpec,
-    _gauss2_nodes,
     grad_l1_time_average,
     make_field,
-    spectral_norm_2x2,
 )
 
 ALL_SPECS = [
@@ -124,8 +122,61 @@ def test_alternating_shear_periodicity_property(t, x, y):
 # --- gradient average ------------------------------------------------------
 
 
+def spectral_norm_2x2(mats):
+    """Largest singular value of a stack of 2x2 matrices, by closed form."""
+    mats = np.asarray(mats, dtype=float)
+    frob2 = np.sum(mats * mats, axis=(-2, -1))
+    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    gap = np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0))
+    return np.sqrt(0.5 * (frob2 + gap))
+
+
+def _gauss2_nodes(cells):
+    # two-point Gauss-Legendre nodes on each of `cells` uniform subintervals of [0, 1]
+    width = 1.0 / cells
+    centers = (np.arange(cells) + 0.5) * width
+    offset = width / (2.0 * np.sqrt(3.0))
+    return np.sort(np.concatenate([centers - offset, centers + offset]))
+
+
+def grad_l1_quadrature(field, cells):
+    """Quadrature oracle for ``grad_l1_time_average``.
+
+    Time is integrated exactly: the field is steady between its time
+    breakpoints, so each piece contributes its length times the spatial mean
+    at its midpoint.  Space uses two Gauss-Legendre nodes per cell on
+    ``cells`` cells per axis: positive weights, and fourth order when every
+    |cos| kink of the norm falls on a cell boundary (for a phase-free field,
+    any multiple of 4w cells); a kink inside a cell costs about two orders.
+    The norms are filled in row blocks of at most 16384 nodes, so no full
+    grid of gradients is held.
+    """
+    xs = _gauss2_nodes(cells)
+    edges = sorted({0.0, 1.0, *field.time_breakpoints})
+    rows = max(1, 16384 // len(xs))
+    norms = np.empty((len(xs), len(xs)))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        for start in range(0, len(xs), rows):
+            block = np.stack(np.meshgrid(xs[start : start + rows], xs, indexing="ij"), axis=-1)
+            norms[start : start + rows] = spectral_norm_2x2(field.gradient(0.5 * (a + b), block))
+        total += (b - a) * float(np.mean(norms))
+    return total
+
+
 def test_grad_l1_zero_field():
     assert grad_l1_time_average(make_field(VelocityFieldSpec(kind="zero"))) == 0.0
+
+
+ORACLE_SPECS = ALL_SPECS + [VelocityFieldSpec(kind="steady_shear", amplitude=0.6, phases=(0.35,), wavenumber=2)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ORACLE_SPECS])
+def test_grad_l1_closed_form_matches_quadrature_oracle(spec):
+    # 640 cells put every |cos| kink of these specs (phases 0.05 to 0.6, w <= 2)
+    # on a cell boundary, where the rule is fourth order: its error is below 1e-9
+    field = make_field(spec)
+    assert grad_l1_time_average(field) == pytest.approx(grad_l1_quadrature(field, 640), abs=1e-8)
 
 
 def test_grad_l1_steady_shear_quadrature_oracle():
@@ -135,21 +186,18 @@ def test_grad_l1_steady_shear_quadrature_oracle():
     assert err < 1e-10
     assert oracle == pytest.approx(4.0, abs=1e-9)
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-    value = grad_l1_time_average(field, space_points=1024)
-    assert value == pytest.approx(oracle, abs=1e-6)
+    assert grad_l1_time_average(field) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_grad_l1_alternating_shear_scales_with_amplitude():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.7))
-    value = grad_l1_time_average(field, space_points=512)
-    assert value == pytest.approx(4.0 * 1.7, abs=1e-6)
+    assert grad_l1_time_average(field) == 4.0 * 1.7
 
 
 def test_grad_l1_cellular_closed_form():
     # |grad b| = 2 pi w A (|cos X cos Y| + |sin X sin Y|), integral = 16 w A / pi
     field = make_field(VelocityFieldSpec(kind="cellular", amplitude=1.3, wavenumber=2))
-    value = grad_l1_time_average(field, space_points=512)
-    assert value == pytest.approx(16.0 * 2 * 1.3 / np.pi, rel=1e-6)
+    assert grad_l1_time_average(field) == pytest.approx(grad_l1_quadrature(field, 512), rel=1e-6)
 
 
 GRAD_L1_SPECS = [
@@ -161,41 +209,20 @@ GRAD_L1_SPECS = [
 
 @pytest.mark.parametrize("spec", GRAD_L1_SPECS, ids=[s.kind for s in GRAD_L1_SPECS])
 def test_grad_l1_exact_time_integral_matches_time_quadrature(spec):
-    # oracle: the spatial mean at two Gauss-Legendre nodes on each of 16 time cells
+    # the oracle's exact time integral against two Gauss-Legendre nodes on each of 16 time cells
     field = make_field(spec)
     xs = _gauss2_nodes(64)
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     oracle = np.mean([np.mean(spectral_norm_2x2(field.gradient(t, grid))) for t in _gauss2_nodes(16)])
-    assert grad_l1_time_average(field, space_points=64) == pytest.approx(oracle, rel=1e-14)
-
-
-@pytest.mark.parametrize("space_points", [100, 256])
-@pytest.mark.parametrize("spec", GRAD_L1_SPECS, ids=[s.kind for s in GRAD_L1_SPECS])
-def test_grad_l1_blockwise_equals_one_shot_formula(spec, space_points):
-    # oracle: the gradients of the whole quadrature grid at once, per steady piece
-    field = make_field(spec)
-    xs = _gauss2_nodes(space_points)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    edges = sorted({0.0, 1.0, *field.time_breakpoints})
-    oracle = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        oracle += (b - a) * float(np.mean(spectral_norm_2x2(field.gradient(0.5 * (a + b), grid))))
-    assert grad_l1_time_average(field, space_points=space_points) == oracle
+    assert grad_l1_quadrature(field, 64) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_grad_l1_converges_at_first_order_or_better():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-    errors = []
-    for cells in (20, 40, 80):
-        errors.append(abs(grad_l1_time_average(field, space_points=cells) - 4.0))
+    errors = [abs(grad_l1_quadrature(field, cells) - grad_l1_time_average(field)) for cells in (20, 40, 80)]
     assert errors[1] <= errors[0] / 2.0
     assert errors[2] <= errors[1] / 2.0
-
-
-def test_grad_l1_rejects_coarse_quadrature():
-    field = make_field(VelocityFieldSpec(kind="zero"))
-    with pytest.raises(ConfigError):
-        grad_l1_time_average(field, space_points=8)
+    assert abs(grad_l1_quadrature(field, 512) - 4.0) < 1e-6
 
 
 def test_spectral_norm_closed_form_matches_svd():

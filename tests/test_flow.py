@@ -234,45 +234,6 @@ def test_time_one_map_wraps_field():
     assert np.max(distance(mapping.apply(pts), expected)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "threads, rows, blocks",
-    [("100000", 3 * 8192 + 5, 3), ("2", 3 * 8192 + 5, 2), ("100000", 2 * 8192 - 1, None)],
-)
-def test_run_chunked_caps_workers_by_rows(monkeypatch, threads, rows, blocks):
-    # a fake pool that records its size and runs serially: no thread is started
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, chunks):
-            return [func(chunk) for chunk in chunks]
-
-    monkeypatch.setattr(workers, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(workers, "_POOL", None)  # no pool kept from an earlier batch
-    monkeypatch.setenv("ERGOMIX_THREADS", threads)
-    chunk_rows = []
-
-    def double(chunk):
-        chunk_rows.append(len(chunk))
-        return 2.0 * chunk
-
-    points = np.arange(2.0 * rows).reshape(rows, 2)
-    (doubled,) = workers.run_chunked(double, points, (np.empty_like(points),))
-    assert np.array_equal(doubled, 2.0 * points)
-    # the pool has one thread per worker; the rows cap the blocks mapped on it
-    assert sizes == ([] if blocks is None else [int(threads)])
-    assert len(chunk_rows) == (blocks or 1)
-    assert min(chunk_rows) >= 8192
-
-
 class FourStageField(VelocityField):
     """A catalog field that reports the four-evaluation RK4 step as needed."""
 
@@ -299,31 +260,20 @@ def test_only_cellular_takes_the_four_evaluation_step():
     assert kinds == {kind: kind != "cellular" for kind in PHASES_READ}
 
 
-def test_run_chunked_reuses_one_pool_and_bounds_pieces(monkeypatch):
-    monkeypatch.setattr(workers, "_POOL", None)
-    monkeypatch.setenv("ERGOMIX_THREADS", "2")
+def test_run_chunked_reuses_one_pool_and_bounds_pieces():
     piece_rows = []
 
     def double(chunk):
         piece_rows.append(len(chunk))
         return 2.0 * chunk, chunk[:, :1]
 
-    def run(points):
-        return workers.run_chunked(double, points, (np.empty_like(points), np.empty((len(points), 1))))
-
     for rows in (8192 * 2, 262144, 100003):
         points = np.arange(2.0 * rows).reshape(rows, 2)
-        doubled, first = run(points)
+        doubled, first = workers.run_chunked(double, points, (np.empty_like(points), np.empty((rows, 1))))
         assert np.array_equal(doubled, 2.0 * points) and np.array_equal(first, points[:, :1])
-    pool = workers._POOL
-    assert pool._max_workers == 2
-    run(np.zeros((50000, 2)))
-    assert workers._POOL is pool
+    assert len(piece_rows) == 1 + 16 + 7
     assert min(piece_rows) >= 8192 and max(piece_rows) <= 16384
-    # the inline path walks the same pieces
-    monkeypatch.setenv("ERGOMIX_THREADS", "1")
+    # a batch under two pieces is one piece
     piece_rows.clear()
-    run(np.zeros((100003, 2)))
-    assert len(piece_rows) == 7 and min(piece_rows) >= 8192 and max(piece_rows) <= 16384
-    assert workers._POOL is pool
-    pool.shutdown()
+    (doubled,) = workers.run_chunked(lambda chunk: double(chunk)[0], np.ones((5, 2)), (np.empty((5, 2)),))
+    assert piece_rows == [5] and np.array_equal(doubled, np.full((5, 2), 2.0))

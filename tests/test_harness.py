@@ -247,15 +247,6 @@ wavevector = 1, 0
     assert passed
 
 
-def test_mixing_report_determinism_across_worker_counts(monkeypatch):
-    config = _config(ZERO_MIXING.replace("resolution = 64", "resolution = 128"))
-    monkeypatch.setenv("ERGOMIX_THREADS", "1")
-    first = json.dumps(run_mixing(config)[0], sort_keys=True)
-    monkeypatch.setenv("ERGOMIX_THREADS", "3")
-    second = json.dumps(run_mixing(config)[0], sort_keys=True)
-    assert first == second
-
-
 def test_ruelle_determinism_same_seed():
     config = _config(
         """
