@@ -201,6 +201,8 @@ def parse_config(text, overrides=()) -> Config:
         )
 
     datum = blocks["datum"]
+    if not datum.get("kind") and set(datum) - {"kind"}:
+        raise ConfigError(f"datum.{min(set(datum) - {'kind'})} is given without datum.kind")
     if DATUM_PARAMETER.get(datum.get("kind")) == "level":
         datum = {"level": 2, **datum}
     config = Config(

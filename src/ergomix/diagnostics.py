@@ -10,6 +10,7 @@ with this convention sin(2 pi x) has norm 1/sqrt(2).
 
 import functools
 from dataclasses import dataclass, field as dataclass_field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .torus import uniform_points
 ENTROPY_GUARD_FACTOR = 1.5
 
 LOG_SOBOLEV_OUTER_RADIUS = 0.2  # offsets integrate over the ball of radius 1/5
+CERTIFICATE_REL, CERTIFICATE_ABS = 1e-9, 1e-12  # margins of the mixing-scale certificates
 
 MIN_PROBES = 16  # fewest forward probes per cell nu_log_bound accepts
 
@@ -63,6 +65,45 @@ class DiagnosticSeries:
         self.mixing_scale.append(float(mix))
 
 
+@functools.lru_cache(maxsize=2)
+def _workspace(n):
+    """Per-resolution tables and scratch arrays, shared by the diagnostics of every grid.
+
+    k2: |k|^2 on the half spectrum (1 at k = 0); nodes, lengths2: flat index and N^2 |h|^2
+    of each log-Sobolev offset.  The rest share one block, which glibc maps apart from its heap.
+    """
+    kx, ky = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    reach = int(np.floor(LOG_SOBOLEV_OUTER_RADIUS * n))
+    di, dj = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1), indexing="ij")
+    keep = ((di * di + dj * dj) / n**2 <= LOG_SOBOLEV_OUTER_RADIUS**2) & ((di != 0) | (dj != 0))
+    di, dj = di[keep], dj[keep]
+    shape, m = (n, n // 2 + 1), n * (n // 2 + 1)
+    block = np.empty(5 * m + n * n)
+    work = SimpleNamespace(
+        k2=np.add(kx[:, None] ** 2, ky[None, :] ** 2, out=block[:m].reshape(shape)),
+        nodes=(di % n) * n + dj % n,
+        lengths2=di * di + dj * dj,
+        half=block[m : 2 * m].reshape(shape),
+        weights=block[2 * m : 3 * m].reshape(shape),
+        product=block[3 * m : 5 * m].view(complex).reshape(shape),
+        averages=block[5 * m :].reshape(n, n),
+    )
+    work.k2[0, 0] = 1.0
+    return work
+
+
+def release_scratch():
+    """Free the per-resolution arrays that the grid diagnostics reuse from grid to grid."""
+    _workspace.cache_clear()
+    _ball_offsets.cache_clear()
+
+
+def _inverse_half(half, out):
+    """irfft2 of a half spectrum into out, in irfft2's two passes, with no array allocated."""
+    complex_half = np.fft.ifft(half, axis=0, out=_workspace(out.shape[0]).product)
+    return np.fft.irfft(complex_half, n=out.shape[1], axis=1, out=out)
+
+
 def h_minus_one(grid: GridField) -> float:
     """Homogeneous H^-1 norm of the (mean-subtracted) grid scalar.
 
@@ -71,13 +112,11 @@ def h_minus_one(grid: GridField) -> float:
     counts twice.
     """
     n = grid.resolution
-    coeffs = grid.spectrum / n**2
-    kx = np.fft.fftfreq(n, d=1.0 / n)
-    ky = np.fft.rfftfreq(n, d=1.0 / n)
-    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-    k2[0, 0] = 1.0  # k = 0 excluded below
-    weight = np.abs(coeffs) ** 2 / k2
-    weight[0, 0] = 0.0
+    work = _workspace(n)
+    weight = np.abs(np.divide(grid.spectrum, n**2, out=work.product), out=work.half)
+    weight **= 2
+    weight /= work.k2
+    weight[0, 0] = 0.0  # k = 0 excluded
     weight[:, 1 : (n + 1) // 2] *= 2.0
     return float(np.sqrt(np.sum(weight)))
 
@@ -93,17 +132,13 @@ def log_sobolev(grid: GridField) -> float:
     inverse transform of the grid's spectrum gives every offset at once.
     """
     n = grid.resolution
-    power = np.abs(grid.spectrum) ** 2
+    work = _workspace(n)
+    power = np.square(np.abs(grid.spectrum, out=work.half), out=work.half)
     power[0, 0] = 0.0  # the mean does not change any increment
-    autocorrelation = np.fft.irfft2(power, s=grid.values.shape) / n**2
-    reach = int(np.floor(LOG_SOBOLEV_OUTER_RADIUS * n))
-    axis = np.arange(-reach, reach + 1)
-    di, dj = np.meshgrid(axis, axis, indexing="ij")
-    dist2 = (di * di + dj * dj) / n**2
-    keep = (dist2 <= LOG_SOBOLEV_OUTER_RADIUS**2) & ((di != 0) | (dj != 0))
-    di, dj = di[keep], dj[keep]
-    increments = 2.0 * (autocorrelation[0, 0] - autocorrelation[di % n, dj % n])
-    return float(np.sum(increments / (di * di + dj * dj)))
+    # N^2 C, read only at the offsets; dividing those entries alone gives C's bits
+    scaled = _inverse_half(power, work.averages).ravel()
+    increments = 2.0 * (scaled[0] / n**2 - scaled[work.nodes] / n**2)
+    return float(np.sum(increments / work.lengths2))
 
 
 def log_sobolev_brute_force(grid: GridField) -> float:
@@ -145,11 +180,18 @@ def _ball_spectrum(resolution, radius):
     return spectrum, kernel.sum()
 
 
-def ball_averages(grid: GridField, radius: float):
+@functools.lru_cache(maxsize=8)
+def _ball_offsets(resolution, radius):
+    """Row and column offsets, modulo N, of the nodes of the discrete ball."""
+    return np.nonzero(_ball_kernel(resolution, radius))
+
+
+def ball_averages(grid: GridField, radius: float, out=None):
     """Average of the scalar over the discrete ball of each grid node."""
     spectrum, count = _ball_spectrum(grid.resolution, radius)
-    conv = np.fft.irfft2(grid.spectrum * spectrum, s=grid.values.shape)
-    return conv / count
+    product = np.multiply(grid.spectrum, spectrum, out=_workspace(grid.resolution).product)
+    averages = _inverse_half(product, np.empty(grid.values.shape) if out is None else out)
+    return np.divide(averages, count, out=averages)
 
 
 def scan_radii(resolution: int) -> tuple:
@@ -165,22 +207,45 @@ def scan_radii(resolution: int) -> tuple:
 def mixing_scale(grid: GridField, kappa: float) -> float:
     """Smallest scan radius above which all ball averages are kappa-small.
 
-    Scans scan_radii(grid.resolution), the dyadic radii from two grid cells
-    up to 0.4.  Returns the largest radius if the condition fails there and
-    the smallest if it holds at every radius.
+    Scans scan_radii(grid.resolution) (two grid cells up to 0.4) downward;
+    the largest radius if some ball average exceeds kappa * sup_norm there,
+    the smallest if none does at any radius.  A radius passes when the bound
+    sum |rho_hat| |K_hat| / (count N^2) over the full spectrum is below the
+    threshold by CERTIFICATE_REL relative plus CERTIFICATE_ABS, far above
+    roundoff; it fails when the direct ball sum at the node where the last
+    transformed radius peaked is above it by that margin; else ball_averages.
     """
     if not (0.0 < kappa < 1.0):
         raise ConfigError(f"kappa must lie in (0, 1), got {kappa}")
-    radii = scan_radii(grid.resolution)
+    n = grid.resolution
+    radii = scan_radii(n)
     sup = grid.metadata.get("datum", {}).get("sup_norm")
     if sup is None:
         sup = float(np.max(np.abs(grid.values)))
     threshold = kappa * sup
-    # scan downward: the answer is the radius above the largest failing one
+    work = _workspace(n)
+    weights = np.abs(grid.spectrum, out=work.weights)
+    weights[:, 1 : (n + 1) // 2] *= 2.0
+    peak = None  # (row, column) where the last transformed radius peaked
     for i in range(len(radii) - 1, -1, -1):
-        if np.max(np.abs(ball_averages(grid, radii[i]))) > threshold:
-            return radii[min(i + 1, len(radii) - 1)]
-    return radii[0]
+        spectrum, count = _ball_spectrum(n, radii[i])
+        bound = np.sum(np.multiply(weights, np.abs(spectrum, out=work.half), out=work.half))
+        if (bound / (count * n**2)) * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS <= threshold:
+            continue
+        if peak is not None:
+            rows, cols = _ball_offsets(n, radii[i])
+            direct = abs(grid.values[(rows + peak[0]) % n, (cols + peak[1]) % n].sum()) / count
+            if direct > threshold * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS:
+                break
+        averages = ball_averages(grid, radii[i], out=work.averages)
+        high, low = averages.argmax(), averages.argmin()
+        node = high if averages.flat[high] >= -averages.flat[low] else low
+        if abs(averages.flat[node]) > threshold:
+            break
+        peak = np.unravel_index(node, (n, n))
+    else:
+        return radii[0]
+    return radii[min(i + 1, len(radii) - 1)]
 
 
 def partition_entropy(weights) -> float:

@@ -101,6 +101,13 @@ class VelocityField:
             return 0, 1, self._phase(0)
         return 1, 0, self._phase(1)
 
+    def shear_speed(self, t, points):
+        """(moved axis, its speed A sin(2 pi w (driving + phase))) of a shear member at time t."""
+        moved, driving, phase = self._shear(t)
+        speed = np.add(points[..., driving], phase, out=np.empty(points.shape[:-1]))
+        speed *= TWO_PI * self.spec.wavenumber
+        return moved, np.multiply(np.sin(speed, out=speed), self.spec.amplitude, out=speed)
+
     def velocity(self, t, points):
         """Velocity b(t, x) for points of shape (..., 2)."""
         points = np.asarray(points, dtype=float)
@@ -115,8 +122,8 @@ class VelocityField:
             out[..., 1] = amp * np.sin(angle)
             return out
         if spec.kind in SHEAR_KINDS:
-            moved, driving, phase = self._shear(t)
-            out[..., moved] = amp * np.sin(TWO_PI * w * (points[..., driving] + phase))
+            moved, speed = self.shear_speed(t, points)
+            out[..., moved] = speed
             return out
         # cellular: b = (d psi/dy, -d psi/dx) for psi ~ sin(2 pi w x) sin(2 pi w y)
         xs = TWO_PI * w * (points[..., 0] + self._phase(0))

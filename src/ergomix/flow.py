@@ -10,9 +10,9 @@ count to use; one step per steady piece is exact for the shear members.
 
 When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
 the same velocity and gradient bitwise, so a step evaluates them once and
-reuses them in the unchanged RK4 combination.  Batches of points are walked
-in bounded row pieces by ``workers.run_chunked``, which writes them into
-outputs allocated here.
+reuses them in the unchanged RK4 combination.  ``advect`` of a shear updates only
+the moved column, in place, by the same operations in the same order (x + (h/6)*0 and
+the wrap leave the other unchanged bitwise); ``cellular`` and tangents keep the oracle step.
 
 Positions are wrapped to [0,1) after every full step; tangents live on the
 universal cover and are never wrapped.
@@ -21,7 +21,7 @@ universal cover and are never wrapped.
 import numpy as np
 
 from .errors import ConfigError, IntegrationDivergedError
-from .fields import VelocityField
+from .fields import SHEAR_KINDS, VelocityField
 from .torus import wrap
 from .workers import run_chunked
 
@@ -97,20 +97,37 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     return (pts, tangent) if with_tangent else pts
 
 
-def _dispatch(field, x, t0, t1, steps, with_tangent):
+def _shear_in_place(field, pts, t0, t1, steps):
+    """_integrate of a shear without a tangent, in place, updating only the moved column."""
+    pts -= np.floor(pts)
+    segments = _segments(field, t0, t1) if t0 != t1 else []
+    for (a, b), count in zip(segments, _allocate_steps(segments, steps)):
+        h = (b - a) / count
+        for j in range(count):
+            moved, v = field.shear_speed(a + (j + 0.5) * h, pts)
+            column = pts[..., moved]
+            column += (h / 6.0) * (v + 2.0 * v + 2.0 * v + v)
+            column -= np.floor(column)
+    if not np.all(np.isfinite(pts)):
+        raise IntegrationDivergedError("a flow position is not finite; check the input points")
+    return ()
+
+
+def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
+    """RK4 flow X(t1, t0, x) into ``out`` (C-contiguous, may be ``x``); t1 < t0 inverts it."""
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        out = (np.empty_like(x), np.empty(x.shape + (2,))) if with_tangent else (np.empty_like(x),)
-        run_chunked(lambda chunk: _integrate(field, chunk, t0, t1, steps, with_tangent), x, out)
-        return out if with_tangent else out[0]
-    return _integrate(field, x, t0, t1, steps, with_tangent)
-
-
-def advect(field: VelocityField, x, t0: float, t1: float, steps: int):
-    """RK4 approximation of the flow X(t1, t0, x); t1 < t0 gives the inverse flow."""
-    return _dispatch(field, x, float(t0), float(t1), steps, with_tangent=False)
+    if out is None:
+        out = x.copy()
+    elif out is not x:
+        np.copyto(out, x)
+    pieces, t0, t1 = out.reshape(-1, 2), float(t0), float(t1)
+    if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
+        run_chunked(lambda piece: _shear_in_place(field, piece, t0, t1, steps), pieces, ())
+    else:
+        run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, False), pieces, (pieces,))
+    return out
 
 
 def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int):
@@ -118,4 +135,10 @@ def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int):
 
     Returns (position (..., 2), tangent (..., 2, 2)).
     """
-    return _dispatch(field, x, float(t0), float(t1), steps, with_tangent=True)
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    x, t0, t1 = np.asarray(x, dtype=float), float(t0), float(t1)
+    if x.ndim != 2:
+        return _integrate(field, x, t0, t1, steps, True)
+    out = (np.empty_like(x), np.empty(x.shape + (2,)))
+    return run_chunked(lambda chunk: _integrate(field, chunk, t0, t1, steps, True), x, out)

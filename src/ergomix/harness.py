@@ -25,6 +25,7 @@ from .diagnostics import (
     log_sobolev,
     mixing_scale,
     nu_log_bound,
+    release_scratch,
     scan_radii,
 )
 from .errors import ConfigError, ErgomixError
@@ -198,6 +199,8 @@ def run_mixing(config: Config):
         l2 = grid.l2_norm()
         l2_values.append(l2)
         c_obs.append(_ratio(float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2, lsq))
+        del grid  # free its arrays before the series builds the next grid
+    release_scratch()  # before the Lyapunov run, which adds numpy.random's pages
     series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
     times = series.times

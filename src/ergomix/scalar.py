@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import advect
+from .workers import run_chunked
 
 # datum kind -> the one parameter it reads besides its kind
 DATUM_PARAMETER = {"sinusoid": "wavevector", "checkerboard": "level", "stripe": "level"}
@@ -45,29 +46,32 @@ class InitialDatum:
     bv_seminorm: float = 0.0
 
     def evaluate(self, points):
+        """Values at points of shape (..., 2), computed in row pieces."""
         points = np.asarray(points, dtype=float)
-        x, y = points[..., 0], points[..., 1]
+        values = np.empty(points.shape[:-1])
+        run_chunked(self._values, points.reshape(-1, 2), (values.reshape(-1),))
+        return values
+
+    def _values(self, points):
+        x, y = points[:, 0], points[:, 1]
         if self.kind == "sinusoid":
             kx, ky = self.wavevector
             return np.sin(2.0 * np.pi * (kx * x + ky * y))
-        # square waves: the sign is the parity of the half-period index.
-        # Scaling by a power of two and adding integers below 2^53 are exact,
-        # so the value is exact at the jumps; the steps work in place.
+        # square waves: the value is +1 or -1 by the parity of the integer
+        # half-period index floor(2^m x) (summed over both coordinates for the
+        # checkerboard); scaling by a power of two is exact, so the value is
+        # exact at every jump and for negative coordinates
         if self.kind == "checkerboard":
             index = _half_periods(x, self.level)
             index += _half_periods(y, self.level)
         else:  # stripe
             index = _half_periods(x, self.level + 1)
-        index %= 2.0
-        index *= -2.0
-        index += 1.0
-        return index
+        return np.where(index & 1, -1.0, 1.0)
 
 
 def _half_periods(coords, level):
-    """floor(2^level * coords), the half-period index of each coordinate, as floats."""
-    scaled = np.asarray(coords * 2.0**level)
-    return np.floor(scaled, out=scaled)
+    """floor(2^level * coords), the half-period index of each coordinate."""
+    return np.floor(coords * 2.0**level).astype(np.int64)
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
@@ -116,7 +120,8 @@ class GridField:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfft2 of the values, computed once per grid and shared by the diagnostics."""
-        return np.fft.rfft2(self.values)
+        rows, columns = self.values.shape  # rfft2 into its output, with no intermediate array
+        return np.fft.rfft2(self.values, out=np.empty((rows, columns // 2 + 1), dtype=complex))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.mean(self.values**2)))
@@ -141,15 +146,12 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> Grid
     _check_resolution(resolution)
     if t < 0:
         raise ConfigError(f"time must be >= 0, got {t}")
-    nodes = grid_nodes(resolution).reshape(-1, 2)
-    if t == 0:
-        feet = nodes
-    else:
-        feet = advect(field, nodes, t, 0.0, field.rk4_steps(t))
-    values = datum.evaluate(feet).reshape(resolution, resolution)
+    feet = grid_nodes(resolution)
+    if t > 0:
+        advect(field, feet, t, 0.0, field.rk4_steps(t), out=feet)
     return GridField(
         resolution=resolution,
-        values=values,
+        values=datum.evaluate(feet),
         time=float(t),
         metadata=_grid_meta(field, datum),
     )
@@ -158,19 +160,17 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> Grid
 def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
     """Yield GridFields at integer times 0..horizon.
 
-    The backward feet are marched incrementally: by time periodicity the
-    backward map over [k, k-1] equals the one over [1, 0], so the feet at
+    The backward feet are marched incrementally, in place: by time periodicity
+    the backward map over [k, k-1] equals the one over [1, 0], so the feet at
     time k are the unit backward map applied to the feet at time k-1.
     """
     _check_resolution(resolution)
-    nodes = grid_nodes(resolution).reshape(-1, 2)
-    feet = nodes
+    feet = grid_nodes(resolution)
     meta = _grid_meta(field, datum)
     for t in range(horizon + 1):
         if t > 0:
-            feet = advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0))
-        values = datum.evaluate(feet).reshape(resolution, resolution)
-        yield GridField(resolution=resolution, values=values, time=float(t), metadata=dict(meta))
+            advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0), out=feet)
+        yield GridField(resolution, datum.evaluate(feet), float(t), dict(meta))
 
 
 def _grid_meta(field, datum: InitialDatum):

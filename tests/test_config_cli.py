@@ -187,6 +187,7 @@ def _assert_one_line_file_error(capsys):
         ["datum.wavevector=1, 0"],
         ["datum.kind=stripe", "datum.wavevector=0, 1"],
         ["datum.kind=sinusoid", "datum.level=3"],
+        ["experiment=ruelle", "map.kind=cat", "datum.kind=", "datum.level=3"],
     ],
     ids=lambda overrides: " ".join(overrides),
 )
@@ -206,6 +207,13 @@ def test_cli_bad_field_or_datum_exits_2_before_echo(tmp_path, capsys, overrides)
 def test_datum_is_checked_for_experiments_that_do_not_read_it():
     with pytest.raises(ConfigError, match="blob"):
         parse_config(RUELLE_SMALL.format(out="o") + "\n[datum]\nkind = blob\n")
+
+
+def test_datum_keys_without_a_kind_are_rejected():
+    for block in ("level = 3\nwavevector = 5, 5\n", "kind =\nlevel = 3\n"):
+        with pytest.raises(ConfigError, match=r"^datum.level is given without datum.kind$"):
+            parse_config(RUELLE_SMALL.format(out="o") + "\n[datum]\n" + block)
+    assert parse_config(RUELLE_SMALL.format(out="o") + "\n[datum]\nkind =\n").datum.kind == ""
 
 
 def test_cli_config_directory_exits_2(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergomix import diagnostics
+from ergomix.config import parse_config
 from ergomix.diagnostics import (
     Partition,
     _ball_kernel,
@@ -22,9 +26,11 @@ from ergomix.diagnostics import (
 from ergomix.errors import ConfigError, ErgomixError, UndersampledError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.maps import TimeOneFlowMap, make_map
-from ergomix.scalar import GridField, grid_nodes, make_initial, sample_scalar
+from ergomix.scalar import GridField, grid_nodes, make_initial, sample_scalar, scalar_series
 from ergomix.torus import uniform_points
 from tests.test_lyapunov import IdentityMap
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _grid_from_function(func, resolution, sup_norm=1.0):
@@ -133,28 +139,38 @@ def test_log_sobolev_matches_brute_force(make_grid):
 # --- mixing_scale ----------------------------------------------------------
 
 
-def _brute_force_mixing_scale(grid, kappa, radii):
-    # independent direct scan: ball means via explicit offset sums, each
-    # ascending radius adding the offsets of its annulus to the running sum
+def _ball_maxima(grid, radii):
+    # independent direct scan: the largest |ball mean| at each radius, each
+    # ball sum a sum of row segments |dj| <= w(di) read off periodic prefix
+    # sums along the rows (exact for the two-valued data used here)
     n = grid.resolution
-    sup = grid.metadata["datum"]["sup_norm"]
-    ok = []
-    total = np.zeros_like(grid.values)
-    count = 0
-    inner = -1.0
+    tiled = np.concatenate([grid.values] * 3, axis=1)
+    prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(tiled, axis=1)], axis=1)
+    maxima = []
     for r in radii:
         reach = int(np.floor(r * n))
-        for di in range(-reach, reach + 1):
-            for dj in range(-reach, reach + 1):
-                if inner < (di * di + dj * dj) / n**2 <= r * r:
-                    total += np.roll(grid.values, (-di, -dj), axis=(0, 1))
-                    count += 1
-        inner = r * r
-        ok.append(np.max(np.abs(total / count)) <= kappa * sup)
-    last_fail = -1
-    for i, good in enumerate(ok):
-        if not good:
-            last_fail = i
+        offsets = np.arange(reach + 1)
+        inside = (offsets[:, None] ** 2 + offsets[None, :] ** 2) / n**2 <= r * r
+        total = np.zeros_like(grid.values)
+        count = 0
+        # rows di and -di of the ball share their half-width w
+        for di, w in zip(offsets, inside.sum(axis=1) - 1):
+            if w < 0:
+                continue
+            # segment[i, j] = sum of values[i, j - w .. j + w], columns modulo N
+            segment = prefix[:, n + w + 1 : 2 * n + w + 1] - prefix[:, n - w : 2 * n - w]
+            for shift in {di % n, -di % n}:  # total[i] += segment[i + di], rows modulo N
+                total[: n - shift] += segment[shift:]
+                total[n - shift :] += segment[:shift]
+                count += 2 * w + 1
+        maxima.append(np.max(np.abs(total / count)))
+    return maxima
+
+
+def _brute_force_mixing_scale(grid, kappa, radii, maxima=None):
+    maxima = _ball_maxima(grid, radii) if maxima is None else maxima
+    sup = grid.metadata["datum"]["sup_norm"]
+    last_fail = max((i for i, m in enumerate(maxima) if m > kappa * sup), default=-1)
     if last_fail == len(radii) - 1:
         return radii[-1]
     if last_fail < 0:
@@ -200,6 +216,38 @@ def test_mixing_scale_odd_resolution_matches_brute_force():
         assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(63))
 
 
+def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
+    # every grid of the shipped alternating mixing config at 256^2; the three
+    # kappas between them decide radii by the pass certificate, by the
+    # failure witness and by the transform
+    with open(os.path.join(CONFIGS, "mixing_alternating.cfg")) as handle:
+        config = parse_config(handle.read())
+    transformed = []
+
+    def recording_ball_averages(grid, radius, out=None):
+        transformed.append(radius)
+        return ball_averages(grid, radius, out=out)
+
+    monkeypatch.setattr(diagnostics, "ball_averages", recording_ball_averages)
+    radii = scan_radii(256)
+    decided = {"pass certificate": 0, "failure witness": 0, "transform": 0}
+    for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 256):
+        maxima = _ball_maxima(grid, radii)
+        for kappa in (0.15, 1.0 / 3.0, 0.7):
+            transformed.clear()
+            assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, radii, maxima)
+            failing = [i for i, m in enumerate(maxima) if m > kappa]
+            scanned = range(len(radii) - 1, failing[-1] - 1 if failing else -1, -1)
+            for i in scanned:
+                if radii[i] in transformed:
+                    decided["transform"] += 1
+                elif failing and i == failing[-1]:
+                    decided["failure witness"] += 1
+                else:
+                    decided["pass certificate"] += 1
+    assert min(decided.values()) > 0, decided
+
+
 def test_mixing_scale_conventions():
     # fully uniform data mixes at every radius -> the smallest scan radius;
     # an unmixed half-half split fails at every radius -> the largest
@@ -242,6 +290,8 @@ def test_ball_averages_match_direct_sum():
                 total += np.roll(grid.values, (-di, -dj), axis=(0, 1))
                 count += 1
     assert np.max(np.abs(means - total / count)) < 1e-10
+    out = np.empty((32, 32))
+    assert ball_averages(grid, 0.1, out=out) is out and np.array_equal(out, means)
 
 
 def test_cached_ball_spectrum_equals_a_fresh_transform():

@@ -255,6 +255,48 @@ def test_reused_stage_step_equals_four_evaluation_step(spec):
         assert np.array_equal(advect(field, pts, t0, t1, 3), advect(forced, pts, t0, t1, 3))
 
 
+ONE_COLUMN_SPECS = [
+    VelocityFieldSpec(kind="steady_shear", amplitude=0.95, phases=(0.13,)),
+    VelocityFieldSpec(kind="steady_shear", amplitude=1.7, phases=(0.6,), wavenumber=2),
+    VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
+    VelocityFieldSpec(kind="alternating_shear", amplitude=2.0, phases=(0.6, 0.05), wavenumber=2),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", ONE_COLUMN_SPECS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ONE_COLUMN_SPECS]
+)
+def test_one_column_shear_step_equals_four_stage_step(spec, monkeypatch):
+    # the four-stage RK4 step is the oracle; the one-column step must not
+    # evaluate the full velocity at all, so the comparison is not vacuous
+    field, forced = make_field(spec), FourStageField(spec)
+
+    def full_velocity(t, points):
+        raise AssertionError("the one-column step evaluated the full velocity")
+
+    monkeypatch.setattr(field, "velocity", full_velocity)
+    rows = 2 * workers._PIECE_ROWS + 77  # three pieces, the last one short
+    # coordinates outside [0, 1) check the wrap of the input as well
+    pts = np.random.default_rng(14).random((rows, 2)) * 3.0 - 1.0
+    for t0, t1 in EXACT_INTERVALS:
+        for steps in (1, 3):
+            expected = advect(forced, pts, t0, t1, steps)
+            assert np.array_equal(advect(field, pts, t0, t1, steps), expected)
+            in_place = pts.copy()
+            assert advect(field, in_place, t0, t1, steps, out=in_place) is in_place
+            assert np.array_equal(in_place, expected)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_one_column_step_reports_non_finite_positions(column):
+    # a NaN in the moved or in the driving column, for each shear piece
+    pts = np.full((3, 2), 0.3)
+    pts[1, column] = np.nan
+    for field, t0, t1 in ((STEADY, 0.0, 1.0), (ALTERNATING, 0.0, 0.25), (ALTERNATING, 1.0, 0.75)):
+        with pytest.raises(IntegrationDivergedError):
+            advect(field, pts, t0, t1, 1)
+
+
 def test_only_cellular_takes_the_four_evaluation_step():
     kinds = {kind: make_field(VelocityFieldSpec(kind=kind)).constant_along_flow for kind in PHASES_READ}
     assert kinds == {kind: kind != "cellular" for kind in PHASES_READ}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ergomix import workers
 from ergomix.errors import ConfigError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.scalar import (
@@ -101,6 +102,45 @@ def test_square_wave_takes_the_right_value_at_its_jumps(kind, level):
         assert np.array_equal(datum.evaluate(np.stack([jumps, jumps], axis=1)), np.ones_like(jumps))
     else:
         assert np.array_equal(datum.evaluate(np.stack([jumps, jumps[::-1]], axis=1)), sign)
+
+
+def _float_parity(kind, level, points):
+    # the float formula the integer parity replaced: floor, sum, % 2.0
+    x, y = points[:, 0], points[:, 1]
+    if kind == "checkerboard":
+        index = np.floor(x * 2.0**level) + np.floor(y * 2.0**level)
+    else:
+        index = np.floor(x * 2.0 ** (level + 1))
+    index %= 2.0
+    index *= -2.0
+    index += 1.0
+    return index
+
+
+@pytest.mark.parametrize("kind, level", SQUARE_WAVES)
+def test_integer_parity_equals_the_float_formula(kind, level):
+    # negative and unwrapped coordinates, points exactly on the jumps, and a
+    # batch of several pieces with a short last one
+    cells = 2**level if kind == "checkerboard" else 2 ** (level + 1)
+    jumps = np.arange(-2 * cells, 2 * cells + 1) / cells
+    rng = np.random.default_rng(level)
+    on_jumps = np.stack([rng.choice(jumps, 5000), rng.choice(jumps, 5000)], axis=1)
+    mixed = np.stack([rng.choice(jumps, 5000), rng.uniform(-2.0, 2.0, 5000)], axis=1)
+    spread = rng.uniform(-3.0, 3.0, (2 * workers._PIECE_ROWS + 7, 2))
+    points = np.concatenate([on_jumps, mixed, mixed[:, ::-1], spread])
+    values = make_initial(kind, level=level).evaluate(points)
+    assert np.array_equal(values.view(np.int64), _float_parity(kind, level, points).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["sinusoid", "checkerboard"])
+def test_evaluate_keeps_the_point_shape(kind):
+    datum = make_initial(kind)
+    nodes = grid_nodes(64)
+    values = datum.evaluate(nodes)
+    assert values.shape == (64, 64)
+    assert np.array_equal(values.ravel(), datum.evaluate(nodes.reshape(-1, 2)))
+    assert np.array_equal(values[::-1, ::2], datum.evaluate(nodes[::-1, ::2]))
+    assert datum.evaluate(np.array([0.2, 0.3])).shape == ()
 
 
 def test_unknown_datum_kind():
