@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the shipped headline experiments and summarize their gates.
+"""Run every shipped config in configs/, in sorted order, and summarize their gates.
 
 Each config writes its report and series under runs/; the script exits
 nonzero if any experiment's gate fails.
@@ -12,20 +12,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ergomix.cli import main  # noqa: E402
 
-CONFIGS = [
-    "configs/ruelle_cat.cfg",
-    "configs/ruelle_baker.cfg",
-    "configs/lyapunov_steady_shear.cfg",
-    "configs/mixing_alternating.cfg",
-    "configs/regularity_alternating.cfg",
-]
-
 
 def run_all():
     root = pathlib.Path(__file__).resolve().parents[1]
     worst = 0
-    for name in CONFIGS:
-        path = root / name
+    for path in sorted((root / "configs").glob("*.cfg")):
+        name = path.relative_to(root)
         print(f"=== {name} ===")
         code = main(["run", str(path)])
         print(f"exit code {code}")

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .config import parse_config, render_config
+from .config import Config, parse_config, render_config
 from .diagnostics import h_minus_one, log_sobolev, mixing_scale
 from .errors import ConfigError, ErgomixError, UndersampledError
 from .fields import FIELD_KINDS
@@ -45,7 +45,7 @@ def _build_parser():
 
     diag = sub.add_parser("diagnose", help="print diagnostics of a saved grid field")
     diag.add_argument("grid", help="grid stem or sidecar path written by the scalar module")
-    diag.add_argument("--kappa", type=float, default=1.0 / 3.0)
+    diag.add_argument("--kappa", type=float, default=Config.kappa)
 
     sub.add_parser("catalog", help="list available fields, maps, and initial data")
     return parser

@@ -1,49 +1,46 @@
-"""Flat key-value experiment configuration.
+"""Flat key-value experiment configuration, with each key declared once.
 
-Format: one ``key = value`` per line, optional ``[field]``, ``[datum]``, and
-``[map]`` section headers, ``#`` comments.  Every knob is one documented
-line; ``--set section.key=value`` overrides compose textually on top of the
-parsed file.  ``parse_config(render_config(c)) == c`` for every valid config.
+Format: one ``key = value`` per line, optional ``[field]``, ``[datum]`` and
+``[map]`` section headers, ``#`` comments.  A root key is one ``Config``
+field: its type (int, float or str) gives its parser, ``_RANGES`` its range,
+and ``Config`` checks itself when built, from a file or from Python.  The
+sections parse into their owners' types, which check their own rules:
+``VelocityFieldSpec`` the field, ``scalar.make_initial`` the datum.
+``--set section.key=value`` overrides compose textually on top of the parsed
+file, and ``parse_config(render_config(c)) == c`` for every valid config.
 """
 
-from dataclasses import dataclass, field as dataclass_field
-
-import numpy as np
+import math
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 
 from .diagnostics import MIN_PROBES
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
 from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum, make_initial
 
-EXPERIMENTS = ("lyapunov", "ruelle", "mixing", "regularity")
+# experiment -> the sections whose kind it requires
+EXPERIMENTS = {
+    "lyapunov": ("map",),
+    "ruelle": ("map",),
+    "mixing": ("field", "datum"),
+    "regularity": ("field", "datum"),
+}
 _NO_DATUM = InitialDatum(kind="")  # a config without a [datum] kind
 
-
-def _int_range(lo, hi=None):
-    def check(key, value):
-        if hi is None:
-            if value < lo:
-                raise ConfigError(f"{key} must be an integer >= {lo}, got {value}")
-        elif not (lo <= value <= hi):
-            raise ConfigError(f"{key} must be an integer in [{lo}, {hi}], got {value}")
-
-    return check
-
-
-def _float_open(lo, hi):
-    def check(key, value):
-        if not (lo < value < hi):
-            raise ConfigError(f"{key} must lie in ({lo}, {hi}), got {value}")
-
-    return check
-
-
-def _float_closed(lo, hi):
-    def check(key, value):
-        if not (lo <= value <= hi):
-            raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value}")
-
-    return check
+# root key -> (lowest, highest); every bound is allowed except kappa's
+_RANGES = {
+    "seed": (0, math.inf),
+    "n": (1, math.inf),
+    "level": (1, 12),
+    "samples": (1, math.inf),
+    "lyapunov_samples": (1, math.inf),
+    "lyapunov_n": (1, math.inf),
+    "probes_per_cell": (MIN_PROBES, math.inf),
+    "horizon": (1, math.inf),
+    "resolution": (MIN_RESOLUTION, math.inf),
+    "kappa": (0.0, 1.0),
+    "burn_in_fraction": (0.0, 0.9),
+}
 
 
 @dataclass(frozen=True)
@@ -70,74 +67,50 @@ class Config:
     datum: InitialDatum = _NO_DATUM
     map: MapBlock = dataclass_field(default_factory=MapBlock)
 
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}")
+        for key, (lowest, highest) in _RANGES.items():
+            value = getattr(self, key)
+            if key == "kappa" and not lowest < value < highest:
+                raise ConfigError(f"kappa must lie in ({lowest}, {highest}), got {value}")
+            if not lowest <= value <= highest:
+                bounds = f"be >= {lowest}" if highest == math.inf else f"lie in [{lowest}, {highest}]"
+                raise ConfigError(f"{key} must {bounds}, got {value}")
+        for section in EXPERIMENTS[self.experiment]:
+            if not getattr(self, section).kind:
+                raise ConfigError(f"experiment {self.experiment} requires {section}.kind")
+        if self.map.kind == "time_one_flow" and not self.field.kind:
+            raise ConfigError("map.kind = time_one_flow requires a [field] block")
 
-def _parse_int(key, raw):
+
+# root key -> type, in field order; the sections are the non-scalar fields
+_ROOT_KEYS = {f.name: f.type for f in fields(Config) if f.type in (int, float, str)}
+_REQUIRED = [f.name for f in fields(Config) if f.default is MISSING and f.default_factory is MISSING]
+
+# section key -> type, where (int,) or (float,) is a comma-separated list; the
+# section's own type checks the values
+_SECTIONS = {
+    "field": {"kind": str, "amplitude": float, "phases": (float,), "wavenumber": int},
+    "datum": {"kind": str, "wavevector": (int,), "level": int},
+    "map": {"kind": str},
+}
+
+
+def _parse(key, raw, kind):
+    """raw as a str, an int, a finite float, or a tuple of the numbers listed between commas."""
+    if kind is str:
+        return raw
+    if isinstance(kind, tuple):
+        raw = raw.strip()
+        return tuple(_parse(key, part, kind[0]) for part in raw.split(",")) if raw else ()
     try:
-        return int(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-
-
-def _parse_float(key, raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
     return value
-
-
-def _parse_floats(key, raw):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(key, part) for part in raw.split(","))
-
-
-def _parse_ints(key, raw):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_int(key, part) for part in raw.split(","))
-
-
-# key -> (parser, range check or None)
-_ROOT_KEYS = {
-    "experiment": (str, None),
-    "seed": (_parse_int, _int_range(0)),
-    "output_dir": (str, None),
-    "n": (_parse_int, _int_range(1)),
-    "level": (_parse_int, _int_range(1, 12)),
-    "samples": (_parse_int, _int_range(1)),
-    "lyapunov_samples": (_parse_int, _int_range(1)),
-    "lyapunov_n": (_parse_int, _int_range(1)),
-    "probes_per_cell": (_parse_int, _int_range(MIN_PROBES)),
-    "horizon": (_parse_int, _int_range(1)),
-    "resolution": (_parse_int, _int_range(MIN_RESOLUTION)),
-    "kappa": (_parse_float, _float_open(0.0, 1.0)),
-    "burn_in_fraction": (_parse_float, _float_closed(0.0, 0.9)),
-}
-
-# VelocityFieldSpec checks its own ranges
-_FIELD_KEYS = {
-    "kind": (str, None),
-    "amplitude": (_parse_float, None),
-    "phases": (_parse_floats, None),
-    "wavenumber": (_parse_int, None),
-}
-
-_DATUM_KEYS = {
-    "kind": (str, None),
-    "wavevector": (_parse_ints, None),
-    "level": (_parse_int, _int_range(0, 12)),
-}
-
-_MAP_KEYS = {
-    "kind": (str, None),
-}
-
-_SECTIONS = {"field": _FIELD_KEYS, "datum": _DATUM_KEYS, "map": _MAP_KEYS}
 
 
 def _raw_pairs(text):
@@ -177,56 +150,26 @@ def parse_config(text, overrides=()) -> Config:
             pairs[(None, path)] = raw_value
 
     root = {}
-    blocks = {"field": {}, "datum": {}, "map": {}}
+    blocks = {section: {} for section in _SECTIONS}
     for (section, key), raw_value in pairs.items():
         registry = _ROOT_KEYS if section is None else _SECTIONS[section]
         label = key if section is None else f"{section}.{key}"
         if key not in registry:
             raise ConfigError(f"unknown key {label!r}; valid keys: {', '.join(sorted(registry))}")
-        parser, check = registry[key]
-        value = parser(label, raw_value) if parser is not str else raw_value
-        if check is not None:
-            check(label, value)
-        if section is None:
-            root[key] = value
-        else:
-            blocks[section][key] = value
+        (root if section is None else blocks[section])[key] = _parse(label, raw_value, registry[key])
 
-    for required in ("experiment", "seed"):
+    for required in _REQUIRED:
         if required not in root:
             raise ConfigError(f"missing required key {required!r}")
-    if root["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {root['experiment']!r}"
-        )
-
     datum = blocks["datum"]
     if not datum.get("kind") and set(datum) - {"kind"}:
         raise ConfigError(f"datum.{min(set(datum) - {'kind'})} is given without datum.kind")
-    if DATUM_PARAMETER.get(datum.get("kind")) == "level":
-        datum = {"level": 2, **datum}
-    config = Config(
+    return Config(
         **root,
         field=VelocityFieldSpec(**blocks["field"]),
         datum=make_initial(**datum) if datum.get("kind") else _NO_DATUM,
         map=MapBlock(**blocks["map"]),
     )
-    _validate_blocks(config)
-    return config
-
-
-def _validate_blocks(config: Config):
-    experiment = config.experiment
-    if experiment in ("mixing", "regularity"):
-        if not config.field.kind:
-            raise ConfigError(f"experiment {experiment} requires field.kind")
-        if not config.datum.kind:
-            raise ConfigError(f"experiment {experiment} requires datum.kind")
-    if experiment in ("ruelle", "lyapunov"):
-        if not config.map.kind:
-            raise ConfigError(f"experiment {experiment} requires map.kind")
-        if config.map.kind == "time_one_flow" and not config.field.kind:
-            raise ConfigError("map.kind = time_one_flow requires a [field] block")
 
 
 def _format_value(value):
@@ -239,16 +182,10 @@ def _format_value(value):
 
 def render_config(config: Config) -> str:
     """Canonical text form; parse_config(render_config(c)) == c."""
-    lines = []
-    for key in _ROOT_KEYS:
-        value = getattr(config, key)
-        lines.append(f"{key} = {_format_value(value)}")
+    lines = [f"{key} = {_format_value(getattr(config, key))}" for key in _ROOT_KEYS]
     for section, keys in _SECTIONS.items():
         block = getattr(config, section)
         if section == "datum":  # only the keys the datum kind reads
             keys = ("kind", DATUM_PARAMETER[block.kind]) if block.kind else ("kind",)
-        lines.append("")
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {_format_value(getattr(block, key))}")
+        lines += ["", f"[{section}]"] + [f"{key} = {_format_value(getattr(block, key))}" for key in keys]
     return "\n".join(lines) + "\n"

@@ -1,21 +1,24 @@
 """Lagrangian flow of catalog fields and the tangent (variational) cocycle.
 
 Positions and tangent matrices are advanced jointly by classical fixed-step
-RK4.  The integration interval is split at every crossing of a field time
-breakpoint, so no step straddles a switching time; within a step the field is
-queried at the step's midpoint time.  Catalog fields are constant in time
-between breakpoints, so this is exact in t, and leaves the classical order
-for the autonomous members.  ``VelocityField.rk4_steps`` gives the step
-count to use; one step per steady piece is exact for the shear members.
+RK4, and every step taken comes from one schedule, ``_steps``.  It cuts the
+interval at every crossing of a field time breakpoint, so no step straddles a
+switching time, shares the step count over the pieces, and queries the field
+at each step's midpoint time.  Catalog fields are constant in time between
+breakpoints, so this is exact in t, and leaves the classical order for the
+autonomous members.  ``VelocityField.rk4_steps`` gives the step count to use;
+one step per steady piece is exact for the shear members.
 
 When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
 the same velocity and gradient bitwise, so a step evaluates them once and
-reuses them in the unchanged RK4 combination.  ``advect`` of a shear updates only
-the moved column, in place, by the same operations in the same order (x + (h/6)*0 and
-the wrap leave the other unchanged bitwise); ``cellular`` and tangents keep the oracle step.
+reuses them in the unchanged RK4 combination.  ``advect`` of a shear updates
+only the moved column, in place, by the same operations in the same order
+(x + (h/6)*0 and the wrap leave the other unchanged bitwise); ``cellular``
+and tangents keep the oracle step.
 
-Positions are wrapped to [0,1) after every full step; tangents live on the
-universal cover and are never wrapped.
+``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
+in bounded pieces.  Positions are wrapped to [0,1) after every full step;
+tangents live on the universal cover and are never wrapped.
 """
 
 import numpy as np
@@ -28,10 +31,15 @@ from .workers import run_chunked
 TANGENT_BLOWUP = 1e12
 
 
-def _segments(field, t0, t1):
-    """Split [t0, t1] at crossings of the field's time breakpoints."""
-    if not field.time_breakpoints or t0 == t1:
-        return [(t0, t1)]
+def _steps(field, t0, t1, steps):
+    """Yield the midpoint time and the length of each RK4 step from t0 to t1.
+
+    [t0, t1] is cut at every crossing k + frac of a field time breakpoint, and
+    `steps` are shared over the pieces in proportion to their length, at least
+    one each.
+    """
+    if t0 == t1:
+        return
     lo, hi = (t0, t1) if t1 > t0 else (t1, t0)
     cuts = []
     for frac in field.time_breakpoints:
@@ -40,17 +48,21 @@ def _segments(field, t0, t1):
             if k + frac > lo:
                 cuts.append(k + frac)
             k += 1.0
-    cuts.sort()
-    times = [lo] + cuts + [hi]
+    times = [lo] + sorted(cuts) + [hi]
     if t1 < t0:
         times = times[::-1]
-    return list(zip(times[:-1], times[1:]))
+    pieces = list(zip(times[:-1], times[1:]))
+    total = sum(abs(b - a) for a, b in pieces)
+    for a, b in pieces:
+        count = max(1, int(round(steps * abs(b - a) / total)))
+        h = (b - a) / count
+        for j in range(count):
+            yield a + (j + 0.5) * h, h
 
 
-def _allocate_steps(segments, steps):
-    """Distribute `steps` over segments proportionally, at least one each."""
-    total = sum(abs(b - a) for a, b in segments)
-    return [max(1, int(round(steps * abs(b - a) / total))) for a, b in segments]
+def _check_finite(pts):
+    if not np.all(np.isfinite(pts)):
+        raise IntegrationDivergedError("a flow position is not finite; check the input points")
 
 
 def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
@@ -59,57 +71,47 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     pts = wrap(np.asarray(points, dtype=float))
     if with_tangent:
         tangent = np.broadcast_to(np.eye(2), pts.shape + (2,)).copy()
-    segments = _segments(field, t0, t1) if t0 != t1 else []
-    counts = _allocate_steps(segments, steps)
-    for (a, b), count in zip(segments, counts):
-        h = (b - a) / count
-        for j in range(count):
-            t_mid = a + (j + 0.5) * h
-            v1 = field.velocity(t_mid, pts)
+    for t_mid, h in _steps(field, t0, t1, steps):
+        v1 = field.velocity(t_mid, pts)
+        if field.constant_along_flow:
+            # the stage points p2..p4 differ from pts only along v1
+            v2 = v3 = v4 = v1
+        else:
+            p2 = pts + (0.5 * h) * v1
+            v2 = field.velocity(t_mid, p2)
+            p3 = pts + (0.5 * h) * v2
+            v3 = field.velocity(t_mid, p3)
+            p4 = pts + h * v3
+            v4 = field.velocity(t_mid, p4)
+        if with_tangent:
+            g1 = field.gradient(t_mid, pts)
             if field.constant_along_flow:
-                # the stage points p2..p4 differ from pts only along v1
-                v2 = v3 = v4 = v1
+                g2 = g3 = g4 = g1
             else:
-                p2 = pts + (0.5 * h) * v1
-                v2 = field.velocity(t_mid, p2)
-                p3 = pts + (0.5 * h) * v2
-                v3 = field.velocity(t_mid, p3)
-                p4 = pts + h * v3
-                v4 = field.velocity(t_mid, p4)
-            if with_tangent:
-                g1 = field.gradient(t_mid, pts)
-                if field.constant_along_flow:
-                    g2 = g3 = g4 = g1
-                else:
-                    g2, g3, g4 = (field.gradient(t_mid, p) for p in (p2, p3, p4))
-                k1 = g1 @ tangent
-                k2 = g2 @ (tangent + (0.5 * h) * k1)
-                k3 = g3 @ (tangent + (0.5 * h) * k2)
-                k4 = g4 @ (tangent + h * k3)
-                tangent = tangent + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.abs(tangent) < TANGENT_BLOWUP):
-                    raise IntegrationDivergedError(
-                        "tangent entry exceeded 1e12; reduce the step size or the field amplitude"
-                    )
-            pts = wrap(pts + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
-    if not np.all(np.isfinite(pts)):
-        raise IntegrationDivergedError("a flow position is not finite; check the input points")
+                g2, g3, g4 = (field.gradient(t_mid, p) for p in (p2, p3, p4))
+            k1 = g1 @ tangent
+            k2 = g2 @ (tangent + (0.5 * h) * k1)
+            k3 = g3 @ (tangent + (0.5 * h) * k2)
+            k4 = g4 @ (tangent + h * k3)
+            tangent = tangent + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.abs(tangent) < TANGENT_BLOWUP):
+                raise IntegrationDivergedError(
+                    "tangent entry exceeded 1e12; reduce the step size or the field amplitude"
+                )
+        pts = wrap(pts + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4))
+    _check_finite(pts)
     return (pts, tangent) if with_tangent else pts
 
 
 def _shear_in_place(field, pts, t0, t1, steps):
     """_integrate of a shear without a tangent, in place, updating only the moved column."""
     pts -= np.floor(pts)
-    segments = _segments(field, t0, t1) if t0 != t1 else []
-    for (a, b), count in zip(segments, _allocate_steps(segments, steps)):
-        h = (b - a) / count
-        for j in range(count):
-            moved, v = field.shear_speed(a + (j + 0.5) * h, pts)
-            column = pts[..., moved]
-            column += (h / 6.0) * (v + 2.0 * v + 2.0 * v + v)
-            column -= np.floor(column)
-    if not np.all(np.isfinite(pts)):
-        raise IntegrationDivergedError("a flow position is not finite; check the input points")
+    for t_mid, h in _steps(field, t0, t1, steps):
+        moved, v = field.shear_speed(t_mid, pts)
+        column = pts[..., moved]
+        column += (h / 6.0) * (v + 2.0 * v + 2.0 * v + v)
+        column -= np.floor(column)
+    _check_finite(pts)
     return ()
 
 
@@ -138,7 +140,7 @@ def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int):
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     x, t0, t1 = np.asarray(x, dtype=float), float(t0), float(t1)
-    if x.ndim != 2:
-        return _integrate(field, x, t0, t1, steps, True)
-    out = (np.empty_like(x), np.empty(x.shape + (2,)))
-    return run_chunked(lambda chunk: _integrate(field, chunk, t0, t1, steps, True), x, out)
+    rows = x.reshape(-1, 2)
+    out = (np.empty_like(rows), np.empty(rows.shape + (2,)))
+    run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, True), rows, out)
+    return out[0].reshape(x.shape), out[1].reshape(x.shape + (2,))

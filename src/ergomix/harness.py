@@ -30,7 +30,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, ErgomixError
 from .fields import grad_l1_time_average, make_field
-from .lyapunov import ensemble_spectrum
+from .lyapunov import ensemble_spectrum, top_exponent_bound_gap
 from .maps import make_map
 from .scalar import scalar_series
 from .seeding import child_seed
@@ -40,33 +40,31 @@ GATE_EPSILON = 1e-12  # absolute slack so exact-zero cases survive float dust
 STABILITY_FRACTION = 0.2
 
 
-def _require_fit_window(mask, burn_in):
+def _fit_window(times, values, burn_in):
+    """The (times, values) pairs at or after burn_in, as arrays; at least 4 of them."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = times >= burn_in
     count = np.count_nonzero(mask)
     if count < 4:
         raise ConfigError(
             f"need at least 4 points after burn_in={burn_in}, got {count}; "
             "raise horizon or lower burn_in_fraction"
         )
+    return times[mask], values[mask]
 
 
 def fit_exponential_rate(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of -log(values) against time after burn_in."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = times >= burn_in
-    _require_fit_window(mask, burn_in)
-    if np.any(values[mask] <= 0.0):
+    times, values = _fit_window(times, values, burn_in)
+    if np.any(values <= 0.0):
         raise ErgomixError("values must be positive for a log-linear rate fit")
-    return float(np.polyfit(times[mask], -np.log(values[mask]), 1)[0])
+    return float(np.polyfit(times, -np.log(values), 1)[0])
 
 
 def fit_linear_slope(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of values against time after burn_in."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = times >= burn_in
-    _require_fit_window(mask, burn_in)
-    return float(np.polyfit(times[mask], values[mask], 1)[0])
+    return float(np.polyfit(*_fit_window(times, values, burn_in), 1)[0])
 
 
 def _student_t_sf(t: float, df: int) -> float:
@@ -118,25 +116,21 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 def _build_map(config: Config):
-    if config.map.kind == "time_one_flow":
-        return make_map("time_one_flow", field=make_field(config.field))
-    return make_map(config.map.kind)
+    """The configured map, and the field of a time-one flow map (else None)."""
+    field = make_field(config.field) if config.map.kind == "time_one_flow" else None
+    return make_map(config.map.kind, field=field), field
 
 
 def run_lyapunov(config: Config):
     """Ensemble spectrum of the configured map, plus the gradient bound gap."""
-    map_ = _build_map(config)
-    report = ensemble_spectrum(
-        map_, config.samples, config.n, child_seed(config.seed, "lyapunov")
-    )
+    map_, field = _build_map(config)
+    report = ensemble_spectrum(map_, config.samples, config.n, child_seed(config.seed, "lyapunov"))
     payload = report.to_json_dict()
-    sum_zero = abs(float(np.sum(report.mean_exponents)))
-    passed = sum_zero <= 1e-3 * 2  # d = 2 per the incompressible-sum contract
     payload["exponent_sum"] = float(np.sum(report.mean_exponents))
-    if config.map.kind == "time_one_flow":
-        grad_avg = grad_l1_time_average(make_field(config.field))
-        gap = grad_avg - report.lambda_max_integral  # as top_exponent_bound_gap
-        payload["grad_l1_average"] = grad_avg
+    passed = abs(payload["exponent_sum"]) <= 1e-3 * 2  # d = 2 per the incompressible-sum contract
+    if field is not None:
+        gap = top_exponent_bound_gap(field, report)
+        payload["grad_l1_average"] = grad_l1_time_average(field)
         payload["top_exponent_bound_gap"] = gap
         passed = passed and gap >= -3.0 * float(report.stderr[0])
     passed = bool(passed)
@@ -146,7 +140,7 @@ def run_lyapunov(config: Config):
 
 def run_ruelle(config: Config):
     """Entropy-rate vs positive-exponent-sum verification on one map."""
-    map_ = _build_map(config)
+    map_, _ = _build_map(config)
     partition = Partition(config.level)
     estimate, bias_bound, codes = entropy_rate(
         map_, partition, config.n, config.samples, child_seed(config.seed, "entropy")

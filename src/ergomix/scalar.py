@@ -75,7 +75,11 @@ def _half_periods(coords, level):
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
-    """Build a catalog datum with closed-form norms, rejecting a parameter its kind ignores."""
+    """Build a catalog datum with closed-form norms, rejecting a parameter its kind ignores.
+
+    A square wave reads a level in [1, 12] (checkerboard) or [0, 12] (stripe),
+    2 when none is given; a sinusoid reads a wavevector, (1, 0) by default.
+    """
     if kind not in DATUM_PARAMETER:
         raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
     for name, value in (("wavevector", wavevector), ("level", level)):
@@ -95,10 +99,10 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
             l2_norm=1.0 / np.sqrt(2.0),
             bv_seminorm=4.0 * norm_k,
         )
+    level = 2 if level is None else int(level)
     lowest = 1 if kind == "checkerboard" else 0
-    level = lowest if level is None else int(level)
-    if level < lowest:
-        raise ConfigError(f"{kind} level must be >= {lowest}, got {level}")
+    if not lowest <= level <= 12:
+        raise ConfigError(f"{kind} level must lie in [{lowest}, 12], got {level}")
     return InitialDatum(
         kind=kind,
         level=level,

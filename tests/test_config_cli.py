@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergomix.cli import main
-from ergomix.config import Config, MapBlock, parse_config, render_config
+from ergomix import harness
+from ergomix.config import EXPERIMENTS, Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
-from ergomix.scalar import make_initial, sample_scalar, save_grid
+from ergomix.scalar import InitialDatum, make_initial, sample_scalar, save_grid
 from ergomix.fields import PHASES_READ, VelocityFieldSpec, make_field
 
 MINIMAL_MIXING = """
@@ -202,6 +203,56 @@ def test_cli_bad_field_or_datum_exits_2_before_echo(tmp_path, capsys, overrides)
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "seed=-1",
+        "n=0",
+        "level=13",
+        "samples=0",
+        "probes_per_cell=15",
+        "horizon=0",
+        "resolution=8",
+        "kappa=1.0",
+        "burn_in_fraction=0.95",
+        "experiment=blob",
+    ],
+)
+def test_cli_bad_root_key_exits_2_before_echo(tmp_path, capsys, override):
+    path = _write(tmp_path, "m.cfg", MINIMAL_MIXING)
+    assert main(["run", path, "--set", f"output_dir={tmp_path / 'o'}", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("config error: " + override.split("=")[0])
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_built_in_python_checks_itself():
+    mixing = dict(
+        experiment="mixing",
+        seed=1,
+        field=VelocityFieldSpec(kind="alternating_shear"),
+        datum=make_initial("checkerboard"),
+    )
+    assert Config(**mixing).kappa == pytest.approx(1.0 / 3.0)
+    for key, value in (("kappa", 5.0), ("seed", -1), ("resolution", 8), ("burn_in_fraction", 0.95)):
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            Config(**{**mixing, key: value})
+    with pytest.raises(ConfigError, match=r"^experiment mixing requires datum.kind$"):
+        Config(**{**mixing, "datum": InitialDatum(kind="")})
+    with pytest.raises(ConfigError, match=r"^experiment ruelle requires map.kind$"):
+        Config(experiment="ruelle", seed=1)
+    with pytest.raises(ConfigError, match=r"time_one_flow requires a \[field\] block"):
+        Config(experiment="lyapunov", seed=1, map=MapBlock(kind="time_one_flow"))
+    with pytest.raises(ConfigError, match="experiment must be one of"):
+        Config(experiment="blob", seed=1)
+
+
+def test_experiments_match_the_harness_runners():
+    assert set(EXPERIMENTS) == set(harness._RUNNERS)
 
 
 def test_datum_is_checked_for_experiments_that_do_not_read_it():

@@ -302,7 +302,7 @@ def test_only_cellular_takes_the_four_evaluation_step():
     assert kinds == {kind: kind != "cellular" for kind in PHASES_READ}
 
 
-def test_run_chunked_reuses_one_pool_and_bounds_pieces():
+def test_run_chunked_bounds_pieces():
     piece_rows = []
 
     def double(chunk):

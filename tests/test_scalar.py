@@ -143,6 +143,14 @@ def test_evaluate_keeps_the_point_shape(kind):
     assert datum.evaluate(np.array([0.2, 0.3])).shape == ()
 
 
+@pytest.mark.parametrize("kind", ["checkerboard", "stripe"])
+def test_square_waves_default_to_level_2_and_stop_at_12(kind):
+    assert make_initial(kind) == make_initial(kind, level=2)
+    assert make_initial(kind, level=12).level == 12
+    with pytest.raises(ConfigError, match=rf"^{kind} level must lie in \[[01], 12\], got 13$"):
+        make_initial(kind, level=13)
+
+
 def test_unknown_datum_kind():
     with pytest.raises(ConfigError):
         make_initial("blob")
