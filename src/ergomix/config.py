@@ -13,7 +13,7 @@ file, and ``parse_config(render_config(c)) == c`` for every valid config.
 import math
 from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 
-from .diagnostics import MIN_PROBES
+from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
 from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum, make_initial
@@ -27,7 +27,7 @@ EXPERIMENTS = {
 }
 _NO_DATUM = InitialDatum(kind="")  # a config without a [datum] kind
 
-# root key -> (lowest, highest); every bound is allowed except kappa's
+# root key -> (lowest, highest), both allowed; diagnostics.check_kappa owns kappa's open range
 _RANGES = {
     "seed": (0, math.inf),
     "n": (1, math.inf),
@@ -38,7 +38,6 @@ _RANGES = {
     "probes_per_cell": (MIN_PROBES, math.inf),
     "horizon": (1, math.inf),
     "resolution": (MIN_RESOLUTION, math.inf),
-    "kappa": (0.0, 1.0),
     "burn_in_fraction": (0.0, 0.9),
 }
 
@@ -68,12 +67,15 @@ class Config:
     map: MapBlock = dataclass_field(default_factory=MapBlock)
 
     def __post_init__(self):
+        for key, kind in _ROOT_KEYS.items():
+            value = getattr(self, key)
+            if not isinstance(value, (int, float) if kind is float else kind):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}")
+        check_kappa(self.kappa)
         for key, (lowest, highest) in _RANGES.items():
             value = getattr(self, key)
-            if key == "kappa" and not lowest < value < highest:
-                raise ConfigError(f"kappa must lie in ({lowest}, {highest}), got {value}")
             if not lowest <= value <= highest:
                 bounds = f"be >= {lowest}" if highest == math.inf else f"lie in [{lowest}, {highest}]"
                 raise ConfigError(f"{key} must {bounds}, got {value}")
@@ -83,6 +85,8 @@ class Config:
         if self.map.kind == "time_one_flow" and not self.field.kind:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
 
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 # root key -> type, in field order; the sections are the non-scalar fields
 _ROOT_KEYS = {f.name: f.type for f in fields(Config) if f.type in (int, float, str)}
@@ -107,7 +111,7 @@ def _parse(key, raw, kind):
     try:
         value = kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
     return value

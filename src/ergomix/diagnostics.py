@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, ErgomixError, UndersampledError
 from .scalar import GridField
 from .torus import uniform_points
+from .workers import run_chunked
 
 # Undersampling guard for plug-in entropies.  The plug-in bias is reported
 # separately; below 1.5 samples per observed code the estimate is hopeless.
@@ -43,9 +44,10 @@ class Partition:
         points = np.asarray(points, dtype=float)
         side = 2**self.level
         # modulo side: a coordinate that wrapped to exactly 1.0 is the point 0
-        ix = np.floor(points[..., 0] * side).astype(np.int64) & (side - 1)
-        iy = np.floor(points[..., 1] * side).astype(np.int64) & (side - 1)
-        return ix * side + iy
+        scaled = points * side
+        cells = np.floor(scaled, out=scaled).astype(np.int64)
+        cells &= side - 1
+        return cells[..., 0] * side + cells[..., 1]
 
 
 @dataclass
@@ -204,6 +206,12 @@ def scan_radii(resolution: int) -> tuple:
     return tuple(sorted(radii))
 
 
+def check_kappa(kappa):
+    """Raise ConfigError unless the mixing threshold kappa lies in the open range (0, 1)."""
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError(f"kappa must lie in (0.0, 1.0), got {kappa}")
+
+
 def mixing_scale(grid: GridField, kappa: float) -> float:
     """Smallest scan radius above which all ball averages are kappa-small.
 
@@ -215,8 +223,7 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
     roundoff; it fails when the direct ball sum at the node where the last
     transformed radius peaked is above it by that margin; else ball_averages.
     """
-    if not (0.0 < kappa < 1.0):
-        raise ConfigError(f"kappa must lie in (0, 1), got {kappa}")
+    check_kappa(kappa)
     n = grid.resolution
     radii = scan_radii(n)
     sup = grid.metadata.get("datum", {}).get("sup_norm")
@@ -262,6 +269,8 @@ def partition_entropy(weights) -> float:
 
 def _grouped_counts(values, counts, shift):
     """Counts of the sorted distinct values summed over groups of equal value >> shift."""
+    if shift == 0:  # distinct values: every group is one value
+        return counts
     prefixes = values >> np.uint64(shift)
     starts = np.flatnonzero(np.concatenate(([True], prefixes[1:] != prefixes[:-1])))
     return np.add.reduceat(counts, starts)
@@ -273,9 +282,12 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     Each orbit is one uint64 code with 2 * level bits per step and step 0 in
     the most significant bits, so code order is the lexicographic order of
     the label sequences and every depth-d code is a right shift of the
-    depth-n one.  Before a shift would overflow 64 bits the codes are
-    replaced by their dense ranks, which keep that order.  Returns
-    {depth: counts}, each in ascending code order.
+    depth-n one.  The depths that fit in 64 bits form a segment, coded one
+    row piece at a time (run_chunked), so a piece stays in cache through
+    every depth of the segment.  Before a segment that would overflow 64
+    bits the codes are replaced by their dense ranks, which keep that order.
+    The final codes are sorted once, in place.  Returns {depth: counts},
+    each in ascending code order.
     """
     step_bits = 2 * partition.level
     wanted = {int(d) for d in depths}
@@ -287,21 +299,36 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
             if depth in wanted:
                 counts[depth] = _grouped_counts(values, tally, step_bits * (last - depth))
 
+    def code_segment(piece):
+        # depths first..last (the current segment) of the piece's orbits, and its points at depth last + 1
+        codes = partition.labels(piece).view(np.uint64)
+        for _ in range(first, last):
+            piece = map_.apply(piece)
+            codes <<= np.uint64(step_bits)
+            codes |= partition.labels(piece).view(np.uint64)
+        return codes if last == n else (codes, map_.apply(piece))
+
     points = uniform_points(rng, sample_count)
-    codes = np.zeros(sample_count, dtype=np.uint64)
-    bits, first = 0, 1
-    for depth in range(1, n + 1):
-        if bits + step_bits > 64:
-            values, ranks, tally = np.unique(codes, return_inverse=True, return_counts=True)
-            read(values, tally, first, depth - 1)
-            codes = ranks.astype(np.uint64)
-            bits, first = (len(values) - 1).bit_length(), depth
-        codes <<= np.uint64(step_bits)
-        codes |= partition.labels(points).astype(np.uint64)
-        bits += step_bits
-        if depth < n:
-            points = map_.apply(points)
-    values, tally = np.unique(codes, return_counts=True)
+    codes = np.empty(sample_count, dtype=np.uint64)
+    first, ranks, rank_bits = 1, None, 0
+    while True:
+        last = min(n, first - 1 + max(1, (64 - rank_bits) // step_bits))
+        out = (codes,) if last == n else (codes, points)
+        run_chunked(code_segment, points, out)
+        if ranks is not None:
+            ranks <<= np.uint64(step_bits * (last - first + 1))
+            codes |= ranks
+        if last == n:
+            break
+        values, ranks, tally = np.unique(codes, return_inverse=True, return_counts=True)
+        read(values, tally, first, last)
+        ranks = ranks.view(np.uint64)
+        first, rank_bits = last + 1, (len(values) - 1).bit_length()
+    del points, ranks  # freed before the counting arrays are made: peak RSS is what is live at once
+    codes.sort()
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    values, tally = codes[starts], np.diff(starts, append=sample_count)
+    del codes, starts
     read(values, tally, first, n)
     return counts
 
@@ -373,9 +400,11 @@ def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: in
         [corners_x[:, None] + offsets[..., 0], corners_y[:, None] + offsets[..., 1]], axis=-1
     )
     images = map_.apply(probes.reshape(-1, 2)).reshape(cells, probes_per_cell, 2)
-    image_labels = partition.labels(images)
-    for cell in range(cells):
-        total += np.log(len(np.unique(image_labels[cell])))
+    image_labels = np.sort(partition.labels(images), axis=1)
+    # distinct image cells per cell: one plus the changes along its sorted row
+    hits = 1 + np.count_nonzero(image_labels[:, 1:] != image_labels[:, :-1], axis=1)
+    for count in hits:
+        total += np.log(count)
     return float(total / cells)
 
 

@@ -46,8 +46,19 @@ class CatMap(MeasurePreservingMap):
     kind = "cat"
 
     def apply(self, points):
+        """(2x + y, x + y) wrapped, bitwise equal to wrap(points @ CAT_MATRIX.T).
+
+        2x is exact, so each entry is rounded once, as in the matrix product;
+        computed elementwise it needs no BLAS call and no thread.
+        """
         points = np.asarray(points, dtype=float)
-        return wrap(points @ CAT_MATRIX.T)
+        x, y = points[..., 0], points[..., 1]
+        out = np.empty_like(points)
+        np.multiply(x, 2.0, out=out[..., 0])
+        out[..., 0] += y
+        np.add(x, y, out=out[..., 1])
+        out -= np.floor(out)
+        return out
 
     def jacobian(self, points):
         points = np.asarray(points, dtype=float)

@@ -1,6 +1,6 @@
 """Batched point computations in bounded row pieces.
 
-A batch is walked in pieces of 8192 to 16384 rows, so the working set does
+A batch is walked in pieces of 4096 to 8192 rows, so the working set does
 not grow with the batch, and each piece's result is written into the same
 rows of an output the caller allocates, so the output does not depend on
 where the batch is cut.
@@ -8,7 +8,7 @@ where the batch is cut.
 
 import numpy as np
 
-_PIECE_ROWS = 16384
+_PIECE_ROWS = 8192
 
 
 def run_chunked(func, points, out):

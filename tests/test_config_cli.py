@@ -251,6 +251,29 @@ def test_config_built_in_python_checks_itself():
         Config(experiment="blob", seed=1)
 
 
+def test_config_built_in_python_rejects_wrong_types():
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got '1'$"):
+        Config(experiment="ruelle", seed="1")
+    ruelle = dict(experiment="ruelle", seed=1, map=MapBlock(kind="cat"))
+    for key, value in (("kappa", "0.5"), ("experiment", 3), ("output_dir", None), ("level", 4.0)):
+        with pytest.raises(ConfigError, match=f"^{key} must be an? "):
+            Config(**{**ruelle, key: value})
+
+
+def test_kappa_range_reads_the_same_from_diagnose_and_run(tmp_path, capsys):
+    grid = sample_scalar(
+        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 32
+    )
+    stem = str(tmp_path / "grid")
+    save_grid(grid, stem)
+    path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
+    for argv in (["diagnose", stem, "--kappa", "1.5"], ["run", path, "--set", "kappa=1.5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: kappa must lie in (0.0, 1.0), got 1.5\n"
+
+
 def test_experiments_match_the_harness_runners():
     assert set(EXPERIMENTS) == set(harness._RUNNERS)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergomix import diagnostics
+from ergomix import diagnostics, workers
 from ergomix.config import parse_config
 from ergomix.diagnostics import (
     Partition,
@@ -392,19 +392,23 @@ def _structured_orbit_codes(map_, partition, n, sample_count, rng):
     return counts
 
 
+STRADDLE = 3 * workers._PIECE_ROWS + 5  # four row pieces, the last one short
+
+
 @pytest.mark.parametrize(
-    "map_, level, n",
+    "map_, level, n, samples",
     [
-        pytest.param(make_map("cat"), 4, 8, id="cat-64-bits"),
-        pytest.param(make_map("cat"), 5, 8, id="cat-80-bits"),
-        pytest.param(make_map("cat"), 12, 3, id="cat-72-bits"),
-        pytest.param(make_map("cat"), 8, 8, id="cat-128-bits-two-reranks"),
-        pytest.param(make_map("baker"), 4, 8, id="baker"),
-        pytest.param(IdentityMap(), 3, 8, id="identity"),
+        pytest.param(make_map("cat"), 4, 8, 50_000, id="cat-64-bits"),
+        pytest.param(make_map("cat"), 5, 8, 50_000, id="cat-80-bits"),
+        pytest.param(make_map("cat"), 12, 3, 50_000, id="cat-72-bits"),
+        pytest.param(make_map("cat"), 8, 8, 50_000, id="cat-128-bits-two-reranks"),
+        pytest.param(make_map("baker"), 4, 8, 50_000, id="baker"),
+        pytest.param(IdentityMap(), 3, 8, 50_000, id="identity"),
+        pytest.param(make_map("cat"), 4, 8, STRADDLE, id="cat-64-bits-straddling-pieces"),
+        pytest.param(make_map("cat"), 8, 8, STRADDLE, id="cat-128-bits-two-reranks-straddling-pieces"),
     ],
 )
-def test_integer_orbit_codes_match_structured_oracle(map_, level, n):
-    samples = 50_000
+def test_integer_orbit_codes_match_structured_oracle(map_, level, n, samples):
     partition = Partition(level=level)
     depths = range(1, n + 1)
     fast = _orbit_codes(map_, partition, n, samples, np.random.default_rng(7), depths)
@@ -439,6 +443,32 @@ def test_nu_log_bound_dominates_entropy_rate_for_cat():
     est, bias, _ = entropy_rate(make_map("cat"), Partition(level=5), 6, 600_000, seed=5)
     nu = nu_log_bound(make_map("cat"), Partition(level=5), 64, seed=6)
     assert nu >= est - 2.0 * bias
+
+
+def _nu_log_bound_per_cell_unique(map_, partition, probes_per_cell, seed):
+    """nu_log_bound with one np.unique per cell (the oracle of the row-wise sort)."""
+    rng = np.random.default_rng(seed)
+    side = 2**partition.level
+    cells = partition.cell_count
+    corners_x = np.repeat(np.arange(side), side) / side
+    corners_y = np.tile(np.arange(side), side) / side
+    offsets = rng.random((cells, probes_per_cell, 2)) / side
+    probes = np.stack(
+        [corners_x[:, None] + offsets[..., 0], corners_y[:, None] + offsets[..., 1]], axis=-1
+    )
+    images = map_.apply(probes.reshape(-1, 2)).reshape(cells, probes_per_cell, 2)
+    image_labels = partition.labels(images)
+    total = 0.0
+    for cell in range(cells):
+        total += np.log(len(np.unique(image_labels[cell])))
+    return float(total / cells)
+
+
+@pytest.mark.parametrize("kind, level, probes", [("cat", 4, 64), ("cat", 5, 16), ("baker", 3, 100)])
+def test_nu_log_bound_matches_per_cell_unique(kind, level, probes):
+    partition = Partition(level=level)
+    fast = nu_log_bound(make_map(kind), partition, probes, seed=9)
+    assert fast == _nu_log_bound_per_cell_unique(make_map(kind), partition, probes, seed=9)
 
 
 def test_nu_log_bound_validation():

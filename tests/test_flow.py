@@ -313,8 +313,8 @@ def test_run_chunked_bounds_pieces():
         points = np.arange(2.0 * rows).reshape(rows, 2)
         doubled, first = workers.run_chunked(double, points, (np.empty_like(points), np.empty((rows, 1))))
         assert np.array_equal(doubled, 2.0 * points) and np.array_equal(first, points[:, :1])
-    assert len(piece_rows) == 1 + 16 + 7
-    assert min(piece_rows) >= 8192 and max(piece_rows) <= 16384
+    assert len(piece_rows) == 2 + 32 + 13
+    assert min(piece_rows) >= 4096 and max(piece_rows) <= 8192
     # a batch under two pieces is one piece
     piece_rows.clear()
     (doubled,) = workers.run_chunked(lambda chunk: double(chunk)[0], np.ones((5, 2)), (np.empty((5, 2)),))

@@ -4,7 +4,8 @@ from scipy import stats
 
 from ergomix.errors import SingularInputError
 from ergomix.fields import VelocityFieldSpec, make_field
-from ergomix.maps import BakerMap, CatMap, TimeOneFlowMap, make_map
+from ergomix.maps import CAT_MATRIX, BakerMap, CatMap, TimeOneFlowMap, make_map
+from ergomix.torus import wrap
 from torus_distance import distance
 
 
@@ -13,6 +14,16 @@ def test_cat_map_example_point():
     out = cat.apply(np.array([0.5, 0.5]))
     assert out == pytest.approx([0.5, 0.0], abs=1e-15)
     assert np.array_equal(cat.jacobian(np.array([0.1, 0.2])), [[2.0, 1.0], [1.0, 1.0]])
+
+
+def test_cat_map_apply_is_bitwise_the_matrix_product():
+    rng = np.random.default_rng(3)
+    below_one = np.nextafter(1.0, 0.0)
+    edges = np.array([[0.5, 0.25], [0.0, 0.0], [0.75, below_one], [below_one, below_one], [0.5, 0.5]])
+    dyadic = rng.integers(0, 2**20, (64, 2)) / 2**20
+    for points in (rng.random(2), rng.random((1000, 2)), rng.random((7, 9, 2)), edges, dyadic):
+        oracle = wrap(points @ CAT_MATRIX.T)
+        assert np.array_equal(CatMap().apply(points).view(np.uint64), oracle.view(np.uint64))
 
 
 def test_cat_map_inverse_matrix():
