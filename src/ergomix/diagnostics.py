@@ -2,7 +2,8 @@
 
 Fourier convention: rho_hat(k) = integral of rho(x) exp(-2 pi i k.x) dx,
 realized on the grid as fft2(values) / N^2.  The grid diagnostics read its
-half, rfft2(values), computed once per grid as GridField.spectrum; the
+half, rfft2(values), computed once per grid as GridField.spectrum.  Both norms
+weigh its squares by a table fixed per resolution (Parseval), and the
 ball-kernel spectra of the mixing scale are computed once per (N, radius).  The
 homogeneous H^-1 norm is sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2);
 with this convention sin(2 pi x) has norm 1/sqrt(2).
@@ -69,28 +70,37 @@ class DiagnosticSeries:
 
 @functools.lru_cache(maxsize=2)
 def _workspace(n):
-    """Per-resolution tables and scratch arrays, shared by the diagnostics of every grid.
+    """Per-resolution weight tables and scratch arrays, shared by the diagnostics of every grid.
 
-    k2: |k|^2 on the half spectrum (1 at k = 0); nodes, lengths2: flat index and N^2 |h|^2
-    of each log-Sobolev offset.  The rest share one block, which glibc maps apart from its heap.
+    h_minus_one, log_sobolev: each norm's weight W, with 1/N^4 and the conjugate pairs folded in
+    and W[0, 0] = 0, so that sum |rfft2(values)|^2 W over the half spectrum is its square.  One
+    block, mapped apart from glibc's heap, holds all; half reuses product's memory (never both live).
     """
-    kx, ky = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
-    reach = int(np.floor(LOG_SOBOLEV_OUTER_RADIUS * n))
-    di, dj = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1), indexing="ij")
-    keep = ((di * di + dj * dj) / n**2 <= LOG_SOBOLEV_OUTER_RADIUS**2) & ((di != 0) | (dj != 0))
-    di, dj = di[keep], dj[keep]
     shape, m = (n, n // 2 + 1), n * (n // 2 + 1)
     block = np.empty(5 * m + n * n)
     work = SimpleNamespace(
-        k2=np.add(kx[:, None] ** 2, ky[None, :] ** 2, out=block[:m].reshape(shape)),
-        nodes=(di % n) * n + dj % n,
-        lengths2=di * di + dj * dj,
-        half=block[m : 2 * m].reshape(shape),
+        h_minus_one=block[:m].reshape(shape),
+        log_sobolev=block[m : 2 * m].reshape(shape),
         weights=block[2 * m : 3 * m].reshape(shape),
+        half=block[3 * m : 4 * m].reshape(shape),
         product=block[3 * m : 5 * m].view(complex).reshape(shape),
         averages=block[5 * m :].reshape(n, n),
     )
-    work.k2[0, 0] = 1.0
+    kx, ky = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    k2 = np.add(kx[:, None] ** 2, ky[None, :] ** 2, out=work.h_minus_one)
+    np.divide(1.0 / n**4, k2, out=k2, where=k2 > 0.0)  # k2[0, 0] stays 0
+    # mean_x |rho(x + h) - rho(x)|^2 = (2 / N^4) sum_k |rfft2 rho|^2 (1 - cos(2 pi k.h / N)), so against
+    # the kernel K(h) = (2 / N^4) / |h|^2 (h in grid units) W = G(0) - Re G, with G = rfft2(K)
+    reach = int(np.floor(LOG_SOBOLEV_OUTER_RADIUS * n))
+    di, dj = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1), indexing="ij")
+    keep = ((di * di + dj * dj) / n**2 <= LOG_SOBOLEV_OUTER_RADIUS**2) & ((di != 0) | (dj != 0))
+    work.averages.fill(0.0)  # reach < N / 2, so no two offsets share a node
+    work.averages[di[keep], dj[keep]] = (2.0 / n**4) / (di * di + dj * dj)[keep]
+    g = np.fft.rfft2(work.averages, out=work.product).real
+    np.subtract(g[0, 0], g, out=work.log_sobolev)
+    for table in (work.h_minus_one, work.log_sobolev):
+        table[0, 0] = 0.0
+        table[:, 1 : (n + 1) // 2] *= 2.0
     return work
 
 
@@ -100,47 +110,26 @@ def release_scratch():
     _ball_offsets.cache_clear()
 
 
-def _inverse_half(half, out):
-    """irfft2 of a half spectrum into out, in irfft2's two passes, with no array allocated."""
-    complex_half = np.fft.ifft(half, axis=0, out=_workspace(out.shape[0]).product)
-    return np.fft.irfft(complex_half, n=out.shape[1], axis=1, out=out)
+def _spectral_sum(grid: GridField, norm):
+    """sum |rfft2(values)|^2 W over the half spectrum, W the weight table of the named norm."""
+    work = _workspace(grid.resolution)
+    power = np.square(np.abs(grid.spectrum, out=work.half), out=work.half)
+    return float(np.sum(np.multiply(power, getattr(work, norm), out=power)))
 
 
 def h_minus_one(grid: GridField) -> float:
-    """Homogeneous H^-1 norm of the (mean-subtracted) grid scalar.
-
-    Reads the half spectrum grid.spectrum; every column other than k_y = 0
-    and the Nyquist column of an even N stands for a conjugate pair and
-    counts twice.
-    """
-    n = grid.resolution
-    work = _workspace(n)
-    weight = np.abs(np.divide(grid.spectrum, n**2, out=work.product), out=work.half)
-    weight **= 2
-    weight /= work.k2
-    weight[0, 0] = 0.0  # k = 0 excluded
-    weight[:, 1 : (n + 1) // 2] *= 2.0
-    return float(np.sqrt(np.sum(weight)))
+    """Homogeneous H^-1 norm of the grid scalar: the root of sum_k |rfft2(values)|^2 / (N^4 |k|^2)."""
+    return float(np.sqrt(_spectral_sum(grid, "h_minus_one")))
 
 
 def log_sobolev(grid: GridField) -> float:
     """Squared homogeneous log-Sobolev norm, exact on the grid.
 
-    Computes the double Riemann sum over nodes x and lattice offsets
-    0 < |h| <= 1/5 of |rho(x + h) - rho(x)|^2 / |h|^2, the same sum as
-    log_sobolev_brute_force.  By Wiener-Khinchin the mean-square increment
-    at offset h is 2 (C(0) - C(h)), with the autocorrelation
-    C = irfft2(|rfft2 rho|^2) / N^2 of the mean-subtracted scalar, so one
-    inverse transform of the grid's spectrum gives every offset at once.
+    The double Riemann sum over nodes x and lattice offsets 0 < |h| <= 1/5 of
+    |rho(x + h) - rho(x)|^2 / |h|^2 (log_sobolev_brute_force), taken by Parseval
+    as sum |rfft2(values)|^2 W over the half spectrum, W fixed per resolution.
     """
-    n = grid.resolution
-    work = _workspace(n)
-    power = np.square(np.abs(grid.spectrum, out=work.half), out=work.half)
-    power[0, 0] = 0.0  # the mean does not change any increment
-    # N^2 C, read only at the offsets; dividing those entries alone gives C's bits
-    scaled = _inverse_half(power, work.averages).ravel()
-    increments = 2.0 * (scaled[0] / n**2 - scaled[work.nodes] / n**2)
-    return float(np.sum(increments / work.lengths2))
+    return _spectral_sum(grid, "log_sobolev")
 
 
 def log_sobolev_brute_force(grid: GridField) -> float:
@@ -192,8 +181,9 @@ def ball_averages(grid: GridField, radius: float, out=None):
     """Average of the scalar over the discrete ball of each grid node."""
     spectrum, count = _ball_spectrum(grid.resolution, radius)
     product = np.multiply(grid.spectrum, spectrum, out=_workspace(grid.resolution).product)
-    averages = _inverse_half(product, np.empty(grid.values.shape) if out is None else out)
-    return np.divide(averages, count, out=averages)
+    out = np.empty(grid.values.shape) if out is None else out
+    np.fft.ifft(product, axis=0, out=product)  # irfft2 in its two passes, with no array allocated
+    return np.divide(np.fft.irfft(product, n=out.shape[1], axis=1, out=out), count, out=out)
 
 
 def scan_radii(resolution: int) -> tuple:

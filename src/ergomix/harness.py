@@ -54,17 +54,26 @@ def _fit_window(times, values, burn_in):
     return times[mask], values[mask]
 
 
+def _fit(times, values, burn_in, log):
+    """(Least-squares slope, its standard error) of values, or -log(values), on times >= burn_in."""
+    times, values = _fit_window(times, values, burn_in)
+    if log and np.any(values <= 0.0):
+        raise ErgomixError("values must be positive for a log-linear rate fit")
+    values = -np.log(values) if log else values
+    slope = float(np.polyfit(times, values, 1)[0])
+    dt = times - times.mean()
+    residuals = values - values.mean() - slope * dt
+    return slope, float(np.sqrt(np.sum(residuals * residuals) / (len(times) - 2) / np.sum(dt * dt)))
+
+
 def fit_exponential_rate(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of -log(values) against time after burn_in."""
-    times, values = _fit_window(times, values, burn_in)
-    if np.any(values <= 0.0):
-        raise ErgomixError("values must be positive for a log-linear rate fit")
-    return float(np.polyfit(times, -np.log(values), 1)[0])
+    return _fit(times, values, burn_in, log=True)[0]
 
 
 def fit_linear_slope(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of values against time after burn_in."""
-    return float(np.polyfit(*_fit_window(times, values, burn_in), 1)[0])
+    return _fit(times, values, burn_in, log=False)[0]
 
 
 def _student_t_sf(t: float, df: int) -> float:
@@ -96,17 +105,11 @@ def growth_trend_pvalue(times, values) -> float:
     (scipy.stats.linregress with alternative="greater"), with the t tail in
     closed form so that no run imports scipy.stats, a large and slow import.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if len(values) < 4 or np.ptp(values) < 1e-14:
         return 1.0
-    dt = times - times.mean()
-    dv = values - values.mean()
-    r = float(np.sum(dt * dv) / np.sqrt(np.sum(dt * dt) * np.sum(dv * dv)))
-    r = min(max(r, -1.0), 1.0)
-    df = len(values) - 2
-    t = r * math.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
-    return _student_t_sf(t, df)
+    slope, stderr = _fit(times, values, -math.inf, log=False)
+    t = slope / stderr if stderr > 0.0 else math.copysign(math.inf, slope)  # a perfect line
+    return _student_t_sf(t, len(values) - 2)
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -198,9 +201,10 @@ def run_mixing(config: Config):
     series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
     times = series.times
-    beta = fit_exponential_rate(times, series.h_minus_one, burn_in)
-    lsq_slope = fit_linear_slope(times, series.log_sobolev, burn_in)
-    mix_rate = fit_exponential_rate(times, series.mixing_scale, burn_in)
+    beta, beta_stderr = _fit(times, series.h_minus_one, burn_in, log=True)
+    lsq_slope, lsq_stderr = _fit(times, series.log_sobolev, burn_in, log=False)
+    mix_rate, mix_stderr = _fit(times, series.mixing_scale, burn_in, log=True)
+    mix_window = _fit_window(times, series.mixing_scale, burn_in)[1]
     lyap = ensemble_spectrum(
         make_map("time_one_flow", field=field),
         config.lyapunov_samples,
@@ -219,13 +223,17 @@ def run_mixing(config: Config):
     payload = {
         "series": asdict(series),
         "fitted_h_minus_one_rate": beta,
+        "fitted_h_minus_one_rate_stderr": beta_stderr,
         "fitted_log_sobolev_slope": lsq_slope,
+        "fitted_log_sobolev_slope_stderr": lsq_stderr,
         "lambda_max_integral": lyap.lambda_max_integral,
         "grad_l1_average": grad_l1_time_average(field),
         "ratio_mixing": ratio_mixing,
         "ratio_regularity": ratio_regularity,
         "pass_direction": passed,
         "fitted_mixing_scale_rate": mix_rate,
+        "fitted_mixing_scale_rate_stderr": mix_stderr,
+        "mixing_scale_constant_in_window": bool(np.ptp(mix_window) == 0.0),  # its rate is then roundoff
         "burn_in": burn_in,
         "fit_window": [burn_in, float(config.horizon)],
         "interpolation_ratio": c_obs,

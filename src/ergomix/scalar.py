@@ -205,9 +205,8 @@ def load_grid(path: str) -> GridField:
     Raises ConfigError when the sidecar is not JSON, lacks a required key,
     has a resolution that is not an integer >= MIN_RESOLUTION, names a dtype
     other than '<f8', has a time that is not a finite number, has a metadata
-    or metadata.datum that is not an object or a datum sup_norm that is not
-    a finite positive number, or when the values file does not hold 8 N^2
-    bytes.
+    or metadata.datum that is not an object or a datum sup_norm that is not a
+    finite positive number, or when the values file does not hold 8 N^2 finite values.
     """
     if path.endswith(".json"):
         sidecar_path = path
@@ -251,6 +250,8 @@ def load_grid(path: str) -> GridField:
     if size != 8 * n * n:
         raise ConfigError(f"grid values {values_path} hold {size} bytes, not 8 N^2 = {8 * n * n}")
     values = np.fromfile(values_path, dtype="<f8").reshape(n, n)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"grid values {values_path} are not all finite")
     return GridField(resolution=n, values=values, time=sidecar["time"], metadata=metadata)
 
 

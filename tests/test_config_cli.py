@@ -11,7 +11,7 @@ from ergomix.cli import main
 from ergomix import harness
 from ergomix.config import EXPERIMENTS, Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
-from ergomix.scalar import InitialDatum, make_initial, sample_scalar, save_grid
+from ergomix.scalar import GridField, InitialDatum, make_initial, sample_scalar, save_grid
 from ergomix.fields import PHASES_READ, VelocityFieldSpec, make_field
 
 MINIMAL_MIXING = """
@@ -425,6 +425,18 @@ def test_cli_diagnose_bad_grid_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 3
     assert all(line.startswith("config error: ") for line in err)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cli_diagnose_non_finite_grid_exits_2(tmp_path, capsys, bad):
+    values = np.zeros((16, 16))
+    values[3, 5] = bad
+    stem = str(tmp_path / "grid")
+    save_grid(GridField(16, values, 0.0, {}), stem)
+    assert main(["diagnose", stem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: grid values {stem}.bin are not all finite\n"
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -127,13 +127,26 @@ def test_log_sobolev_quadratic_homogeneity():
             2.0,
             63,
         ),
+        # every mode nonzero, the Nyquist row and column of the even N included
+        lambda: GridField(16, np.random.default_rng(16).normal(size=(16, 16)), 0.0, {}),
+        lambda: GridField(17, np.random.default_rng(17).normal(size=(17, 17)), 0.0, {}),
     ],
-    ids=["sinusoid", "checkerboard", "advected", "advected_odd"],
+    ids=["sinusoid", "checkerboard", "advected", "advected_odd", "normal_16", "normal_17"],
 )
 def test_log_sobolev_matches_brute_force(make_grid):
     grid = make_grid()
     exact = log_sobolev_brute_force(grid)
     assert abs(log_sobolev(grid) - exact) <= 1e-12 * exact
+
+
+def test_norms_are_bitwise_stable_across_rebuilt_tables():
+    grids = [GridField(n, np.random.default_rng(n).normal(size=(n, n)), 0.0, {}) for n in (24, 48, 96)]
+    first = [(h_minus_one(grid), log_sobolev(grid)) for grid in grids]
+    diagnostics.release_scratch()
+    # N, 2N, 4N, then N again: more resolutions than _workspace caches
+    for grid, norms in zip(grids + grids[:1], first + first[:1]):
+        assert (h_minus_one(grid), log_sobolev(grid)) == norms
+    assert diagnostics._workspace.cache_info().maxsize < len(grids)
 
 
 # --- mixing_scale ----------------------------------------------------------

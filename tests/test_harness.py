@@ -4,7 +4,7 @@ import stat
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from ergomix.config import parse_config
 from ergomix.diagnostics import DiagnosticSeries, h_minus_one
@@ -77,8 +77,6 @@ def test_growth_trend_pvalue_flat_and_growing():
 
 @pytest.mark.parametrize("length", [4, 5, 6, 7, 12, 21, 40])
 def test_growth_trend_pvalue_matches_scipy_linregress(length):
-    from scipy import stats
-
     rng = np.random.default_rng(length)
     t = np.arange(float(length))
     for trend in (-0.3, -0.02, 0.0, 0.02, 0.3, 5.0):
@@ -198,6 +196,7 @@ def test_run_mixing_zero_field_is_flat():
     assert payload["lambda_max_integral"] == 0.0
     assert payload["ratio_mixing"] == 0.0
     assert payload["ratio_regularity"] == 0.0
+    assert payload["mixing_scale_constant_in_window"] is True
     assert passed
     json.dumps(payload)
 
@@ -245,6 +244,19 @@ wavevector = 1, 0
     assert 0.0 < payload["fitted_h_minus_one_rate"] < 0.5
     assert payload["lambda_max_integral"] <= 0.12
     assert passed
+    # each fit's standard error is linregress's, on the fit window and the values the fit reads
+    series = payload["series"]
+    window = np.asarray(series["times"]) >= payload["burn_in"]
+    times = np.asarray(series["times"])[window]
+    for key, column, transform in [
+        ("fitted_h_minus_one_rate", "h_minus_one", lambda v: -np.log(v)),
+        ("fitted_log_sobolev_slope", "log_sobolev", lambda v: v),
+        ("fitted_mixing_scale_rate", "mixing_scale", lambda v: -np.log(v)),
+    ]:
+        oracle = stats.linregress(times, transform(np.asarray(series[column])[window]))
+        assert payload[key] == pytest.approx(oracle.slope, rel=1e-9, abs=1e-15)
+        assert payload[key + "_stderr"] == pytest.approx(oracle.stderr, rel=1e-9, abs=1e-15)
+    assert payload["mixing_scale_constant_in_window"] is False  # 0.2 down to 0.1 in the window
 
 
 def test_ruelle_determinism_same_seed():
@@ -300,13 +312,17 @@ _MIXING_KEYS = {
     "burn_in",
     "fit_window",
     "fitted_h_minus_one_rate",
+    "fitted_h_minus_one_rate_stderr",
     "fitted_log_sobolev_slope",
+    "fitted_log_sobolev_slope_stderr",
     "fitted_mixing_scale_rate",
+    "fitted_mixing_scale_rate_stderr",
     "grad_l1_average",
     "interpolation_ratio",
     "interpolation_trend_pvalue",
     "lambda_max_integral",
     "lambda_stderr",
+    "mixing_scale_constant_in_window",
     "pass_direction",
     "ratio_mixing",
     "ratio_regularity",
