@@ -122,6 +122,15 @@ def h_minus_one(grid: GridField) -> float:
     return float(np.sqrt(_spectral_sum(grid, "h_minus_one")))
 
 
+def h_minus_one_floor(resolution: int) -> float:
+    """H^-1 of grid-decorrelated data of unit L2 norm: sqrt(sum over k != 0 of |k|^-2) / N.
+
+    The H^-1 weight table sums to that of 1/(N^4 |k|^2) over the full spectrum, so
+    the floor is N sqrt(sum W).  A series that comes near it resolves no finer mixing.
+    """
+    return float(resolution * np.sqrt(np.sum(_workspace(resolution).h_minus_one)))
+
+
 def log_sobolev(grid: GridField) -> float:
     """Squared homogeneous log-Sobolev norm, exact on the grid.
 

@@ -101,10 +101,14 @@ class VelocityField:
             return 0, 1, self._phase(0)
         return 1, 0, self._phase(1)
 
-    def shear_speed(self, t, points):
-        """(moved axis, its speed A sin(2 pi w (driving + phase))) of a shear member at time t."""
+    def shear_speed(self, t, points, out=None):
+        """(moved axis, its speed A sin(2 pi w (driving + phase))) of a shear member at time t.
+
+        The speed is written into ``out`` (shape ``points.shape[:-1]``) when given.
+        """
         moved, driving, phase = self._shear(t)
-        speed = np.add(points[..., driving], phase, out=np.empty(points.shape[:-1]))
+        out = np.empty(points.shape[:-1]) if out is None else out
+        speed = np.add(points[..., driving], phase, out=out)
         speed *= TWO_PI * self.spec.wavenumber
         return moved, np.multiply(np.sin(speed, out=speed), self.spec.amplitude, out=speed)
 

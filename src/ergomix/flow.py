@@ -17,8 +17,11 @@ only the moved column, in place, by the same operations in the same order
 and tangents keep the oracle step.
 
 ``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
-in bounded pieces.  Positions are wrapped to [0,1) after every full step;
-tangents live on the universal cover and are never wrapped.
+in bounded pieces.  A shear ``advect`` builds its step schedule and one
+scratch buffer once per call and runs every piece through them.  Positions
+are wrapped to [0,1) after every full step; tangents live on the universal
+cover and are never wrapped.  Neither keeps state between calls, so
+``scalar.scalar_series`` runs ``advect`` on its helper thread.
 """
 
 import numpy as np
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, IntegrationDivergedError
 from .fields import SHEAR_KINDS, VelocityField
 from .torus import wrap
-from .workers import run_chunked
+from .workers import _PIECE_ROWS, run_chunked
 
 TANGENT_BLOWUP = 1e12
 
@@ -103,14 +106,26 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     return (pts, tangent) if with_tangent else pts
 
 
-def _shear_in_place(field, pts, t0, t1, steps):
-    """_integrate of a shear without a tangent, in place, updating only the moved column."""
-    pts -= np.floor(pts)
-    for t_mid, h in _steps(field, t0, t1, steps):
-        moved, v = field.shear_speed(t_mid, pts)
+def _shear_in_place(field, pts, schedule, scratch):
+    """_integrate of a shear without a tangent, in place, updating only the moved column.
+
+    ``schedule`` lists the steps of ``_steps``; ``scratch`` holds at least 3 len(pts) floats
+    and takes every float intermediate, so the pieces of one call reuse one allocation.
+    """
+    rows = len(pts)
+    speed, twice, total = scratch[:rows], scratch[rows : 2 * rows], scratch[2 * rows : 3 * rows]
+    pts -= np.floor(pts, out=scratch[: 2 * rows].reshape(pts.shape))
+    for t_mid, h in schedule:
+        moved, v = field.shear_speed(t_mid, pts, out=speed)
         column = pts[..., moved]
-        column += (h / 6.0) * (v + 2.0 * v + 2.0 * v + v)
-        column -= np.floor(column)
+        # (h/6)*(v + 2v + 2v + v), summed left to right as the RK4 combination is
+        np.multiply(v, 2.0, out=twice)
+        np.add(v, twice, out=total)
+        total += twice
+        total += v
+        total *= h / 6.0
+        column += total
+        column -= np.floor(column, out=total)
     _check_finite(pts)
     return ()
 
@@ -126,7 +141,9 @@ def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
         np.copyto(out, x)
     pieces, t0, t1 = out.reshape(-1, 2), float(t0), float(t1)
     if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
-        run_chunked(lambda piece: _shear_in_place(field, piece, t0, t1, steps), pieces, ())
+        schedule = list(_steps(field, t0, t1, steps))
+        scratch = np.empty(3 * min(len(pieces), _PIECE_ROWS))
+        run_chunked(lambda piece: _shear_in_place(field, piece, schedule, scratch), pieces, ())
     else:
         run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, False), pieces, (pieces,))
     return out

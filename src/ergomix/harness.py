@@ -22,6 +22,7 @@ from .diagnostics import (
     Partition,
     entropy_rate,
     h_minus_one,
+    h_minus_one_floor,
     log_sobolev,
     mixing_scale,
     nu_log_bound,
@@ -197,6 +198,7 @@ def run_mixing(config: Config):
         l2_values.append(l2)
         c_obs.append(_ratio(float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2, lsq))
         del grid  # free its arrays before the series builds the next grid
+    floor = h_minus_one_floor(config.resolution) * config.datum.l2_norm  # reads the warm tables
     release_scratch()  # before the Lyapunov run, which adds numpy.random's pages
     series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
@@ -205,6 +207,7 @@ def run_mixing(config: Config):
     lsq_slope, lsq_stderr = _fit(times, series.log_sobolev, burn_in, log=False)
     mix_rate, mix_stderr = _fit(times, series.mixing_scale, burn_in, log=True)
     mix_window = _fit_window(times, series.mixing_scale, burn_in)[1]
+    h1_window = _fit_window(times, series.h_minus_one, burn_in)[1]
     lyap = ensemble_spectrum(
         make_map("time_one_flow", field=field),
         config.lyapunov_samples,
@@ -224,6 +227,8 @@ def run_mixing(config: Config):
         "series": asdict(series),
         "fitted_h_minus_one_rate": beta,
         "fitted_h_minus_one_rate_stderr": beta_stderr,
+        "h_minus_one_floor": floor,
+        "h_minus_one_floor_ratio": float(np.min(h1_window)) / floor,
         "fitted_log_sobolev_slope": lsq_slope,
         "fitted_log_sobolev_slope_stderr": lsq_stderr,
         "lambda_max_integral": lyap.lambda_max_integral,
@@ -251,12 +256,13 @@ def run_regularity(config: Config):
         make_field(config.field), config.datum, config.horizon, 2 * config.resolution
     )
     times, values = zip(*[(grid.time, log_sobolev(grid)) for grid in grids])
-    slope_double = fit_linear_slope(times, values, payload["burn_in"])
+    slope_double, stderr_double = _fit(times, values, payload["burn_in"], log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)
     stable = abs(slope - slope_double) <= STABILITY_FRACTION * scale
     passed = bool(np.isfinite(slope) and slope >= -RATE_TOLERANCE and stable)
     payload["log_sobolev_slope_double_resolution"] = slope_double
+    payload["log_sobolev_slope_double_resolution_stderr"] = stderr_double
     payload["slope_stability_fraction"] = abs(slope - slope_double) / scale
     payload["pass_direction"] = passed
     return payload, passed, series

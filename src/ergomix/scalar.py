@@ -7,10 +7,16 @@ is preserved exactly and two-valued data stay exactly two-valued.
 
 Grids are node-centered at ((i + 1/2)/N, (j + 1/2)/N), which keeps nodes off
 the discontinuity lines of the two-valued catalog data.
+
+``scalar_series`` marches the feet one unit map at a time in two lanes: a
+helper thread advects the feet to time t+1 while the consumer diagnoses the
+grid of time t.  The lanes share no array, so the grids are bitwise those of
+a serial march.
 """
 
 import json
 import os
+import threading
 from dataclasses import asdict, dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -57,21 +63,28 @@ class InitialDatum:
         if self.kind == "sinusoid":
             kx, ky = self.wavevector
             return np.sin(2.0 * np.pi * (kx * x + ky * y))
-        # square waves: the value is +1 or -1 by the parity of the integer
-        # half-period index floor(2^m x) (summed over both coordinates for the
-        # checkerboard); scaling by a power of two is exact, so the value is
+        # square waves: the value is +1 or -1 by the parity p of the integer
+        # half-period index i = floor(2^m x) (summed over both coordinates for
+        # the checkerboard), held in float64; scaling by a power of two is
+        # exact, and so is p = i - 2 floor(i/2) for |i| < 2^52, so the value is
         # exact at every jump and for negative coordinates
+        index, half = np.empty_like(x), np.empty_like(x)
         if self.kind == "checkerboard":
-            index = _half_periods(x, self.level)
-            index += _half_periods(y, self.level)
+            _half_periods(x, self.level, index)
+            index += _half_periods(y, self.level, half)
         else:  # stripe
-            index = _half_periods(x, self.level + 1)
-        return np.where(index & 1, -1.0, 1.0)
+            _half_periods(x, self.level + 1, index)
+        np.floor(np.multiply(index, 0.5, out=half), out=half)
+        half *= 2.0
+        index -= half  # the parity p, 0.0 or 1.0
+        index *= -2.0
+        index += 1.0
+        return index
 
 
-def _half_periods(coords, level):
-    """floor(2^level * coords), the half-period index of each coordinate."""
-    return np.floor(coords * 2.0**level).astype(np.int64)
+def _half_periods(coords, level, out):
+    """floor(2^level * coords) into out, the half-period index of each coordinate."""
+    return np.floor(np.multiply(coords, 2.0**level, out=out), out=out)
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
@@ -162,19 +175,50 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> Grid
 
 
 def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
-    """Yield GridFields at integer times 0..horizon.
+    """Yield GridFields at integer times 0..horizon, advecting one unit map ahead.
 
     The backward feet are marched incrementally, in place: by time periodicity
     the backward map over [k, k-1] equals the one over [1, 0], so the feet at
-    time k are the unit backward map applied to the feet at time k-1.
+    time k are the unit backward map applied to the feet at time k-1.  Once
+    the datum is evaluated on the feet of time k, one helper thread advects
+    the feet to time k+1 while the consumer diagnoses grid k.  The helper is
+    joined before the next grid is evaluated, and an error it raised is raised
+    there.  The two lanes share no array, so every grid is bitwise the serial
+    march's.  Closing the series early joins the helper and drops its result.
     """
     _check_resolution(resolution)
     feet = grid_nodes(resolution)
     meta = _grid_meta(field, datum)
-    for t in range(horizon + 1):
-        if t > 0:
-            advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0), out=feet)
-        yield GridField(resolution, datum.evaluate(feet), float(t), dict(meta))
+    steps = field.rk4_steps(1.0)
+    lane = None
+    try:
+        for t in range(horizon + 1):
+            if lane is not None:
+                lane.join()
+                if lane.error is not None:
+                    raise lane.error
+            ready = [GridField(resolution, datum.evaluate(feet), float(t), dict(meta))]
+            if t < horizon:
+                lane = _AdvectLane(field, feet, steps)
+                lane.start()
+            yield ready.pop()  # the series keeps no reference to a grid it has yielded
+    finally:
+        if lane is not None:
+            lane.join()
+
+
+class _AdvectLane(threading.Thread):
+    """The unit backward map of the feet, in place, on a helper thread; keeps what it raises."""
+
+    def __init__(self, field, feet, steps):
+        super().__init__(name="ergomix-advect")
+        self.field, self.feet, self.steps, self.error = field, feet, steps, None
+
+    def run(self):
+        try:
+            advect(self.field, self.feet, 1.0, 0.0, self.steps, out=self.feet)
+        except BaseException as exc:  # raised on the consumer's thread at the join
+            self.error = exc
 
 
 def _grid_meta(field, datum: InitialDatum):

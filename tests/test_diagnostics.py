@@ -15,6 +15,7 @@ from ergomix.diagnostics import (
     ball_averages,
     entropy_rate,
     h_minus_one,
+    h_minus_one_floor,
     log_sobolev,
     log_sobolev_brute_force,
     maximal_ergodic,
@@ -90,6 +91,24 @@ def test_h_minus_one_half_spectrum_matches_full_fft(resolution):
     for _ in range(3):
         grid = GridField(resolution, rng.normal(size=(resolution, resolution)), 0.0, {})
         assert h_minus_one(grid) == pytest.approx(_h_minus_one_full_spectrum(grid), rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution, value", [(256, 0.022697), (512, 0.012058), (1024, 0.006364)])
+def test_h_minus_one_floor_is_the_full_spectrum_sum(resolution, value):
+    k = np.fft.fftfreq(resolution, d=1.0 / resolution)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    k2[0, 0] = np.inf
+    direct = np.sqrt(np.sum(1.0 / k2)) / resolution
+    assert h_minus_one_floor(resolution) == pytest.approx(direct, rel=1e-12)
+    assert direct == pytest.approx(value, abs=5e-7)
+    diagnostics.release_scratch()
+
+
+def test_h_minus_one_floor_is_the_norm_of_grid_noise():
+    # independent +-1 nodes have E |rho_hat(k)|^2 = N^2, so H^-1 squared averages to the floor squared
+    rng = np.random.default_rng(5)
+    grid = GridField(256, rng.choice([-1.0, 1.0], size=(256, 256)), 0.0, {})
+    assert h_minus_one(grid) == pytest.approx(h_minus_one_floor(256), rel=0.15)
 
 
 # --- log_sobolev -----------------------------------------------------------

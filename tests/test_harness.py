@@ -7,7 +7,7 @@ import pytest
 from scipy import special, stats
 
 from ergomix.config import parse_config
-from ergomix.diagnostics import DiagnosticSeries, h_minus_one
+from ergomix.diagnostics import DiagnosticSeries, h_minus_one, h_minus_one_floor, log_sobolev
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.harness import (
@@ -21,7 +21,7 @@ from ergomix.harness import (
     write_json_atomic,
     write_series_csv_atomic,
 )
-from ergomix.scalar import make_initial, sample_scalar
+from ergomix.scalar import make_initial, sample_scalar, scalar_series
 
 
 def _config(text):
@@ -259,6 +259,40 @@ wavevector = 1, 0
     assert payload["mixing_scale_constant_in_window"] is False  # 0.2 down to 0.1 in the window
 
 
+def test_regularity_trust_qualifiers():
+    config = _config(
+        """
+experiment = regularity
+seed = 7
+horizon = 8
+resolution = 64
+lyapunov_samples = 20
+lyapunov_n = 20
+
+[field]
+kind = steady_shear
+
+[datum]
+kind = sinusoid
+wavevector = 1, 0
+"""
+    )
+    payload, _, _ = run_regularity(config)
+    # the floor scales with the datum's L2 norm (1/sqrt 2 here); the ratio reads the fit window
+    assert payload["h_minus_one_floor"] == h_minus_one_floor(64) * config.datum.l2_norm
+    series = payload["series"]
+    window = np.asarray(series["times"]) >= payload["burn_in"]
+    lowest = np.min(np.asarray(series["h_minus_one"])[window])
+    assert payload["h_minus_one_floor_ratio"] == lowest / payload["h_minus_one_floor"]
+    # the doubled-resolution slope and its standard error are linregress's on the 2N series
+    grids = scalar_series(make_field(config.field), config.datum, config.horizon, 128)
+    times, values = (np.asarray(v) for v in zip(*[(grid.time, log_sobolev(grid)) for grid in grids]))
+    window = times >= payload["burn_in"]
+    oracle = stats.linregress(times[window], values[window])
+    assert payload["log_sobolev_slope_double_resolution"] == pytest.approx(oracle.slope, rel=1e-9)
+    assert payload["log_sobolev_slope_double_resolution_stderr"] == pytest.approx(oracle.stderr, rel=1e-9)
+
+
 def test_ruelle_determinism_same_seed():
     config = _config(
         """
@@ -318,6 +352,8 @@ _MIXING_KEYS = {
     "fitted_mixing_scale_rate",
     "fitted_mixing_scale_rate_stderr",
     "grad_l1_average",
+    "h_minus_one_floor",
+    "h_minus_one_floor_ratio",
     "interpolation_ratio",
     "interpolation_trend_pvalue",
     "lambda_max_integral",
@@ -329,7 +365,11 @@ _MIXING_KEYS = {
     "seed",
     "series",
 }
-_REGULARITY_KEYS = _MIXING_KEYS | {"log_sobolev_slope_double_resolution", "slope_stability_fraction"}
+_REGULARITY_KEYS = _MIXING_KEYS | {
+    "log_sobolev_slope_double_resolution",
+    "log_sobolev_slope_double_resolution_stderr",
+    "slope_stability_fraction",
+}
 
 _SMALL_LYAPUNOV = """
 experiment = lyapunov

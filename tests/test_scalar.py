@@ -1,11 +1,16 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from ergomix import workers
-from ergomix.errors import ConfigError
+from ergomix import scalar, workers
+from ergomix.cli import main
+from ergomix.errors import ConfigError, IntegrationDivergedError
 from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.flow import advect
 from ergomix.scalar import (
     GridField,
     grid_nodes,
@@ -19,6 +24,7 @@ from ergomix.scalar import (
 ZERO = make_field(VelocityFieldSpec(kind="zero"))
 STEADY = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
 ALTERNATING = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+CELLULAR = make_field(VelocityFieldSpec(kind="cellular", amplitude=0.5, phases=(0.1, 0.3)))
 
 
 def test_sinusoid_norms():
@@ -207,6 +213,106 @@ def test_series_matches_direct_integration():
     for t in (1, 3, 5):
         direct = sample_scalar(ALTERNATING, datum, float(t), 64)
         assert np.array_equal(series_grids[t].values, direct.values)
+
+
+MIXING_SHEAR = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+
+
+@pytest.mark.parametrize(
+    "field", [MIXING_SHEAR, STEADY, CELLULAR], ids=["alternating_shear", "steady_shear", "cellular"]
+)
+def test_series_equals_a_serial_march_bitwise(field, monkeypatch):
+    # the feet advected one unit map at a time in this thread; a sinusoid shows
+    # every bit of the feet in its values, and cellular takes the RK4 oracle path
+    datum = make_initial("sinusoid", wavevector=(1, 2))
+    evaluate = scalar.InitialDatum.evaluate
+
+    def slow_evaluate(self, points):
+        time.sleep(0.005)  # a helper started before the datum read the feet would move them
+        return evaluate(self, points)
+
+    monkeypatch.setattr(scalar.InitialDatum, "evaluate", slow_evaluate)
+    feet = grid_nodes(64)
+    times = []
+    for grid in scalar_series(field, datum, 6, 64):
+        times.append(grid.time)
+        assert np.array_equal(grid.values.view(np.int64), datum.evaluate(feet).view(np.int64))
+        advect(field, feet, 1.0, 0.0, field.rk4_steps(1.0), out=feet)
+    assert times == [float(t) for t in range(7)]
+
+
+def test_series_advects_on_one_helper_thread_at_a_time(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return advect(*args, **kwargs)
+
+    monkeypatch.setattr(scalar, "advect", recording)  # the series' binding of flow.advect
+    before = threading.active_count()
+    assert len(list(scalar_series(ALTERNATING, make_initial("stripe"), 4, 32))) == 5
+    assert calls == [(False, before + 1)] * 4  # no advect after the last grid
+    assert threading.active_count() == before
+
+
+def _diverging_after(calls, delay=0.0):
+    """flow.advect that raises the integrator's divergence error from its call number ``calls`` on."""
+    done = []
+
+    def diverging(field, x, t0, t1, steps, out=None):
+        time.sleep(delay)
+        if len(done) == calls:
+            raise IntegrationDivergedError("a flow position is not finite; check the input points")
+        done.append(1)
+        return advect(field, x, t0, t1, steps, out=out)
+
+    return diverging
+
+
+def test_helper_error_surfaces_at_the_next_grid(monkeypatch):
+    monkeypatch.setattr(scalar, "advect", _diverging_after(1))
+    before = threading.active_count()
+    series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 32)
+    assert [next(series).time, next(series).time] == [0.0, 1.0]
+    with pytest.raises(IntegrationDivergedError, match="not finite"):
+        next(series)
+    assert threading.active_count() == before
+    with pytest.raises(StopIteration):
+        next(series)
+
+
+def test_cli_run_whose_helper_diverges_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scalar, "advect", _diverging_after(2))
+    path = tmp_path / "mixing.cfg"
+    path.write_text(
+        "experiment = mixing\nseed = 3\nhorizon = 6\nresolution = 32\n"
+        f"output_dir = {tmp_path / 'out'}\n\n[field]\nkind = alternating_shear\n\n"
+        "[datum]\nkind = checkerboard\n"
+    )
+    assert main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numeric failure: a flow position is not finite; check the input points"]
+
+
+@pytest.mark.parametrize("leave", ["break", "close"])
+def test_leaving_the_series_joins_the_helper_and_drops_its_result(monkeypatch, capsys, leave):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(threading, "excepthook", unraisable.append)
+    # the helper is still running when the series is left, and then it raises
+    monkeypatch.setattr(scalar, "advect", _diverging_after(0, delay=0.05))
+    before = threading.active_count()
+    if leave == "break":
+        for grid in scalar_series(ALTERNATING, make_initial("stripe"), 5, 32):
+            break
+    else:
+        series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 32)
+        grid = next(series)
+        series.close()
+    assert grid.time == 0.0
+    assert threading.active_count() == before
+    assert unraisable == []
+    assert "Exception ignored" not in capsys.readouterr().err
 
 
 def test_h_minus_one_resolution_consistency():
