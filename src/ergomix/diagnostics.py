@@ -2,14 +2,16 @@
 
 Fourier convention: rho_hat(k) = integral of rho(x) exp(-2 pi i k.x) dx,
 realized on the grid as fft2(values) / N^2.  The grid diagnostics read its
-half, rfft2(values), computed once per grid as GridField.spectrum.  Both norms
-weigh its squares by a table fixed per resolution (Parseval), and the
-ball-kernel spectra of the mixing scale are computed once per (N, radius).  The
-homogeneous H^-1 norm is sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2);
-with this convention sin(2 pi x) has norm 1/sqrt(2).
+half, rfft2(values), computed once per grid as GridField.spectrum, and its
+modulus, taken once per grid.  Both norms weigh its squares by a table fixed
+per resolution (Parseval), and the ball-kernel spectra of the mixing scale
+are computed once per (N, radius).  The homogeneous H^-1 norm is
+sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2); with this convention
+sin(2 pi x) has norm 1/sqrt(2).
 """
 
 import functools
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 from types import SimpleNamespace
 
@@ -73,7 +75,8 @@ def _workspace(n):
     """Per-resolution weight tables and scratch arrays, shared by the diagnostics of every grid.
 
     h_minus_one, log_sobolev: each norm's weight W, with 1/N^4 and the conjugate pairs folded in
-    and W[0, 0] = 0, so that sum |rfft2(values)|^2 W over the half spectrum is its square.  One
+    and W[0, 0] = 0, so that sum |rfft2(values)|^2 W over the half spectrum is its square.
+    modulus: |rfft2(values)| of the grid whose spectrum ``source`` refers to (weakly).  One
     block, mapped apart from glibc's heap, holds all; half reuses product's memory (never both live).
     """
     shape, m = (n, n // 2 + 1), n * (n // 2 + 1)
@@ -81,7 +84,8 @@ def _workspace(n):
     work = SimpleNamespace(
         h_minus_one=block[:m].reshape(shape),
         log_sobolev=block[m : 2 * m].reshape(shape),
-        weights=block[2 * m : 3 * m].reshape(shape),
+        modulus=block[2 * m : 3 * m].reshape(shape),
+        source=None,
         half=block[3 * m : 4 * m].reshape(shape),
         product=block[3 * m : 5 * m].view(complex).reshape(shape),
         averages=block[5 * m :].reshape(n, n),
@@ -110,10 +114,20 @@ def release_scratch():
     _ball_offsets.cache_clear()
 
 
+def _modulus(grid: GridField):
+    """|rfft2(values)|, taken once per grid into the workspace and shared by every grid diagnostic."""
+    work = _workspace(grid.resolution)
+    spectrum = grid.spectrum
+    if work.source is None or work.source() is not spectrum:
+        np.abs(spectrum, out=work.modulus)
+        work.source = weakref.ref(spectrum)
+    return work.modulus
+
+
 def _spectral_sum(grid: GridField, norm):
     """sum |rfft2(values)|^2 W over the half spectrum, W the weight table of the named norm."""
     work = _workspace(grid.resolution)
-    power = np.square(np.abs(grid.spectrum, out=work.half), out=work.half)
+    power = np.square(_modulus(grid), out=work.half)
     return float(np.sum(np.multiply(power, getattr(work, norm), out=power)))
 
 
@@ -170,12 +184,15 @@ def _ball_kernel(resolution, radius):
 def _ball_spectrum(resolution, radius):
     """(rfft2 of the ball kernel, node count of the ball), read-only and shared.
 
-    The spectrum stays complex: its imaginary parts are roundoff up to ~1e-12,
-    not zeros, and dropping them moves the ball averages.  An entry is 2 MB
-    at N = 512; the shipped mixing series visits four radii.
+    The kernel is even (a node's offset and its negative are in the ball
+    together), so its exact transform is real: the table keeps the real part
+    and drops imaginary parts that are FFT roundoff, which moves the ball
+    averages by roundoff only.  An entry is 1 MB at N = 512; the shipped
+    mixing series visits four radii.
     """
     kernel = _ball_kernel(resolution, radius)
-    spectrum = np.fft.rfft2(kernel)
+    # transformed into the workspace's scratch, so no 2 MB complex array is made per radius
+    spectrum = np.fft.rfft2(kernel, out=_workspace(resolution).product).real.copy()
     spectrum.flags.writeable = False
     return spectrum, kernel.sum()
 
@@ -230,12 +247,13 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
         sup = float(np.max(np.abs(grid.values)))
     threshold = kappa * sup
     work = _workspace(n)
-    weights = np.abs(grid.spectrum, out=work.weights)
-    weights[:, 1 : (n + 1) // 2] *= 2.0
+    modulus = _modulus(grid)
     peak = None  # (row, column) where the last transformed radius peaked
     for i in range(len(radii) - 1, -1, -1):
         spectrum, count = _ball_spectrum(n, radii[i])
-        bound = np.sum(np.multiply(weights, np.abs(spectrum, out=work.half), out=work.half))
+        weights = np.abs(spectrum, out=work.half)
+        weights[:, 1 : (n + 1) // 2] *= 2.0  # the conjugate pairs: doubling is exact on either factor
+        bound = np.sum(np.multiply(modulus, weights, out=weights))
         if (bound / (count * n**2)) * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS <= threshold:
             continue
         if peak is not None:

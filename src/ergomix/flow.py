@@ -11,18 +11,23 @@ one step per steady piece is exact for the shear members.
 
 When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
 the same velocity and gradient bitwise, so a step evaluates them once and
-reuses them in the unchanged RK4 combination.  ``advect`` of a shear updates
-only the moved column, in place, by the same operations in the same order
-(x + (h/6)*0 and the wrap leave the other unchanged bitwise); ``cellular``
-and tangents keep the oracle step.
+reuses them in the unchanged RK4 combination.  The gradient G of such a
+field has one nonzero entry, so the tangent stages G (T + c k1) equal
+k1 = G T up to signed zeros, and the step takes k1 for all four.  ``advect``
+of a shear updates only the moved column, in place, by the same operations
+in the same order (x + (h/6)*0 and the wrap leave the other unchanged
+bitwise); ``cellular`` keeps the oracle step.
 
 ``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
-in bounded pieces.  A shear ``advect`` builds its step schedule and one
-scratch buffer once per call and runs every piece through them.  Positions
-are wrapped to [0,1) after every full step; tangents live on the universal
-cover and are never wrapped.  Neither keeps state between calls, so
-``scalar.scalar_series`` runs ``advect`` on its helper thread.
+in bounded pieces.  Positions are wrapped to [0,1) after every full step;
+tangents live on the universal cover and are never wrapped.  A shear
+``advect`` runs every piece through one scratch buffer per thread and the
+step schedule of its thread's last shear call, rebuilt only when the field
+or the interval changes, so ``scalar.scalar_series`` can advect its grid on
+two threads one row piece per call.  No other state outlives a call.
 """
+
+import threading
 
 import numpy as np
 
@@ -87,15 +92,15 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
             p4 = pts + h * v3
             v4 = field.velocity(t_mid, p4)
         if with_tangent:
-            g1 = field.gradient(t_mid, pts)
+            k1 = field.gradient(t_mid, pts) @ tangent
             if field.constant_along_flow:
-                g2 = g3 = g4 = g1
+                # G's one nonzero entry reads the row of T + c k1 that k1 leaves at +-0
+                k2 = k3 = k4 = k1
             else:
                 g2, g3, g4 = (field.gradient(t_mid, p) for p in (p2, p3, p4))
-            k1 = g1 @ tangent
-            k2 = g2 @ (tangent + (0.5 * h) * k1)
-            k3 = g3 @ (tangent + (0.5 * h) * k2)
-            k4 = g4 @ (tangent + h * k3)
+                k2 = g2 @ (tangent + (0.5 * h) * k1)
+                k3 = g3 @ (tangent + (0.5 * h) * k2)
+                k4 = g4 @ (tangent + h * k3)
             tangent = tangent + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.abs(tangent) < TANGENT_BLOWUP):
                 raise IntegrationDivergedError(
@@ -106,11 +111,27 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     return (pts, tangent) if with_tangent else pts
 
 
+class _ShearPlan(threading.local):
+    """Each thread's scratch for _shear_in_place, and the step schedule of its last shear advect."""
+
+    def __init__(self):
+        self.scratch = np.empty(3 * _PIECE_ROWS)
+        self.key, self.schedule = None, None
+
+    def schedule_for(self, field, t0, t1, steps):
+        if self.key != (field, t0, t1, steps):  # fields compare by identity
+            self.key, self.schedule = (field, t0, t1, steps), list(_steps(field, t0, t1, steps))
+        return self.schedule
+
+
+_plan = _ShearPlan()
+
+
 def _shear_in_place(field, pts, schedule, scratch):
     """_integrate of a shear without a tangent, in place, updating only the moved column.
 
     ``schedule`` lists the steps of ``_steps``; ``scratch`` holds at least 3 len(pts) floats
-    and takes every float intermediate, so the pieces of one call reuse one allocation.
+    and takes every float intermediate, so the pieces of a thread reuse one allocation.
     """
     rows = len(pts)
     speed, twice, total = scratch[:rows], scratch[rows : 2 * rows], scratch[2 * rows : 3 * rows]
@@ -141,8 +162,7 @@ def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
         np.copyto(out, x)
     pieces, t0, t1 = out.reshape(-1, 2), float(t0), float(t1)
     if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
-        schedule = list(_steps(field, t0, t1, steps))
-        scratch = np.empty(3 * min(len(pieces), _PIECE_ROWS))
+        schedule, scratch = _plan.schedule_for(field, t0, t1, steps), _plan.scratch
         run_chunked(lambda piece: _shear_in_place(field, piece, schedule, scratch), pieces, ())
     else:
         run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, False), pieces, (pieces,))

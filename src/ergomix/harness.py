@@ -252,10 +252,11 @@ def run_mixing(config: Config):
 def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
     payload, _, series = run_mixing(config)
-    grids = scalar_series(
-        make_field(config.field), config.datum, config.horizon, 2 * config.resolution
-    )
-    times, values = zip(*[(grid.time, log_sobolev(grid)) for grid in grids])
+    times, values = [], []
+    for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):
+        times.append(grid.time)
+        values.append(log_sobolev(grid))
+        del grid  # free its arrays before the series builds the next grid
     slope_double, stderr_double = _fit(times, values, payload["burn_in"], log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)

@@ -8,10 +8,12 @@ is preserved exactly and two-valued data stay exactly two-valued.
 Grids are node-centered at ((i + 1/2)/N, (j + 1/2)/N), which keeps nodes off
 the discontinuity lines of the two-valued catalog data.
 
-``scalar_series`` marches the feet one unit map at a time in two lanes: a
-helper thread advects the feet to time t+1 while the consumer diagnoses the
-grid of time t.  The lanes share no array, so the grids are bitwise those of
-a serial march.
+``scalar_series`` marches the feet one unit map at a time, in row pieces
+that two threads claim: a helper thread starts on the march to time t+1
+while the consumer diagnoses the grid of time t, and the consumer claims the
+pieces left when it is done.  Each piece is advected and sampled by the same
+elementwise operations whichever thread claims it, into rows no other piece
+touches, so the grids are bitwise those of a serial march.
 """
 
 import json
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import advect
-from .workers import run_chunked
+from .workers import piece_bounds, run_chunked
 
 # datum kind -> the one parameter it reads besides its kind
 DATUM_PARAMETER = {"sinusoid": "wavevector", "checkerboard": "level", "stripe": "level"}
@@ -175,50 +177,82 @@ def sample_scalar(field, datum: InitialDatum, t: float, resolution: int) -> Grid
 
 
 def scalar_series(field, datum: InitialDatum, horizon: int, resolution: int):
-    """Yield GridFields at integer times 0..horizon, advecting one unit map ahead.
+    """Yield GridFields at integer times 0..horizon, marching one unit map ahead.
 
     The backward feet are marched incrementally, in place: by time periodicity
     the backward map over [k, k-1] equals the one over [1, 0], so the feet at
-    time k are the unit backward map applied to the feet at time k-1.  Once
-    the datum is evaluated on the feet of time k, one helper thread advects
-    the feet to time k+1 while the consumer diagnoses grid k.  The helper is
-    joined before the next grid is evaluated, and an error it raised is raised
-    there.  The two lanes share no array, so every grid is bitwise the serial
-    march's.  Closing the series early joins the helper and drops its result.
+    time k are the unit backward map applied to the feet at time k-1.  Just
+    before grid k is yielded, a ``_March`` to time k+1 starts on one helper
+    thread; when the consumer asks for grid k+1 it claims the pieces still
+    left, then joins the helper, and an error either thread raised is raised
+    there.  No march starts after the last grid.  Closing the series early
+    joins the helper and drops its result.
     """
     _check_resolution(resolution)
     feet = grid_nodes(resolution)
     meta = _grid_meta(field, datum)
     steps = field.rk4_steps(1.0)
-    lane = None
+    march = None
     try:
         for t in range(horizon + 1):
-            if lane is not None:
-                lane.join()
-                if lane.error is not None:
-                    raise lane.error
-            ready = [GridField(resolution, datum.evaluate(feet), float(t), dict(meta))]
-            if t < horizon:
-                lane = _AdvectLane(field, feet, steps)
-                lane.start()
+            values = datum.evaluate(feet) if march is None else march.finish()
+            ready, values = [GridField(resolution, values, float(t), dict(meta))], None
+            march = _March(field, datum, feet, steps) if t < horizon else None
             yield ready.pop()  # the series keeps no reference to a grid it has yielded
     finally:
-        if lane is not None:
-            lane.join()
+        if march is not None:
+            march.cancel()
 
 
-class _AdvectLane(threading.Thread):
-    """The unit backward map of the feet, in place, on a helper thread; keeps what it raises."""
+class _March:
+    """The unit backward map of the feet, in place, and the datum sampled on them, by row pieces.
 
-    def __init__(self, field, feet, steps):
-        super().__init__(name="ergomix-advect")
-        self.field, self.feet, self.steps, self.error = field, feet, steps, None
+    A thread claims one piece at a time, advects its feet through ``advect``
+    and writes the datum on them into the same rows of the next grid's
+    values.  The helper thread claims from the start; the consumer joins in
+    ``finish``.  The first error of either thread is kept, and no piece is
+    claimed after it.
+    """
+
+    def __init__(self, field, datum, feet, steps):
+        self.field, self.datum, self.steps = field, datum, steps
+        self.feet, self.values = feet.reshape(-1, 2), np.empty(feet.shape[:-1])
+        self.pieces, self.error = [slice(*bounds) for bounds in piece_bounds(len(self.feet))], None
+        self.lock = threading.Lock()
+        self.helper = threading.Thread(target=self.run, name="ergomix-march")
+        self.helper.start()
 
     def run(self):
-        try:
-            advect(self.field, self.feet, 1.0, 0.0, self.steps, out=self.feet)
-        except BaseException as exc:  # raised on the consumer's thread at the join
-            self.error = exc
+        """Claim, advect and sample pieces until none is left or a thread has failed."""
+        values = self.values.reshape(-1)
+        while True:
+            with self.lock:
+                if not self.pieces or self.error is not None:
+                    return
+                piece = self.pieces.pop(0)
+            feet = self.feet[piece]
+            try:
+                advect(self.field, feet, 1.0, 0.0, self.steps, out=feet)
+                values[piece] = self.datum.evaluate(feet)
+            except BaseException as exc:  # raised on the consumer's thread by finish
+                with self.lock:
+                    if self.error is None:
+                        self.error = exc
+                return
+
+    def finish(self):
+        """Run the pieces left on this thread, join the helper; the values, or the first error."""
+        self.run()
+        self.helper.join()
+        if self.error is not None:
+            raise self.error
+        return self.values
+
+    def cancel(self):
+        """Leave the pieces not yet claimed and join the helper, dropping what it did."""
+        with self.lock:
+            self.pieces.clear()
+        self.helper.join()
 
 
 def _grid_meta(field, datum: InitialDatum):

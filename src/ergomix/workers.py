@@ -11,6 +11,14 @@ import numpy as np
 _PIECE_ROWS = 8192
 
 
+def piece_bounds(rows):
+    """(start, stop) of each piece of a batch of ``rows`` rows, in order."""
+    if rows <= _PIECE_ROWS:
+        return [(0, rows)]
+    cuts = np.linspace(0, rows, -(-rows // _PIECE_ROWS) + 1, dtype=int).tolist()
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def run_chunked(func, points, out):
     """Write ``func`` of each row piece of ``points`` into the same rows of ``out``.
 
@@ -18,9 +26,7 @@ def run_chunked(func, points, out):
     filled; ``func`` returns one array per entry (a bare array for one) and
     must be independent across rows.
     """
-    pieces = max(1, -(-len(points) // _PIECE_ROWS))
-    cuts = np.linspace(0, len(points), pieces + 1, dtype=int)
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b in piece_bounds(len(points)):
         parts = func(points[a:b])
         for target, part in zip(out, parts if isinstance(parts, tuple) else (parts,)):
             target[a:b] = part

@@ -158,6 +158,23 @@ def test_log_sobolev_matches_brute_force(make_grid):
     assert abs(log_sobolev(grid) - exact) <= 1e-12 * exact
 
 
+def test_grid_diagnostics_share_one_modulus_per_grid(monkeypatch):
+    rng = np.random.default_rng(5)
+    grids = [GridField(48, rng.normal(size=(48, 48)), 0.0, {"datum": {"sup_norm": 4.0}}) for _ in range(2)]
+    alone = [(h_minus_one(g), log_sobolev(g), mixing_scale(g, 0.02)) for g in grids]
+    complex_moduli = []
+
+    def counting_abs(x, *args, **kwargs):
+        complex_moduli.append(np.iscomplexobj(x))
+        return np.absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    # alternating grids must not read each other's modulus
+    for g, expected in zip(grids + grids, alone + alone):
+        assert (h_minus_one(g), log_sobolev(g), mixing_scale(g, 0.02)) == expected
+    assert complex_moduli.count(True) == 4  # one per grid visit, none per radius
+
+
 def test_norms_are_bitwise_stable_across_rebuilt_tables():
     grids = [GridField(n, np.random.default_rng(n).normal(size=(n, n)), 0.0, {}) for n in (24, 48, 96)]
     first = [(h_minus_one(grid), log_sobolev(grid)) for grid in grids]
@@ -333,11 +350,13 @@ def test_cached_ball_spectrum_equals_a_fresh_transform():
     for radius in scan_radii(48):
         kernel = _ball_kernel(48, radius)
         fresh = np.fft.rfft2(kernel)
+        # the kernel is even, so the exact transform is real: what the table drops is roundoff
+        assert np.max(np.abs(fresh.imag)) <= 1e-12 * kernel.sum()
         # the uncached ball averages, as computed before the spectra were cached
-        expected = np.fft.irfft2(grid.spectrum * fresh, s=grid.values.shape) / kernel.sum()
+        expected = np.fft.irfft2(grid.spectrum * fresh.real, s=grid.values.shape) / kernel.sum()
         for _ in range(2):
             spectrum, count = _ball_spectrum(48, radius)
-            assert np.array_equal(spectrum, fresh) and count == kernel.sum()
+            assert np.array_equal(spectrum, fresh.real) and count == kernel.sum()
             assert not spectrum.flags.writeable
             assert np.array_equal(ball_averages(grid, radius), expected)
     info = _ball_spectrum.cache_info()

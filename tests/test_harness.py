@@ -1,11 +1,13 @@
 import json
 import os
 import stat
+import weakref
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from ergomix import scalar
 from ergomix.config import parse_config
 from ergomix.diagnostics import DiagnosticSeries, h_minus_one, h_minus_one_floor, log_sobolev
 from ergomix.errors import ConfigError, ErgomixError
@@ -207,6 +209,24 @@ def test_run_regularity_zero_field():
     assert payload["fitted_log_sobolev_slope"] == pytest.approx(0.0, abs=1e-9)
     assert payload["log_sobolev_slope_double_resolution"] == pytest.approx(0.0, abs=1e-9)
     assert passed
+
+
+def test_series_consumers_hold_one_grid_at_a_time(monkeypatch):
+    # a grid is dropped before the series builds the next one, at N and at 2N
+    built = {64: [], 128: []}
+    most = {64: 0, 128: 0}
+
+    class Tracked(scalar.GridField):
+        def __init__(self, resolution, *args):
+            super().__init__(resolution, *args)
+            built[resolution].append(weakref.ref(self))
+            most[resolution] = max(most[resolution], sum(ref() is not None for ref in built[resolution]))
+
+    monkeypatch.setattr(scalar, "GridField", Tracked)
+    config = _config(ZERO_MIXING.replace("experiment = mixing", "experiment = regularity"))
+    run_regularity(config)
+    assert [len(built[n]) for n in (64, 128)] == [config.horizon + 1] * 2
+    assert most == {64: 1, 128: 1}
 
 
 def test_steady_shear_h_minus_one_matches_bessel_oracle():

@@ -1,3 +1,4 @@
+import collections
 import json
 import sys
 import threading
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ergomix import scalar, workers
+from ergomix import flow, scalar, workers
 from ergomix.cli import main
 from ergomix.errors import ConfigError, IntegrationDivergedError
 from ergomix.fields import VelocityFieldSpec, make_field
@@ -241,18 +242,50 @@ def test_series_equals_a_serial_march_bitwise(field, monkeypatch):
     assert times == [float(t) for t in range(7)]
 
 
-def test_series_advects_on_one_helper_thread_at_a_time(monkeypatch):
+def test_series_marches_every_row_once_per_unit_map_on_at_most_one_helper(monkeypatch):
+    # 256^2 feet are 8 pieces; a slow advect lets the consumer claim some of them
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-        return advect(*args, **kwargs)
+    def recording(field, x, t0, t1, steps, out=None):
+        first_row = x.__array_interface__["data"][0] // x.strides[0]
+        calls.append((first_row, len(x), threading.current_thread(), threading.active_count()))
+        time.sleep(0.002)
+        return advect(field, x, t0, t1, steps, out=out)
 
     monkeypatch.setattr(scalar, "advect", recording)  # the series' binding of flow.advect
+    n, horizon = 256, 4
     before = threading.active_count()
-    assert len(list(scalar_series(ALTERNATING, make_initial("stripe"), 4, 32))) == 5
-    assert calls == [(False, before + 1)] * 4  # no advect after the last grid
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a racy claim would show
+    try:
+        for grid in scalar_series(ALTERNATING, make_initial("stripe"), horizon, n):
+            # the march to the next grid may have started, but none beyond it
+            rows = sum(call[1] for call in calls)
+            assert grid.time * n * n <= rows <= min(grid.time + 1, horizon) * n * n
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(call[1] for call in calls) == horizon * n * n  # nothing ran after the last grid
     assert threading.active_count() == before
+    assert max(call[3] for call in calls) == before + 1
+    pieces = collections.Counter(call[:2] for call in calls)
+    assert set(pieces.values()) == {horizon} and len(pieces) == 8  # each piece once per unit map
+    starts, rows = zip(*sorted(pieces))
+    assert np.array_equal(np.diff(starts), rows[:-1]) and sum(rows) == n * n  # they tile the feet
+    assert any(call[2] is threading.main_thread() for call in calls)
+    assert len({call[2] for call in calls if call[2] is not threading.main_thread()}) <= horizon
+
+
+def test_series_builds_each_step_schedule_once_per_thread(monkeypatch):
+    threads = []
+
+    def counting(*args):
+        threads.append(threading.current_thread())
+        return steps(*args)
+
+    steps = flow._steps
+    monkeypatch.setattr(flow, "_steps", counting)
+    assert len(list(scalar_series(MIXING_SHEAR, make_initial("stripe"), 4, 256))) == 5
+    assert 1 <= len(threads) == len(set(threads)) <= 5  # each helper at most once, the consumer too
 
 
 def _diverging_after(calls, delay=0.0):
@@ -292,6 +325,35 @@ def test_cli_run_whose_helper_diverges_exits_3_with_one_line(tmp_path, monkeypat
     assert main(["run", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["numeric failure: a flow position is not finite; check the input points"]
+
+
+@pytest.mark.parametrize("helper_fails", [False, True])
+def test_error_on_the_consumers_piece_wins_and_joins_the_helper(monkeypatch, helper_fails):
+    # 256^2 feet are 8 pieces: the helper sleeps in one while the consumer fails on
+    # another; the helper's piece then ends, or fails too, and the first error wins
+    helper_busy, helper_calls = threading.Event(), []
+
+    def failing_on_the_consumer(field, x, t0, t1, steps, out=None):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_busy.wait(5.0)
+            raise IntegrationDivergedError("a flow position is not finite; check the input points")
+        helper_calls.append(1)
+        helper_busy.set()
+        time.sleep(0.05)
+        if helper_fails:
+            raise IntegrationDivergedError("the helper's piece diverged later")
+        return advect(field, x, t0, t1, steps, out=out)
+
+    monkeypatch.setattr(scalar, "advect", failing_on_the_consumer)
+    before = threading.active_count()
+    series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 256)
+    assert next(series).time == 0.0
+    with pytest.raises(IntegrationDivergedError, match="not finite"):
+        next(series)
+    assert threading.active_count() == before
+    assert helper_calls == [1]  # no piece is claimed after the error
+    with pytest.raises(StopIteration):
+        next(series)
 
 
 @pytest.mark.parametrize("leave", ["break", "close"])
