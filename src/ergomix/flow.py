@@ -21,20 +21,17 @@ bitwise); ``cellular`` keeps the oracle step.
 ``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
 in bounded pieces.  Positions are wrapped to [0,1) after every full step;
 tangents live on the universal cover and are never wrapped.  A shear
-``advect`` runs every piece through one scratch buffer per thread and the
-step schedule of its thread's last shear call, rebuilt only when the field
-or the interval changes, so ``scalar.scalar_series`` can advect its grid on
-two threads one row piece per call.  No other state outlives a call.
+``advect`` builds its step schedule once per call and gives each piece its
+own scratch, so no state outlives a call and concurrent calls on disjoint
+rows do not interfere.
 """
-
-import threading
 
 import numpy as np
 
 from .errors import ConfigError, IntegrationDivergedError
 from .fields import SHEAR_KINDS, VelocityField
 from .torus import wrap
-from .workers import _PIECE_ROWS, run_chunked
+from .workers import run_chunked
 
 TANGENT_BLOWUP = 1e12
 
@@ -111,29 +108,14 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
     return (pts, tangent) if with_tangent else pts
 
 
-class _ShearPlan(threading.local):
-    """Each thread's scratch for _shear_in_place, and the step schedule of its last shear advect."""
-
-    def __init__(self):
-        self.scratch = np.empty(3 * _PIECE_ROWS)
-        self.key, self.schedule = None, None
-
-    def schedule_for(self, field, t0, t1, steps):
-        if self.key != (field, t0, t1, steps):  # fields compare by identity
-            self.key, self.schedule = (field, t0, t1, steps), list(_steps(field, t0, t1, steps))
-        return self.schedule
-
-
-_plan = _ShearPlan()
-
-
-def _shear_in_place(field, pts, schedule, scratch):
+def _shear_in_place(field, pts, schedule):
     """_integrate of a shear without a tangent, in place, updating only the moved column.
 
-    ``schedule`` lists the steps of ``_steps``; ``scratch`` holds at least 3 len(pts) floats
-    and takes every float intermediate, so the pieces of a thread reuse one allocation.
+    ``schedule`` lists the steps of ``_steps``; every float intermediate goes to one scratch
+    of 3 len(pts) floats.
     """
     rows = len(pts)
+    scratch = np.empty(3 * rows)
     speed, twice, total = scratch[:rows], scratch[rows : 2 * rows], scratch[2 * rows : 3 * rows]
     pts -= np.floor(pts, out=scratch[: 2 * rows].reshape(pts.shape))
     for t_mid, h in schedule:
@@ -162,8 +144,8 @@ def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
         np.copyto(out, x)
     pieces, t0, t1 = out.reshape(-1, 2), float(t0), float(t1)
     if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
-        schedule, scratch = _plan.schedule_for(field, t0, t1, steps), _plan.scratch
-        run_chunked(lambda piece: _shear_in_place(field, piece, schedule, scratch), pieces, ())
+        schedule = list(_steps(field, t0, t1, steps))
+        run_chunked(lambda piece: _shear_in_place(field, piece, schedule), pieces, ())
     else:
         run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, False), pieces, (pieces,))
     return out

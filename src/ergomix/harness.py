@@ -72,11 +72,6 @@ def fit_exponential_rate(times, values, burn_in: float = 0.0) -> float:
     return _fit(times, values, burn_in, log=True)[0]
 
 
-def fit_linear_slope(times, values, burn_in: float = 0.0) -> float:
-    """Least-squares slope of values against time after burn_in."""
-    return _fit(times, values, burn_in, log=False)[0]
-
-
 def _student_t_sf(t: float, df: int) -> float:
     """P(T > t) for Student's t with integer df >= 2.
 

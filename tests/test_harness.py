@@ -14,7 +14,6 @@ from ergomix.errors import ConfigError, ErgomixError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.harness import (
     fit_exponential_rate,
-    fit_linear_slope,
     growth_trend_pvalue,
     run_experiment,
     run_mixing,
@@ -56,8 +55,6 @@ def test_fit_exponential_rate_noisy_against_regression_oracle():
 def test_fit_exponential_rate_errors():
     with pytest.raises(ConfigError, match="at least 4 points"):
         fit_exponential_rate([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
-    with pytest.raises(ConfigError, match="at least 4 points"):
-        fit_linear_slope([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
     with pytest.raises(ErgomixError):
         fit_exponential_rate(np.arange(6.0), [1.0, 0.5, 0.2, -0.1, 0.1, 0.1])
 

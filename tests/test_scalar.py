@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ergomix import flow, scalar, workers
+from ergomix import scalar, workers
 from ergomix.cli import main
 from ergomix.errors import ConfigError, IntegrationDivergedError
 from ergomix.fields import VelocityFieldSpec, make_field
@@ -275,17 +275,28 @@ def test_series_marches_every_row_once_per_unit_map_on_at_most_one_helper(monkey
     assert len({call[2] for call in calls if call[2] is not threading.main_thread()}) <= horizon
 
 
-def test_series_builds_each_step_schedule_once_per_thread(monkeypatch):
-    threads = []
+def test_concurrent_shear_advects_of_interleaved_pieces_equal_one_serial_advect():
+    # the series' two threads each advect every other row piece of one feet array,
+    # four unit maps back, so that their shear steps overlap many times
+    rows, steps = workers._PIECE_ROWS, MIXING_SHEAR.rk4_steps(4.0)
+    feet = np.random.default_rng(19).random((16 * rows, 2))
+    expected = advect(MIXING_SHEAR, feet, 4.0, 0.0, steps)
+    pieces = [feet[start : start + rows] for start in range(0, len(feet), rows)]
 
-    def counting(*args):
-        threads.append(threading.current_thread())
-        return steps(*args)
+    def lane(first):
+        for piece in pieces[first::2]:
+            advect(MIXING_SHEAR, piece, 4.0, 0.0, steps, out=piece)
 
-    steps = flow._steps
-    monkeypatch.setattr(flow, "_steps", counting)
-    assert len(list(scalar_series(MIXING_SHEAR, make_initial("stripe"), 4, 256))) == 5
-    assert 1 <= len(threads) == len(set(threads)) <= 5  # each helper at most once, the consumer too
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that shared state would show
+    try:
+        helper = threading.Thread(target=lane, args=(1,))
+        helper.start()
+        lane(0)
+        helper.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not helper.is_alive() and np.array_equal(feet, expected)
 
 
 def _diverging_after(calls, delay=0.0):
