@@ -2,13 +2,13 @@
 """Amplitude sweep for the alternating-shear mixing study.
 
 Runs ``harness.run_mixing`` on configs/mixing_alternating.cfg once per
-amplitude, with ``field.amplitude``, ``resolution`` and ``horizon``
-overridden, and prints from each report the exponent integral, the fitted
-H^-1 decay rate, the last H^-1 and whether H^-1 decreases strictly after
-burn-in.  Used to pick stirring strengths where the decay spans the horizon
-instead of bottoming out on the grid sampling floor (the fixed-phase protocol
-also carries island oscillations that show up as up-ticks at too-strong or
-too-weak stirring).
+amplitude, with ``field.amplitude`` overridden (and ``resolution`` and
+``horizon`` when given; by default the config's own, 512 and 20), and prints
+from each report the exponent integral, the fitted H^-1 decay rate, the last
+H^-1 and whether H^-1 decreases strictly after burn-in.  Used to pick
+stirring strengths where the decay spans the horizon instead of bottoming
+out on the grid sampling floor (the fixed-phase protocol also carries island
+oscillations that show up as up-ticks at too-strong or too-weak stirring).
 
 Usage: python scripts/calibrate_mixing.py [resolution] [horizon]
 """
@@ -28,12 +28,15 @@ CONFIG = ROOT / "configs" / "mixing_alternating.cfg"
 AMPLITUDES = (0.35, 0.45, 0.65, 0.8, 0.95, 1.05, 1.25)
 
 
-def sweep(resolution=256, horizon=20):
-    """Yield (amplitude, lambda_max_integral, H^-1 rate, last H^-1, strict decrease) per amplitude."""
+def sweep(resolution=None, horizon=None):
+    """Yield (amplitude, lambda_max_integral, H^-1 rate, last H^-1, strict decrease) per amplitude.
+
+    A resolution or horizon left at None keeps the config's own.
+    """
     text = CONFIG.read_text()
+    sizes = [f"{key}={value}" for key, value in (("resolution", resolution), ("horizon", horizon)) if value is not None]
     for amp in AMPLITUDES:
-        overrides = [f"field.amplitude={amp}", f"resolution={resolution}", f"horizon={horizon}"]
-        payload = run_mixing(parse_config(text, overrides=overrides))[0]
+        payload = run_mixing(parse_config(text, overrides=[f"field.amplitude={amp}"] + sizes))[0]
         series = payload["series"]
         tail = np.array(series["h_minus_one"])[np.array(series["times"]) >= payload["burn_in"]]
         strict = bool(np.all(np.diff(tail) < 0))
@@ -41,8 +44,9 @@ def sweep(resolution=256, horizon=20):
 
 
 if __name__ == "__main__":
-    resolution = int(sys.argv[1]) if len(sys.argv) > 1 else 256
-    horizon = int(sys.argv[2]) if len(sys.argv) > 2 else 20
+    config = parse_config(CONFIG.read_text())
+    resolution = int(sys.argv[1]) if len(sys.argv) > 1 else config.resolution
+    horizon = int(sys.argv[2]) if len(sys.argv) > 2 else config.horizon
     print(f"resolution={resolution} horizon={horizon} config={CONFIG.relative_to(ROOT)}")
     print("amp   lambda   beta     h1(end)  strict_decrease")
     for amp, lam, beta, h1_end, strict in sweep(resolution, horizon):

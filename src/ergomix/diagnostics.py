@@ -2,12 +2,12 @@
 
 Fourier convention: rho_hat(k) = integral of rho(x) exp(-2 pi i k.x) dx,
 realized on the grid as fft2(values) / N^2.  The grid diagnostics read its
-half, rfft2(values), computed once per grid as GridField.spectrum, and its
-modulus, taken once per grid.  Both norms weigh its squares by a table fixed
-per resolution (Parseval), and the ball-kernel spectra of the mixing scale
-are computed once per (N, radius).  The homogeneous H^-1 norm is
-sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2); with this convention
-sin(2 pi x) has norm 1/sqrt(2).
+half, rfft2(values), and its modulus, taken once per grid visit into the
+workspace that owns every array reused at a resolution.  Both norms weigh
+its squares by a table fixed per resolution (Parseval), and the ball-kernel
+spectra of the mixing scale are computed once per (N, radius).  The
+homogeneous H^-1 norm is sqrt(sum over k != 0 of |k|^-2 |rho_hat(k)|^2);
+with this convention sin(2 pi x) has norm 1/sqrt(2).
 """
 
 import functools
@@ -72,15 +72,20 @@ class DiagnosticSeries:
 
 @functools.lru_cache(maxsize=2)
 def _workspace(n):
-    """Per-resolution weight tables and scratch arrays, shared by the diagnostics of every grid.
+    """Everything the grid diagnostics reuse at resolution N, shared by every grid.
 
     h_minus_one, log_sobolev: each norm's weight W, with 1/N^4 and the conjugate pairs folded in
     and W[0, 0] = 0, so that sum |rfft2(values)|^2 W over the half spectrum is its square.
-    modulus: |rfft2(values)| of the grid whose spectrum ``source`` refers to (weakly).  One
-    block, mapped apart from glibc's heap, holds all; half reuses product's memory (never both live).
+    spectrum, modulus: rfft2(values) of the grid ``source`` refers to (weakly) and its modulus,
+    taken once per grid visit (_transform); ball_averages writes spectrum x K_hat into product.
+    balls: radius -> _ball table, one per radius asked for: at most len(scan_radii(N)) from
+    mixing_scale (14 at N = 512, all once a grid mixes down to two cells), plus one per other
+    radius passed to ball_averages, until release_scratch().  One block, mapped apart from
+    glibc's heap, holds the arrays; half reuses product's memory (never both live).  Only the
+    consumer's thread of a grid series runs the diagnostics, never its march, so no lock.
     """
     shape, m = (n, n // 2 + 1), n * (n // 2 + 1)
-    block = np.empty(5 * m + n * n)
+    block = np.empty(7 * m + n * n)
     work = SimpleNamespace(
         h_minus_one=block[:m].reshape(shape),
         log_sobolev=block[m : 2 * m].reshape(shape),
@@ -88,7 +93,9 @@ def _workspace(n):
         source=None,
         half=block[3 * m : 4 * m].reshape(shape),
         product=block[3 * m : 5 * m].view(complex).reshape(shape),
-        averages=block[5 * m :].reshape(n, n),
+        spectrum=block[5 * m : 7 * m].view(complex).reshape(shape),
+        averages=block[7 * m :].reshape(n, n),
+        balls={},
     )
     kx, ky = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
     k2 = np.add(kx[:, None] ** 2, ky[None, :] ** 2, out=work.h_minus_one)
@@ -109,25 +116,24 @@ def _workspace(n):
 
 
 def release_scratch():
-    """Free the per-resolution arrays that the grid diagnostics reuse from grid to grid."""
+    """Free the per-resolution arrays and ball tables that the grid diagnostics reuse from grid to grid."""
     _workspace.cache_clear()
-    _ball_offsets.cache_clear()
 
 
-def _modulus(grid: GridField):
-    """|rfft2(values)|, taken once per grid into the workspace and shared by every grid diagnostic."""
+def _transform(grid: GridField):
+    """The workspace, holding rfft2(values) of the grid and its modulus, taken once per grid visit."""
     work = _workspace(grid.resolution)
-    spectrum = grid.spectrum
-    if work.source is None or work.source() is not spectrum:
-        np.abs(spectrum, out=work.modulus)
-        work.source = weakref.ref(spectrum)
-    return work.modulus
+    if work.source is None or work.source() is not grid:
+        np.fft.rfft2(grid.values, out=work.spectrum)
+        np.abs(work.spectrum, out=work.modulus)
+        work.source = weakref.ref(grid)
+    return work
 
 
 def _spectral_sum(grid: GridField, norm):
     """sum |rfft2(values)|^2 W over the half spectrum, W the weight table of the named norm."""
-    work = _workspace(grid.resolution)
-    power = np.square(_modulus(grid), out=work.half)
+    work = _transform(grid)
+    power = np.square(work.modulus, out=work.half)
     return float(np.sum(np.multiply(power, getattr(work, norm), out=power)))
 
 
@@ -180,36 +186,31 @@ def _ball_kernel(resolution, radius):
     return (dist2 <= radius**2).astype(float)
 
 
-@functools.lru_cache(maxsize=8)
-def _ball_spectrum(resolution, radius):
-    """(rfft2 of the ball kernel, node count of the ball), read-only and shared.
+def _ball(work, radius):
+    """The table of the discrete ball of radius at the workspace's resolution, built on first use.
 
-    The kernel is even (a node's offset and its negative are in the ball
-    together), so its exact transform is real: the table keeps the real part
-    and drops imaginary parts that are FFT roundoff, which moves the ball
-    averages by roundoff only.  An entry is 1 MB at N = 512; the shipped
-    mixing series visits four radii.
+    spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table keeps the real
+    part and drops imaginary roundoff.  count: the node count.  offsets: the nodes' row and
+    column offsets modulo N (two int64 per node), taken when the fail certificate reads them.
     """
-    kernel = _ball_kernel(resolution, radius)
-    # transformed into the workspace's scratch, so no 2 MB complex array is made per radius
-    spectrum = np.fft.rfft2(kernel, out=_workspace(resolution).product).real.copy()
-    spectrum.flags.writeable = False
-    return spectrum, kernel.sum()
-
-
-@functools.lru_cache(maxsize=8)
-def _ball_offsets(resolution, radius):
-    """Row and column offsets, modulo N, of the nodes of the discrete ball."""
-    return np.nonzero(_ball_kernel(resolution, radius))
+    ball = work.balls.get(radius)
+    if ball is None:
+        kernel = _ball_kernel(len(work.averages), radius)
+        # transformed into the workspace's scratch, so no complex array is made per radius
+        spectrum = np.fft.rfft2(kernel, out=work.product).real.copy()
+        spectrum.flags.writeable = False
+        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=kernel.sum(), offsets=None)
+    return ball
 
 
 def ball_averages(grid: GridField, radius: float, out=None):
     """Average of the scalar over the discrete ball of each grid node."""
-    spectrum, count = _ball_spectrum(grid.resolution, radius)
-    product = np.multiply(grid.spectrum, spectrum, out=_workspace(grid.resolution).product)
+    work = _transform(grid)
+    ball = _ball(work, radius)
+    product = np.multiply(work.spectrum, ball.spectrum, out=work.product)
     out = np.empty(grid.values.shape) if out is None else out
     np.fft.ifft(product, axis=0, out=product)  # irfft2 in its two passes, with no array allocated
-    return np.divide(np.fft.irfft(product, n=out.shape[1], axis=1, out=out), count, out=out)
+    return np.divide(np.fft.irfft(product, n=out.shape[1], axis=1, out=out), ball.count, out=out)
 
 
 def scan_radii(resolution: int) -> tuple:
@@ -246,19 +247,20 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
     if sup is None:
         sup = float(np.max(np.abs(grid.values)))
     threshold = kappa * sup
-    work = _workspace(n)
-    modulus = _modulus(grid)
+    work = _transform(grid)
     peak = None  # (row, column) where the last transformed radius peaked
     for i in range(len(radii) - 1, -1, -1):
-        spectrum, count = _ball_spectrum(n, radii[i])
-        weights = np.abs(spectrum, out=work.half)
+        ball = _ball(work, radii[i])
+        weights = np.abs(ball.spectrum, out=work.half)
         weights[:, 1 : (n + 1) // 2] *= 2.0  # the conjugate pairs: doubling is exact on either factor
-        bound = np.sum(np.multiply(modulus, weights, out=weights))
-        if (bound / (count * n**2)) * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS <= threshold:
+        bound = np.sum(np.multiply(work.modulus, weights, out=weights))
+        if (bound / (ball.count * n**2)) * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS <= threshold:
             continue
         if peak is not None:
-            rows, cols = _ball_offsets(n, radii[i])
-            direct = abs(grid.values[(rows + peak[0]) % n, (cols + peak[1]) % n].sum()) / count
+            if ball.offsets is None:
+                ball.offsets = np.nonzero(_ball_kernel(n, radii[i]))
+            rows, cols = ball.offsets
+            direct = abs(grid.values[(rows + peak[0]) % n, (cols + peak[1]) % n].sum()) / ball.count
             if direct > threshold * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS:
                 break
         averages = ball_averages(grid, radii[i], out=work.averages)

@@ -41,23 +41,21 @@ GATE_EPSILON = 1e-12  # absolute slack so exact-zero cases survive float dust
 STABILITY_FRACTION = 0.2
 
 
-def _fit_window(times, values, burn_in):
-    """The (times, values) pairs at or after burn_in, as arrays; at least 4 of them."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = times >= burn_in
-    count = np.count_nonzero(mask)
+def _fit_window(times, burn_in):
+    """The mask of the times at or after burn_in; at least 4 of them."""
+    window = np.asarray(times, dtype=float) >= burn_in
+    count = np.count_nonzero(window)
     if count < 4:
         raise ConfigError(
             f"need at least 4 points after burn_in={burn_in}, got {count}; "
             "raise horizon or lower burn_in_fraction"
         )
-    return times[mask], values[mask]
+    return window
 
 
-def _fit(times, values, burn_in, log):
-    """(Least-squares slope, its standard error) of values, or -log(values), on times >= burn_in."""
-    times, values = _fit_window(times, values, burn_in)
+def _fit(times, values, log):
+    """(Least-squares slope, its standard error) of values, or -log(values), against times."""
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if log and np.any(values <= 0.0):
         raise ErgomixError("values must be positive for a log-linear rate fit")
     values = -np.log(values) if log else values
@@ -69,7 +67,9 @@ def _fit(times, values, burn_in, log):
 
 def fit_exponential_rate(times, values, burn_in: float = 0.0) -> float:
     """Least-squares slope of -log(values) against time after burn_in."""
-    return _fit(times, values, burn_in, log=True)[0]
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    window = _fit_window(times, burn_in)
+    return _fit(times[window], values[window], log=True)[0]
 
 
 def _student_t_sf(t: float, df: int) -> float:
@@ -103,7 +103,7 @@ def growth_trend_pvalue(times, values) -> float:
     """
     if len(values) < 4 or np.ptp(values) < 1e-14:
         return 1.0
-    slope, stderr = _fit(times, values, -math.inf, log=False)
+    slope, stderr = _fit(times, values, log=False)
     t = slope / stderr if stderr > 0.0 else math.copysign(math.inf, slope)  # a perfect line
     return _student_t_sf(t, len(values) - 2)
 
@@ -172,6 +172,11 @@ def run_ruelle(config: Config):
 
 def run_mixing(config: Config):
     """Mixing-direction verification at the configured resolution."""
+    return _run_mixing(config)[:3]
+
+
+def _run_mixing(config: Config):
+    """run_mixing's (payload, passed, series), and the mask of its fit window over the series times."""
     field = make_field(config.field)
     series = DiagnosticSeries(
         metadata={
@@ -197,12 +202,12 @@ def run_mixing(config: Config):
     release_scratch()  # before the Lyapunov run, which adds numpy.random's pages
     series.metadata["l2_norm"] = l2_values
     burn_in = config.burn_in_fraction * config.horizon
-    times = series.times
-    beta, beta_stderr = _fit(times, series.h_minus_one, burn_in, log=True)
-    lsq_slope, lsq_stderr = _fit(times, series.log_sobolev, burn_in, log=False)
-    mix_rate, mix_stderr = _fit(times, series.mixing_scale, burn_in, log=True)
-    mix_window = _fit_window(times, series.mixing_scale, burn_in)[1]
-    h1_window = _fit_window(times, series.h_minus_one, burn_in)[1]
+    window = _fit_window(series.times, burn_in)
+    columns = (series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale)
+    times, h1_window, lsq_window, mix_window = np.array(columns, dtype=float)[:, window]
+    beta, beta_stderr = _fit(times, h1_window, log=True)
+    lsq_slope, lsq_stderr = _fit(times, lsq_window, log=False)
+    mix_rate, mix_stderr = _fit(times, mix_window, log=True)
     lyap = ensemble_spectrum(
         make_map("time_one_flow", field=field),
         config.lyapunov_samples,
@@ -237,22 +242,21 @@ def run_mixing(config: Config):
         "burn_in": burn_in,
         "fit_window": [burn_in, float(config.horizon)],
         "interpolation_ratio": c_obs,
-        "interpolation_trend_pvalue": growth_trend_pvalue(times, c_obs),
+        "interpolation_trend_pvalue": growth_trend_pvalue(series.times, c_obs),
         "lambda_stderr": float(lyap.stderr[0]),
         "seed": config.seed,
     }
-    return payload, passed, series
+    return payload, passed, series, window
 
 
 def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
-    payload, _, series = run_mixing(config)
-    times, values = [], []
+    payload, _, series, window = _run_mixing(config)
+    values = []  # at the times of the mixing series, which the doubled series shares
     for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):
-        times.append(grid.time)
         values.append(log_sobolev(grid))
         del grid  # free its arrays before the series builds the next grid
-    slope_double, stderr_double = _fit(times, values, payload["burn_in"], log=False)
+    slope_double, stderr_double = _fit(np.asarray(series.times)[window], np.asarray(values)[window], log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)
     stable = abs(slope - slope_double) <= STABILITY_FRACTION * scale

@@ -20,7 +20,6 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass, field as dataclass_field
-from functools import cached_property
 
 import numpy as np
 
@@ -135,12 +134,6 @@ class GridField:
     values: np.ndarray  # (N, N), values[i, j] = rho((i+1/2)/N, (j+1/2)/N)
     time: float
     metadata: dict = dataclass_field(default_factory=dict)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """rfft2 of the values, computed once per grid and shared by the diagnostics."""
-        rows, columns = self.values.shape  # rfft2 into its output, with no intermediate array
-        return np.fft.rfft2(self.values, out=np.empty((rows, columns // 2 + 1), dtype=complex))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.mean(self.values**2)))

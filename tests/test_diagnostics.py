@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from ergomix.config import parse_config
 from ergomix.diagnostics import (
     Partition,
     _ball_kernel,
-    _ball_spectrum,
     _orbit_codes,
     _plugin_entropy,
     ball_averages,
@@ -161,27 +161,68 @@ def test_log_sobolev_matches_brute_force(make_grid):
 def test_grid_diagnostics_share_one_modulus_per_grid(monkeypatch):
     rng = np.random.default_rng(5)
     grids = [GridField(48, rng.normal(size=(48, 48)), 0.0, {"datum": {"sup_norm": 4.0}}) for _ in range(2)]
-    alone = [(h_minus_one(g), log_sobolev(g), mixing_scale(g, 0.02)) for g in grids]
-    complex_moduli = []
+
+    def visit(grid):
+        return h_minus_one(grid), log_sobolev(grid), mixing_scale(grid, 0.02), ball_averages(grid, 0.1).tobytes()
+
+    alone = [visit(g) for g in grids]  # also builds the table of every radius the visits read
+    complex_moduli, transformed = [], []
+    rfft2 = np.fft.rfft2
 
     def counting_abs(x, *args, **kwargs):
         complex_moduli.append(np.iscomplexobj(x))
         return np.absolute(x, *args, **kwargs)
 
+    def recording_rfft2(x, *args, **kwargs):
+        transformed.append(next((i for i, g in enumerate(grids) if x is g.values), None))
+        return rfft2(x, *args, **kwargs)
+
     monkeypatch.setattr(np, "abs", counting_abs)
-    # alternating grids must not read each other's modulus
+    monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
+    # alternating grids must not read each other's transform or modulus
     for g, expected in zip(grids + grids, alone + alone):
-        assert (h_minus_one(g), log_sobolev(g), mixing_scale(g, 0.02)) == expected
+        assert visit(g) == expected
+        assert np.array_equal(diagnostics._workspace(48).spectrum, rfft2(g.values))
+    assert transformed == [0, 1, 0, 1]  # one rfft2 per grid visit, of that grid's values
     assert complex_moduli.count(True) == 4  # one per grid visit, none per radius
+
+
+def test_a_long_radius_scan_transforms_each_ball_kernel_once(monkeypatch):
+    # more radii than a cache of 8 entries holds, scanned in the same order on two grids
+    rng = np.random.default_rng(8)
+    grids = [GridField(128, rng.normal(size=(128, 128)), 0.0, {}) for _ in range(2)]
+    radii = scan_radii(128)[::-1]
+    assert len(radii) > 8
+    diagnostics.release_scratch()
+    diagnostics._workspace(128)
+    kernels = []
+    rfft2 = np.fft.rfft2
+
+    def recording_rfft2(x, *args, **kwargs):
+        if not any(x is g.values for g in grids):
+            kernels.append(x.sum())
+        return rfft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
+    for grid in grids + grids:
+        for radius in radii:
+            ball_averages(grid, radius)
+    assert kernels == [_ball_kernel(128, radius).sum() for radius in radii]
+    diagnostics.release_scratch()
 
 
 def test_norms_are_bitwise_stable_across_rebuilt_tables():
     grids = [GridField(n, np.random.default_rng(n).normal(size=(n, n)), 0.0, {}) for n in (24, 48, 96)]
-    first = [(h_minus_one(grid), log_sobolev(grid)) for grid in grids]
+
+    def diagnose(grid):
+        averages = ball_averages(grid, 0.15).tobytes()
+        return h_minus_one(grid), log_sobolev(grid), mixing_scale(grid, 0.05), averages
+
+    first = [diagnose(grid) for grid in grids]
     diagnostics.release_scratch()
     # N, 2N, 4N, then N again: more resolutions than _workspace caches
-    for grid, norms in zip(grids + grids[:1], first + first[:1]):
-        assert (h_minus_one(grid), log_sobolev(grid)) == norms
+    for grid, results in zip(grids + grids[:1], first + first[:1]):
+        assert diagnose(grid) == results
     assert diagnostics._workspace.cache_info().maxsize < len(grids)
 
 
@@ -345,22 +386,28 @@ def test_ball_averages_match_direct_sum():
 
 def test_cached_ball_spectrum_equals_a_fresh_transform():
     rng = np.random.default_rng(6)
-    grid = GridField(48, rng.normal(size=(48, 48)), 0.0, {})
-    _ball_spectrum.cache_clear()
+    grids = [GridField(48, rng.normal(size=(48, 48)), 0.0, {}) for _ in range(2)]
+    diagnostics.release_scratch()
+    tables = {}
     for radius in scan_radii(48):
         kernel = _ball_kernel(48, radius)
         fresh = np.fft.rfft2(kernel)
         # the kernel is even, so the exact transform is real: what the table drops is roundoff
         assert np.max(np.abs(fresh.imag)) <= 1e-12 * kernel.sum()
-        # the uncached ball averages, as computed before the spectra were cached
-        expected = np.fft.irfft2(grid.spectrum * fresh.real, s=grid.values.shape) / kernel.sum()
-        for _ in range(2):
-            spectrum, count = _ball_spectrum(48, radius)
-            assert np.array_equal(spectrum, fresh.real) and count == kernel.sum()
-            assert not spectrum.flags.writeable
+        for grid in grids:
+            # the uncached ball averages, as computed before the spectra were cached
+            expected = np.fft.irfft2(np.fft.rfft2(grid.values) * fresh.real, s=grid.values.shape) / kernel.sum()
             assert np.array_equal(ball_averages(grid, radius), expected)
-    info = _ball_spectrum.cache_info()
-    assert (info.misses, info.hits) == (len(scan_radii(48)), 3 * len(scan_radii(48)))
+            ball = diagnostics._workspace(48).balls[radius]
+            assert np.array_equal(ball.spectrum, fresh.real) and ball.count == kernel.sum()
+            assert not ball.spectrum.flags.writeable and ball.offsets is None  # read by mixing_scale only
+            # the second grid reads the table the first one built
+            assert tables.setdefault(radius, ball.spectrum) is ball.spectrum
+    assert list(diagnostics._workspace(48).balls) == list(scan_radii(48))
+    dead = [weakref.ref(table) for table in tables.values()]
+    del tables, ball
+    diagnostics.release_scratch()
+    assert all(ref() is None for ref in dead)
 
 
 # --- partition entropy and entropy rate ------------------------------------

@@ -479,9 +479,3 @@ def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
         json.dump(sidecar, handle)
     with pytest.raises(ConfigError, match=key):
         load_grid(stem)
-
-
-def test_spectrum_is_computed_once_per_grid():
-    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
-    assert grid.spectrum is grid.spectrum
-    assert np.array_equal(grid.spectrum, np.fft.rfft2(grid.values))
