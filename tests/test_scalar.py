@@ -479,3 +479,22 @@ def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
         json.dump(sidecar, handle)
     with pytest.raises(ConfigError, match=key):
         load_grid(stem)
+
+
+def test_spectrum_is_computed_once_per_grid(monkeypatch):
+    # the grid's transform now lives in the diagnostics workspace of its resolution
+    from ergomix import diagnostics
+
+    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
+    diagnostics._workspace(32)  # building the weight tables transforms too
+    rfft2, calls = np.fft.rfft2, []
+
+    def counting_rfft2(x, *args, **kwargs):
+        calls.append(x is grid.values)
+        return rfft2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+    work = diagnostics._transform(grid)
+    assert diagnostics._transform(grid) is work
+    assert calls == [True]
+    assert np.array_equal(work.spectrum, rfft2(grid.values))
