@@ -6,8 +6,9 @@ Subcommands:
   catalog                              list field, map, and datum kinds
 
 Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error
-(including an undersampled entropy or a fit window under 4 points), 3 any
-other package error, such as a numeric divergence; each prints one line.
+(including an undersampled entropy, a fit window under 4 points or a datum
+the grid cannot resolve), 3 any other package error, such as a numeric
+divergence or a non-finite report value; each prints one line.
 """
 
 import argparse

@@ -49,6 +49,16 @@ class MapBlock:
 
 @dataclass(frozen=True)
 class Config:
+    """One experiment's settings, checked when built.
+
+    A datum must be resolved by the grid: at least 4 nodes per half period
+    along each axis.  A checkerboard of level m flips sign every 2^-m, so it
+    needs N >= 2^(m+2); a stripe flips every 2^-(m+1), so N >= 2^(m+3); a
+    sinusoid needs max(|kx|, |ky|) <= N / 8.  A coarser grid aliases the
+    datum (a level-6 checkerboard on 32^2 samples to the constant +1, with
+    H^-1 exactly 0), so the run could only report a meaningless gate.
+    """
+
     experiment: str
     seed: int
     output_dir: str = "runs"
@@ -84,6 +94,22 @@ class Config:
                 raise ConfigError(f"experiment {self.experiment} requires {section}.kind")
         if self.map.kind == "time_one_flow" and not self.field.kind:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
+        coarsest = _coarsest_resolution(self.datum)
+        if self.resolution < coarsest:
+            parameter = DATUM_PARAMETER[self.datum.kind]
+            raise ConfigError(
+                f"datum {self.datum.kind} {parameter} {_format_value(getattr(self.datum, parameter))} "
+                f"needs resolution >= {coarsest} (4 nodes per half period), got {self.resolution}"
+            )
+
+
+def _coarsest_resolution(datum):
+    """The coarsest grid with 4 nodes per half period of the datum along each axis (0 for no datum)."""
+    if datum.kind == "sinusoid":
+        return 8 * max(abs(k) for k in datum.wavevector)
+    if datum.kind:
+        return 2 ** (datum.level + (2 if datum.kind == "checkerboard" else 3))
+    return 0
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, ErgomixError, UndersampledError
 from .scalar import GridField
 from .torus import uniform_points
-from .workers import run_chunked
+from .workers import piece_bounds, run_chunked
 
 # Undersampling guard for plug-in entropies.  The plug-in bias is reported
 # separately; below 1.5 samples per observed code the estimate is hopeless.
@@ -286,13 +286,32 @@ def partition_entropy(weights) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def _grouped_counts(values, counts, shift):
-    """Counts of the sorted distinct values summed over groups of equal value >> shift."""
-    if shift == 0:  # distinct values: every group is one value
-        return counts
-    prefixes = values >> np.uint64(shift)
-    starts = np.flatnonzero(np.concatenate(([True], prefixes[1:] != prefixes[:-1])))
-    return np.add.reduceat(counts, starts)
+def _neighbour_xor(values):
+    """Overwrite sorted values, in place, with each one XOR the one before it; the first gets all bits set.
+
+    A group of equal values >> shift then starts at each row whose result is >= 2^shift.  The
+    pieces are walked from the end, so each reads its predecessor's last value before that
+    piece is overwritten, and numpy copies at most one piece for the overlap.
+    """
+    for a, b in reversed(piece_bounds(len(values))):
+        a = max(a, 1)
+        np.bitwise_xor(values[a:b], values[a - 1 : b - 1], out=values[a:b])
+    values[0] = ~np.uint64(0)
+    return values
+
+
+def _group_counts(change, shift, tally=None):
+    """Weights of the groups of equal value >> shift of a sorted array, in ascending order.
+
+    change is the array's _neighbour_xor; each row weighs tally[row], or 1 when tally is None.
+    """
+    starts = np.flatnonzero(change >= np.uint64(1 << shift))
+    if tally is not None:
+        return np.add.reduceat(tally, starts)
+    # the run lengths, in place: the output trails the input, so numpy needs no overlap copy
+    np.subtract(starts[1:], starts[:-1], out=starts[:-1])
+    starts[-1] = len(change) - starts[-1]
+    return starts
 
 
 def _orbit_codes(map_, partition, n, sample_count, rng, depths):
@@ -303,23 +322,31 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     the label sequences and every depth-d code is a right shift of the
     depth-n one.  The depths that fit in 64 bits form a segment, coded one
     row piece at a time (run_chunked), so a piece stays in cache through
-    every depth of the segment.  Before a segment that would overflow 64
-    bits the codes are replaced by their dense ranks, which keep that order.
-    The final codes are sorted once, in place.  Returns {depth: counts},
-    each in ascending code order.
+    every depth of the segment.  The first segment draws each piece's points
+    where it codes them; run_chunked visits the pieces in order, so the
+    stream is that of one draw of the whole sample.  Only a run with a later
+    segment keeps the sample's points, at depth last + 1.  Before a segment
+    that would overflow 64 bits the codes are replaced by their dense ranks
+    (np.unique), which keep that order.  The final codes are sorted once, in
+    place, and replaced by their _neighbour_xor, from which every depth's
+    counts are read.  Memory: the codes, one uint64 per sample, plus the
+    counts.  Returns {depth: counts}, each in ascending code order.
     """
     step_bits = 2 * partition.level
     wanted = {int(d) for d in depths}
     counts = {}
 
-    def read(values, tally, first, last):
+    def read(change, tally, first, last):
         # depths first..last were packed since the last re-rank
         for depth in range(first, last + 1):
             if depth in wanted:
-                counts[depth] = _grouped_counts(values, tally, step_bits * (last - depth))
+                counts[depth] = _group_counts(change, step_bits * (last - depth), tally)
 
     def code_segment(piece):
-        # depths first..last (the current segment) of the piece's orbits, and its points at depth last + 1
+        # depths first..last (the current segment) of the piece's orbits, and its points at depth last + 1;
+        # a piece of the first segment is a range of rows, whose points are drawn here
+        if first == 1:
+            piece = uniform_points(rng, len(piece))
         codes = partition.labels(piece).view(np.uint64)
         for _ in range(first, last):
             piece = map_.apply(piece)
@@ -327,28 +354,26 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
             codes |= partition.labels(piece).view(np.uint64)
         return codes if last == n else (codes, map_.apply(piece))
 
-    points = uniform_points(rng, sample_count)
     codes = np.empty(sample_count, dtype=np.uint64)
-    first, ranks, rank_bits = 1, None, 0
+    first, ranks, rank_bits, points = 1, None, 0, None
     while True:
         last = min(n, first - 1 + max(1, (64 - rank_bits) // step_bits))
+        if last < n and points is None:
+            points = np.empty((sample_count, 2))
         out = (codes,) if last == n else (codes, points)
-        run_chunked(code_segment, points, out)
+        run_chunked(code_segment, range(sample_count) if first == 1 else points, out)
         if ranks is not None:
             ranks <<= np.uint64(step_bits * (last - first + 1))
             codes |= ranks
         if last == n:
             break
         values, ranks, tally = np.unique(codes, return_inverse=True, return_counts=True)
-        read(values, tally, first, last)
+        read(_neighbour_xor(values), tally, first, last)
         ranks = ranks.view(np.uint64)
         first, rank_bits = last + 1, (len(values) - 1).bit_length()
     del points, ranks  # freed before the counting arrays are made: peak RSS is what is live at once
     codes.sort()
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    values, tally = codes[starts], np.diff(starts, append=sample_count)
-    del codes, starts
-    read(values, tally, first, n)
+    read(_neighbour_xor(codes), None, first, n)
     return counts
 
 
@@ -365,11 +390,13 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
     once transients die out, and the fitted slope estimates the entropy rate.
 
     Each orbit is coded as one uint64 integer (2 * level bits per step) and
-    the codes are sorted once; every depth's counts are read off the sorted
-    codes by a right shift.  Codes wider than 64 bits are re-ranked densely
-    (np.unique) before the shift that would overflow, which keeps their
-    lexicographic order.  Memory is O(sample_count) words, not
-    O(sample_count * n).
+    the codes are sorted once; every depth's counts are read off the XOR of
+    neighbouring sorted codes.  Codes wider than 64 bits are re-ranked
+    densely (np.unique) before the shift that would overflow, which keeps
+    their lexicographic order.  Memory is the codes (one word per sample)
+    plus the counts; each row piece draws its own points, so a run coded in
+    one 64-bit segment (level * n <= 32) holds no array of the sample's
+    points.
 
     Returns (estimate, plug-in bias bound, number of distinct depth-n codes);
     raises UndersampledError when the sample barely covers the observed

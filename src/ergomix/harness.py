@@ -252,11 +252,13 @@ def _run_mixing(config: Config):
 def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
     payload, _, series, window = _run_mixing(config)
-    values = []  # at the times of the mixing series, which the doubled series shares
+    values = []  # at the times of the mixing series inside its fit window, which the doubled series shares
+    inside = iter(window)  # not zip, whose reused result tuple would hold a grid while the next is built
     for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):
-        values.append(log_sobolev(grid))
+        if next(inside):
+            values.append(log_sobolev(grid))
         del grid  # free its arrays before the series builds the next grid
-    slope_double, stderr_double = _fit(np.asarray(series.times)[window], np.asarray(values)[window], log=False)
+    slope_double, stderr_double = _fit(np.asarray(series.times)[window], np.asarray(values), log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)
     stable = abs(slope - slope_double) <= STABILITY_FRACTION * scale
@@ -300,11 +302,31 @@ def _write_atomic(text, path):
         raise
 
 
+def _non_finite_key(value, key=""):
+    """The key (dotted, with [i] for list items) of the first non-finite float in value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        children = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(v, k) for k, v in children)), None)
+
+
 # The three public writers only render their text; perfbench/tracer.py wraps
 # each of them by name, so none of them calls another.
 def write_json_atomic(payload, path):
-    """Sorted, 2-space-indented JSON with a trailing newline."""
-    _write_atomic(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+    """Sorted, 2-space-indented strict JSON (RFC 8259) with a trailing newline.
+
+    A NaN or infinity has no JSON form: it raises ErgomixError naming its key
+    (exit 3 from the CLI), and nothing is written.
+    """
+    key = _non_finite_key(payload)
+    if key is not None:
+        raise ErgomixError(f"report key {key} is not a finite number, which JSON cannot hold")
+    _write_atomic(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def write_series_csv_atomic(series: DiagnosticSeries, path):

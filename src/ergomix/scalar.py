@@ -266,7 +266,7 @@ def save_grid(grid: GridField, stem: str):
         "metadata": grid.metadata,
     }
     with open(sidecar_path, "w") as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
+        json.dump(sidecar, handle, indent=2, sort_keys=True, allow_nan=False)
     return values_path, sidecar_path
 
 

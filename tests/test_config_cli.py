@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,40 +67,50 @@ def test_overrides_compose_textually():
         parse_config(MINIMAL_MIXING, overrides=["nonsense"])
 
 
-valid_configs = st.builds(
-    Config,
-    experiment=st.sampled_from(["mixing", "regularity"]),
-    seed=st.integers(0, 2**31),
-    output_dir=st.sampled_from(["runs", "out/x", "r2"]),
-    n=st.integers(1, 40),
-    level=st.integers(1, 8),
-    samples=st.integers(1, 10**7),
-    lyapunov_samples=st.integers(1, 5000),
-    lyapunov_n=st.integers(1, 400),
-    probes_per_cell=st.integers(16, 256),
-    horizon=st.integers(1, 60),
-    resolution=st.integers(16, 2048),
-    kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
-    burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
-    field=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]).flatmap(
-        lambda kind: st.builds(
-            VelocityFieldSpec,
-            kind=st.just(kind),
-            amplitude=st.floats(0.0, 8.0, allow_nan=False),
-            phases=st.lists(st.floats(0.0, 0.999), max_size=PHASES_READ[kind]).map(tuple),
-            wavenumber=st.integers(1, 5),
-        )
-    ),
-    datum=st.one_of(
+def _resolved_data(resolution):
+    """The catalog data a grid of this resolution resolves: 4 nodes per half period (Config's rule)."""
+    finest = resolution.bit_length() - 1  # floor(log2 N): a checkerboard level m needs N >= 2^(m+2)
+    k = min(4, resolution // 8)
+    return st.one_of(
         st.builds(
             make_initial,
             st.just("sinusoid"),
-            wavevector=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+            wavevector=st.tuples(st.integers(-k, k), st.integers(-k, k)).filter(any),
         ),
-        st.builds(make_initial, st.just("checkerboard"), level=st.integers(1, 12)),
-        st.builds(make_initial, st.just("stripe"), level=st.integers(0, 12)),
-    ),
-    map=st.builds(MapBlock, kind=st.just("cat")),
+        st.builds(make_initial, st.just("checkerboard"), level=st.integers(1, min(12, finest - 2))),
+        st.builds(make_initial, st.just("stripe"), level=st.integers(0, min(12, finest - 3))),
+    )
+
+
+# the resolution is drawn first, and the datum from those it resolves
+valid_configs = st.integers(16, 2048).flatmap(
+    lambda resolution: st.builds(
+        Config,
+        experiment=st.sampled_from(["mixing", "regularity"]),
+        seed=st.integers(0, 2**31),
+        output_dir=st.sampled_from(["runs", "out/x", "r2"]),
+        n=st.integers(1, 40),
+        level=st.integers(1, 8),
+        samples=st.integers(1, 10**7),
+        lyapunov_samples=st.integers(1, 5000),
+        lyapunov_n=st.integers(1, 400),
+        probes_per_cell=st.integers(16, 256),
+        horizon=st.integers(1, 60),
+        resolution=st.just(resolution),
+        kappa=st.floats(1e-6, 1.0 - 1e-6, allow_nan=False),
+        burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
+        field=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]).flatmap(
+            lambda kind: st.builds(
+                VelocityFieldSpec,
+                kind=st.just(kind),
+                amplitude=st.floats(0.0, 8.0, allow_nan=False),
+                phases=st.lists(st.floats(0.0, 0.999), max_size=PHASES_READ[kind]).map(tuple),
+                wavenumber=st.integers(1, 5),
+            )
+        ),
+        datum=_resolved_data(resolution),
+        map=st.builds(MapBlock, kind=st.just("cat")),
+    )
 )
 
 
@@ -251,6 +262,25 @@ def test_config_built_in_python_checks_itself():
         Config(experiment="blob", seed=1)
 
 
+@pytest.mark.parametrize(
+    "datum, coarsest",
+    [
+        (make_initial("checkerboard", level=3), 32),
+        (make_initial("checkerboard", level=12), 2**14),
+        (make_initial("stripe", level=2), 32),
+        (make_initial("sinusoid", wavevector=(-3, 2)), 24),
+        (make_initial("sinusoid", wavevector=(16, 0)), 128),
+    ],
+    ids=lambda value: str(value) if isinstance(value, int) else f"{value.kind}",
+)
+def test_config_rejects_a_datum_the_grid_cannot_resolve(datum, coarsest):
+    # 4 nodes per half period along each axis
+    mixing = dict(experiment="mixing", seed=1, field=VelocityFieldSpec(kind="alternating_shear"), datum=datum)
+    assert Config(**mixing, resolution=coarsest).resolution == coarsest
+    with pytest.raises(ConfigError, match=f"needs resolution >= {coarsest} .*, got {coarsest - 1}$"):
+        Config(**mixing, resolution=coarsest - 1)
+
+
 def test_config_built_in_python_rejects_wrong_types():
     with pytest.raises(ConfigError, match=r"^seed must be an integer, got '1'$"):
         Config(experiment="ruelle", seed="1")
@@ -370,6 +400,43 @@ def test_cli_short_fit_window_exits_2_without_traceback(tmp_path, capsys):
     assert "need at least 4 points" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_unresolved_datum_exits_2_with_no_warning(tmp_path):
+    # data finer than the grid alias: once they ran to an H^-1 of exactly 0, an inf ratio and
+    # a numpy RuntimeWarning; under -W error a warning would be a traceback here
+    shipped = os.path.join(CONFIG_DIR, "mixing_alternating.cfg")
+    with open(shipped) as handle:
+        text = handle.read().replace("kind = checkerboard\nlevel = 2", "kind = sinusoid\nwavevector = 16, 0")
+    sinusoid = _write(tmp_path, "s.cfg", text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    for path, overrides in (
+        (shipped, ["datum.level=6"]),
+        (shipped, ["datum.kind=stripe", "datum.level=12"]),
+        (sinusoid, []),
+    ):
+        out = tmp_path / "o"
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergomix.cli", "run", path]
+        for item in overrides + ["resolution=32", "horizon=5", f"output_dir={out}"]:
+            argv += ["--set", item]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert result.stderr.startswith("config error: datum ") and "needs resolution >=" in result.stderr
+        assert not out.exists()
+
+
+def test_cli_non_finite_report_value_exits_3_naming_the_key(tmp_path, monkeypatch, capsys):
+    def infinite_run(config):
+        payload = {"pass": True, "entropy_estimate": 1.0, "sum_positive_exponents": 1.0, "ratios": [0.5, math.inf]}
+        return payload, True, None
+
+    monkeypatch.setattr("ergomix.cli.run_experiment", infinite_run)
+    path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "numeric failure: report key ratios[1] is not a finite number, which JSON cannot hold"
+    assert not (tmp_path / "o" / "ruelle_report.json").exists()
 
 
 def test_cli_other_package_error_exits_3(tmp_path, monkeypatch, capsys):

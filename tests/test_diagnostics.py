@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -514,6 +515,30 @@ def test_integer_orbit_codes_match_structured_oracle(map_, level, n, samples):
     for depth in depths:
         assert np.array_equal(fast[depth], oracle[depth]), depth
         assert _plugin_entropy(fast[depth], samples) == _plugin_entropy(oracle[depth], samples)
+
+
+def test_orbit_coder_holds_no_point_array_on_one_segment():
+    # level 4 at depth 8 is one 64-bit segment: each piece draws its own points, so the peak
+    # is the 8 MB of codes plus the counts (16.6 MiB), not also a (samples, 2) array (25.3 MiB)
+    tracemalloc.start()
+    try:
+        counts = _orbit_codes(make_map("cat"), Partition(level=4), 8, 10**6, np.random.default_rng(7), range(4, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts[8]) == 10**6
+    assert peak < 20 * 2**20, peak / 2**20
+
+
+def test_group_counts_read_every_depth_off_one_xor():
+    # sorted codes with repeats, and a tally over their distinct values, agree with np.unique per shift
+    codes = np.sort(np.random.default_rng(0).integers(0, 2**12, 5000, dtype=np.uint64) << np.uint64(50))
+    values, tally = np.unique(codes, return_counts=True)
+    change, distinct = diagnostics._neighbour_xor(codes.copy()), diagnostics._neighbour_xor(values.copy())
+    for shift in (0, 50, 54, 61, 63):
+        _, expected = np.unique(codes >> np.uint64(shift), return_counts=True)
+        assert np.array_equal(diagnostics._group_counts(change, shift), expected), shift
+        assert np.array_equal(diagnostics._group_counts(distinct, shift, tally), expected), shift
 
 
 def test_entropy_rate_monotone_in_n():

@@ -321,3 +321,16 @@ def test_run_chunked_bounds_pieces():
     piece_rows.clear()
     (doubled,) = workers.run_chunked(lambda chunk: double(chunk)[0], np.ones((5, 2)), (np.empty((5, 2)),))
     assert piece_rows == [5] and np.array_equal(doubled, np.full((5, 2), 2.0))
+
+
+def test_run_chunked_visits_row_ranges_in_order():
+    # the orbit coder draws each piece's points inside func, so the visiting order is contract
+    seen = []
+
+    def rows(piece):
+        seen.append(piece)
+        return np.arange(piece.start, piece.stop)
+
+    (out,) = workers.run_chunked(rows, range(3 * 8192 + 5), (np.empty(3 * 8192 + 5, dtype=int),))
+    assert np.array_equal(out, np.arange(3 * 8192 + 5))
+    assert [(piece.start, piece.stop) for piece in seen] == workers.piece_bounds(3 * 8192 + 5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ergomix import scalar
+from ergomix import harness, scalar
 from ergomix.config import parse_config
 from ergomix.diagnostics import DiagnosticSeries, h_minus_one, h_minus_one_floor, log_sobolev
 from ergomix.errors import ConfigError, ErgomixError
@@ -226,6 +226,16 @@ def test_series_consumers_hold_one_grid_at_a_time(monkeypatch):
     assert most == {64: 1, 128: 1}
 
 
+def test_regularity_takes_log_sobolev_only_inside_the_fit_window(monkeypatch):
+    resolutions = []
+    monkeypatch.setattr(harness, "log_sobolev", lambda grid: resolutions.append(grid.resolution) or 1.0)
+    config = _config(ZERO_MIXING.replace("experiment = mixing", "experiment = regularity"))
+    run_regularity(config)
+    inside = sum(t >= config.burn_in_fraction * config.horizon for t in range(config.horizon + 1))
+    assert inside < config.horizon + 1
+    assert resolutions.count(64) == config.horizon + 1 and resolutions.count(128) == inside
+
+
 def test_steady_shear_h_minus_one_matches_bessel_oracle():
     # closed-form transported sinusoid: rho(t) = sin(2 pi (x - t sin 2 pi y));
     # its Fourier mass sits at k = (+-1, m) with |rho_hat| = |J_m(2 pi t)| / 2
@@ -441,6 +451,14 @@ def test_write_json_atomic_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
     write_json_atomic({"ok": 1}, str(target))
     assert json.loads(target.read_text()) == {"ok": 1}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_atomic_is_strict_and_names_the_key(tmp_path, bad):
+    target = tmp_path / "report.json"
+    with pytest.raises(ErgomixError, match=r"^report key series\.h_minus_one\[1\] is not a finite number"):
+        write_json_atomic({"ok": 1.0, "series": {"h_minus_one": [0.5, bad]}}, str(target))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_series_csv_atomic_text(tmp_path):
