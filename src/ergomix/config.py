@@ -3,19 +3,21 @@
 Format: one ``key = value`` per line, optional ``[field]``, ``[datum]`` and
 ``[map]`` section headers, ``#`` comments.  A root key is one ``Config``
 field: its type (int, float or str) gives its parser, ``_RANGES`` its range,
-and ``Config`` checks itself when built, from a file or from Python.  The
-sections parse into their owners' types, which check their own rules:
-``VelocityFieldSpec`` the field, ``scalar.make_initial`` the datum.
+and ``Config`` checks itself when built, from a file or from Python.  A
+section without a ``kind`` is absent (``None``, and no block in the echo); one
+with a kind parses into its owner's type, which rejects a kind outside its
+catalog: ``VelocityFieldSpec``, ``scalar.make_initial`` or ``MapBlock``.
 ``--set section.key=value`` overrides compose textually on top of the parsed
 file, and ``parse_config(render_config(c)) == c`` for every valid config.
 """
 
 import math
-from dataclasses import MISSING, dataclass, field as dataclass_field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
+from .maps import MAP_KINDS
 from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum, make_initial
 
 # experiment -> the sections whose kind it requires
@@ -25,7 +27,6 @@ EXPERIMENTS = {
     "mixing": ("field", "datum"),
     "regularity": ("field", "datum"),
 }
-_NO_DATUM = InitialDatum(kind="")  # a config without a [datum] kind
 
 # root key -> (lowest, highest), both allowed; diagnostics.check_kappa owns kappa's open range
 _RANGES = {
@@ -44,7 +45,11 @@ _RANGES = {
 
 @dataclass(frozen=True)
 class MapBlock:
-    kind: str = ""
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in MAP_KINDS:
+            raise ConfigError(f"unknown map kind {self.kind!r}; valid kinds: {', '.join(MAP_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,9 @@ class Config:
     resolution: int = 512
     kappa: float = 1.0 / 3.0
     burn_in_fraction: float = 0.2
-    field: VelocityFieldSpec = dataclass_field(default_factory=VelocityFieldSpec)
-    datum: InitialDatum = _NO_DATUM
-    map: MapBlock = dataclass_field(default_factory=MapBlock)
+    field: VelocityFieldSpec | None = None
+    datum: InitialDatum | None = None
+    map: MapBlock | None = None
 
     def __post_init__(self):
         for key, kind in _ROOT_KEYS.items():
@@ -90,11 +95,11 @@ class Config:
                 bounds = f"be >= {lowest}" if highest == math.inf else f"lie in [{lowest}, {highest}]"
                 raise ConfigError(f"{key} must {bounds}, got {value}")
         for section in EXPERIMENTS[self.experiment]:
-            if not getattr(self, section).kind:
+            if getattr(self, section) is None:
                 raise ConfigError(f"experiment {self.experiment} requires {section}.kind")
-        if self.map.kind == "time_one_flow" and not self.field.kind:
+        if self.map is not None and self.map.kind == "time_one_flow" and self.field is None:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
-        coarsest = _coarsest_resolution(self.datum)
+        coarsest = 0 if self.datum is None else _coarsest_resolution(self.datum)
         if self.resolution < coarsest:
             parameter = DATUM_PARAMETER[self.datum.kind]
             raise ConfigError(
@@ -104,19 +109,17 @@ class Config:
 
 
 def _coarsest_resolution(datum):
-    """The coarsest grid with 4 nodes per half period of the datum along each axis (0 for no datum)."""
+    """The coarsest grid with 4 nodes per half period of the datum along each axis."""
     if datum.kind == "sinusoid":
         return 8 * max(abs(k) for k in datum.wavevector)
-    if datum.kind:
-        return 2 ** (datum.level + (2 if datum.kind == "checkerboard" else 3))
-    return 0
+    return 2 ** (datum.level + (2 if datum.kind == "checkerboard" else 3))
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 # root key -> type, in field order; the sections are the non-scalar fields
 _ROOT_KEYS = {f.name: f.type for f in fields(Config) if f.type in (int, float, str)}
-_REQUIRED = [f.name for f in fields(Config) if f.default is MISSING and f.default_factory is MISSING]
+_REQUIRED = [f.name for f in fields(Config) if f.default is MISSING]
 
 # section key -> type, where (int,) or (float,) is a comma-separated list; the
 # section's own type checks the values
@@ -125,6 +128,8 @@ _SECTIONS = {
     "datum": {"kind": str, "wavevector": (int,), "level": int},
     "map": {"kind": str},
 }
+# section -> the builder of its type, from the section's keys
+_BUILDERS = {"field": VelocityFieldSpec, "datum": make_initial, "map": MapBlock}
 
 
 def _parse(key, raw, kind):
@@ -194,12 +199,8 @@ def parse_config(text, overrides=()) -> Config:
     datum = blocks["datum"]
     if not datum.get("kind") and set(datum) - {"kind"}:
         raise ConfigError(f"datum.{min(set(datum) - {'kind'})} is given without datum.kind")
-    return Config(
-        **root,
-        field=VelocityFieldSpec(**blocks["field"]),
-        datum=make_initial(**datum) if datum.get("kind") else _NO_DATUM,
-        map=MapBlock(**blocks["map"]),
-    )
+    sections = {name: build(**blocks[name]) for name, build in _BUILDERS.items() if blocks[name].get("kind")}
+    return Config(**root, **sections)
 
 
 def _format_value(value):
@@ -215,7 +216,9 @@ def render_config(config: Config) -> str:
     lines = [f"{key} = {_format_value(getattr(config, key))}" for key in _ROOT_KEYS]
     for section, keys in _SECTIONS.items():
         block = getattr(config, section)
+        if block is None:
+            continue
         if section == "datum":  # only the keys the datum kind reads
-            keys = ("kind", DATUM_PARAMETER[block.kind]) if block.kind else ("kind",)
+            keys = ("kind", DATUM_PARAMETER[block.kind])
         lines += ["", f"[{section}]"] + [f"{key} = {_format_value(getattr(block, key))}" for key in keys]
     return "\n".join(lines) + "\n"

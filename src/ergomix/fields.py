@@ -25,24 +25,25 @@ SHEAR_KINDS = ("steady_shear", "alternating_shear")
 class VelocityFieldSpec:
     """Parameters selecting one catalog field.
 
-    phases are fractions of a period in [0, 1); their meaning depends on kind
-    (direction, shear offset, switching-half offsets, or cell offsets), and
-    there are at most PHASES_READ[kind] of them (two for a kind outside the
-    catalog).  The ranges are checked on construction.  An empty kind stands
-    for a config with no field; ``VelocityField`` rejects it.
+    kind is one of ``FIELD_KINDS``.  phases are fractions of a period in
+    [0, 1); their meaning depends on kind (direction, shear offset,
+    switching-half offsets, or cell offsets), and there are at most
+    PHASES_READ[kind] of them.  Kind and ranges are checked on construction.
     """
 
-    kind: str = ""
+    kind: str
     amplitude: float = 1.0
     phases: tuple = ()
     wavenumber: int = 1
 
     def __post_init__(self):
+        if self.kind not in PHASES_READ:
+            raise ConfigError(f"unknown field kind {self.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}")
         if not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise ConfigError(f"field amplitude must be finite and >= 0, got {self.amplitude}")
         if int(self.wavenumber) != self.wavenumber or self.wavenumber < 1:
             raise ConfigError(f"field wavenumber must be an integer >= 1, got {self.wavenumber}")
-        limit = PHASES_READ.get(self.kind, 2)
+        limit = PHASES_READ[self.kind]
         if len(self.phases) > limit:
             raise ConfigError(
                 f"field kind {self.kind!r} reads at most {limit} phases, got {len(self.phases)}"
@@ -68,10 +69,6 @@ class VelocityField:
     """
 
     def __init__(self, spec: VelocityFieldSpec):
-        if spec.kind not in FIELD_KINDS:
-            raise ConfigError(
-                f"unknown field kind {spec.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}"
-            )
         self.spec = spec
         self.time_breakpoints = (0.0, 0.5) if spec.kind == "alternating_shear" else ()
         self.constant_along_flow = spec.kind != "cellular"
@@ -151,15 +148,14 @@ class VelocityField:
         xs = TWO_PI * w * (points[..., 0] + self._phase(0))
         ys = TWO_PI * w * (points[..., 1] + self._phase(1))
         c = TWO_PI * w * amp
-        grad[..., 0, 0] = c * np.cos(xs) * np.cos(ys)
-        grad[..., 0, 1] = -c * np.sin(xs) * np.sin(ys)
-        grad[..., 1, 0] = c * np.sin(xs) * np.sin(ys)
-        grad[..., 1, 1] = -c * np.cos(xs) * np.cos(ys)
+        cc = c * np.cos(xs) * np.cos(ys)
+        ss = c * np.sin(xs) * np.sin(ys)
+        grad[..., 0, 0], grad[..., 0, 1], grad[..., 1, 0], grad[..., 1, 1] = cc, -ss, ss, -cc
         return grad
 
 
 def make_field(spec: VelocityFieldSpec) -> VelocityField:
-    """Instantiate a catalog field, rejecting invalid parameters."""
+    """Instantiate a catalog field from its spec, which checked its parameters when built."""
     return VelocityField(spec)
 
 

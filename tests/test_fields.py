@@ -98,6 +98,26 @@ def test_gradient_matches_finite_differences(spec):
             assert np.max(np.abs(fd - grad[..., :, j])) < 1e-5
 
 
+@pytest.mark.parametrize("wavenumber", [1, 2])
+def test_cellular_gradient_is_bitwise_the_four_product_form(wavenumber):
+    # each trigonometric product is computed once and negated: negation is exact, signed zeros included
+    spec = VelocityFieldSpec(kind="cellular", amplitude=1.1, phases=(0.3, 0.05), wavenumber=wavenumber)
+    points = np.random.default_rng(wavenumber).uniform(-2.0, 2.0, size=(5, 4096, 2))
+    points[0, 0] = [-0.3, -0.05]  # sin X = sin Y = +0: the products' signed zeros are compared too
+    xs = 2.0 * np.pi * wavenumber * (points[..., 0] + 0.3)
+    ys = 2.0 * np.pi * wavenumber * (points[..., 1] + 0.05)
+    c = 2.0 * np.pi * wavenumber * 1.1
+    expected = np.stack(
+        [
+            np.stack([c * np.cos(xs) * np.cos(ys), -c * np.sin(xs) * np.sin(ys)], axis=-1),
+            np.stack([c * np.sin(xs) * np.sin(ys), -c * np.cos(xs) * np.cos(ys)], axis=-1),
+        ],
+        axis=-2,
+    )
+    got = make_field(spec).gradient(0.4, points)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_steady_shear_is_x_independent():
     field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
     rng = np.random.default_rng(11)
