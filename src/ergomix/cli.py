@@ -17,7 +17,7 @@ import sys
 
 from .config import Config, parse_config, render_config
 from .diagnostics import h_minus_one, log_sobolev, mixing_scale
-from .errors import ConfigError, ErgomixError, UndersampledError
+from .errors import ConfigError, ErgomixError
 from .fields import FIELD_KINDS
 from .harness import run_experiment, write_json_atomic, write_series_csv_atomic, write_text_atomic
 from .maps import MAP_KINDS
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return _diagnose_path(args.grid, args.kappa)
         return _cmd_catalog()
-    except (ConfigError, UndersampledError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OSError as exc:

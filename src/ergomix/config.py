@@ -4,13 +4,15 @@ Format: one ``key = value`` per line, optional ``[field]``, ``[datum]`` and
 ``[map]`` section headers, ``#`` comments.  A root key is one ``Config``
 field: its type (int, float or str) gives its parser, ``_RANGES`` its range,
 and ``Config`` checks itself when built, from a file or from Python.  A
-section without a ``kind`` is absent (``None``, and no block in the echo); one
-with a kind parses into its owner's type, which rejects a kind outside its
-catalog: ``VelocityFieldSpec``, ``scalar.make_initial`` or ``MapBlock``.
+section without a ``kind`` is absent (``None``, no block in the echo, any other
+key at its builder's default); one with a kind parses into its owner's type,
+which rejects a kind outside its catalog: ``VelocityFieldSpec``,
+``scalar.make_initial`` or ``MapBlock``.
 ``--set section.key=value`` overrides compose textually on top of the parsed
 file, and ``parse_config(render_config(c)) == c`` for every valid config.
 """
 
+import inspect
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -196,10 +198,17 @@ def parse_config(text, overrides=()) -> Config:
     for required in _REQUIRED:
         if required not in root:
             raise ConfigError(f"missing required key {required!r}")
-    datum = blocks["datum"]
-    if not datum.get("kind") and set(datum) - {"kind"}:
-        raise ConfigError(f"datum.{min(set(datum) - {'kind'})} is given without datum.kind")
-    sections = {name: build(**blocks[name]) for name, build in _BUILDERS.items() if blocks[name].get("kind")}
+    sections = {}
+    for name, build in _BUILDERS.items():
+        block = blocks[name]
+        if block.get("kind"):
+            sections[name] = build(**block)
+        elif set(block) - {"kind"}:
+            # a key at its default needs no kind: the older echo wrote an absent [field] with its defaults
+            defaults = inspect.signature(build).parameters
+            given = sorted(k for k, value in block.items() if k != "kind" and value != defaults[k].default)
+            if given:
+                raise ConfigError(f"{name}.{given[0]} is given without {name}.kind")
     return Config(**root, **sections)
 
 

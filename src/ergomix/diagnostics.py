@@ -300,14 +300,9 @@ def _neighbour_xor(values):
     return values
 
 
-def _group_counts(change, shift, tally=None):
-    """Weights of the groups of equal value >> shift of a sorted array, in ascending order.
-
-    change is the array's _neighbour_xor; each row weighs tally[row], or 1 when tally is None.
-    """
+def _group_counts(change, shift):
+    """Sizes of the groups of equal value >> shift of a sorted array, in order, off its _neighbour_xor."""
     starts = np.flatnonzero(change >= np.uint64(1 << shift))
-    if tally is not None:
-        return np.add.reduceat(tally, starts)
     # the run lengths, in place: the output trails the input, so numpy needs no overlap copy
     np.subtract(starts[1:], starts[:-1], out=starts[:-1])
     starts[-1] = len(change) - starts[-1]
@@ -317,63 +312,64 @@ def _group_counts(change, shift, tally=None):
 def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     """Counts of the distinct depth-d orbit codes for each d in depths.
 
-    Each orbit is one uint64 code with 2 * level bits per step and step 0 in
-    the most significant bits, so code order is the lexicographic order of
-    the label sequences and every depth-d code is a right shift of the
-    depth-n one.  The depths that fit in 64 bits form a segment, coded one
-    row piece at a time (run_chunked), so a piece stays in cache through
-    every depth of the segment.  The first segment draws each piece's points
-    where it codes them; run_chunked visits the pieces in order, so the
-    stream is that of one draw of the whole sample.  Only a run with a later
-    segment keeps the sample's points, at depth last + 1.  Before a segment
-    that would overflow 64 bits the codes are replaced by their dense ranks
-    (np.unique), which keep that order.  The final codes are sorted once, in
-    place, and replaced by their _neighbour_xor, from which every depth's
-    counts are read.  Memory: the codes, one uint64 per sample, plus the
-    counts.  Returns {depth: counts}, each in ascending code order.
+    The steps are cut into segments, each coded as one uint64 word per orbit,
+    2 * level bits per step with the first in the most significant bits: the
+    first segment holds the steps that fit in 64 bits, a later one those that
+    fit beside a dense rank of the sample.  Each row piece draws its points
+    and codes every segment while it is in cache; run_chunked visits the
+    pieces in order, so the stream is that of one draw of the whole sample.
+    Each word is then sorted (the last in place; an earlier one by an argsort
+    whose order also gathers the later words) and replaced by its
+    _neighbour_xor, from which its depths' counts are read; its running count
+    of changes, the dense rank plus one, is packed above the next word, which
+    keeps the lexicographic order.  Memory: one uint64 per sample per segment,
+    an argsort order while a segment is ordered, and the counts.  Returns
+    {depth: counts}, each in ascending code order.
     """
     step_bits = 2 * partition.level
     wanted = {int(d) for d in depths}
-    counts = {}
+    later = max(1, (64 - sample_count.bit_length()) // step_bits)
+    segments = [(1, min(n, 64 // step_bits))]
+    while segments[-1][1] < n:
+        first = segments[-1][1] + 1
+        segments.append((first, min(n, first - 1 + later)))
 
-    def read(change, tally, first, last):
-        # depths first..last were packed since the last re-rank
+    def code_piece(rows):
+        # every segment's word of the piece's orbits, from points drawn here
+        points = uniform_points(rng, len(rows))
+        words = []
+        for first, last in segments:
+            if first > 1:
+                points = map_.apply(points)
+            codes = partition.labels(points).view(np.uint64)
+            for _ in range(first, last):
+                points = map_.apply(points)
+                codes <<= np.uint64(step_bits)
+                codes |= partition.labels(points).view(np.uint64)
+            words.append(codes)
+        return tuple(words)
+
+    words = [np.empty(sample_count, dtype=np.uint64) for _ in segments]
+    run_chunked(code_piece, range(sample_count), words)
+    counts = {}
+    for i, (first, last) in enumerate(segments):
+        codes, words[i] = words[i], None
+        if last < n:
+            order = np.argsort(codes)
+            codes = codes[order]
+            for k in range(i + 1, len(segments)):
+                words[k] = words[k][order]
+            del order  # freed before the counts are made: peak RSS is what is live at once
+        else:
+            codes.sort()
+        change = _neighbour_xor(codes)
         for depth in range(first, last + 1):
             if depth in wanted:
-                counts[depth] = _group_counts(change, step_bits * (last - depth), tally)
-
-    def code_segment(piece):
-        # depths first..last (the current segment) of the piece's orbits, and its points at depth last + 1;
-        # a piece of the first segment is a range of rows, whose points are drawn here
-        if first == 1:
-            piece = uniform_points(rng, len(piece))
-        codes = partition.labels(piece).view(np.uint64)
-        for _ in range(first, last):
-            piece = map_.apply(piece)
-            codes <<= np.uint64(step_bits)
-            codes |= partition.labels(piece).view(np.uint64)
-        return codes if last == n else (codes, map_.apply(piece))
-
-    codes = np.empty(sample_count, dtype=np.uint64)
-    first, ranks, rank_bits, points = 1, None, 0, None
-    while True:
-        last = min(n, first - 1 + max(1, (64 - rank_bits) // step_bits))
-        if last < n and points is None:
-            points = np.empty((sample_count, 2))
-        out = (codes,) if last == n else (codes, points)
-        run_chunked(code_segment, range(sample_count) if first == 1 else points, out)
-        if ranks is not None:
-            ranks <<= np.uint64(step_bits * (last - first + 1))
-            codes |= ranks
-        if last == n:
-            break
-        values, ranks, tally = np.unique(codes, return_inverse=True, return_counts=True)
-        read(_neighbour_xor(values), tally, first, last)
-        ranks = ranks.view(np.uint64)
-        first, rank_bits = last + 1, (len(values) - 1).bit_length()
-    del points, ranks  # freed before the counting arrays are made: peak RSS is what is live at once
-    codes.sort()
-    read(_neighbour_xor(codes), None, first, n)
+                counts[depth] = _group_counts(change, step_bits * (last - depth))
+        if last < n:
+            ranks = np.cumsum(change != 0, dtype=np.uint64, out=change)
+            ranks <<= np.uint64(step_bits * (segments[i + 1][1] - last))
+            words[i + 1] |= ranks
     return counts
 
 
@@ -389,14 +385,9 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
     entropies H_j over the trailing depths j = ceil(n/2) .. n grow linearly
     once transients die out, and the fitted slope estimates the entropy rate.
 
-    Each orbit is coded as one uint64 integer (2 * level bits per step) and
-    the codes are sorted once; every depth's counts are read off the XOR of
-    neighbouring sorted codes.  Codes wider than 64 bits are re-ranked
-    densely (np.unique) before the shift that would overflow, which keeps
-    their lexicographic order.  Memory is the codes (one word per sample)
-    plus the counts; each row piece draws its own points, so a run coded in
-    one 64-bit segment (level * n <= 32) holds no array of the sample's
-    points.
+    The orbits are coded and counted by _orbit_codes, one uint64 word per
+    segment of steps, each sorted once; no run holds the sample's points, and
+    memory is one word per sample per segment plus the counts.
 
     Returns (estimate, plug-in bias bound, number of distinct depth-n codes);
     raises UndersampledError when the sample barely covers the observed

@@ -21,5 +21,5 @@ class DegenerateCocycleError(ErgomixError):
     """A cocycle factor was exactly rank-deficient (zero QR diagonal)."""
 
 
-class UndersampledError(ErgomixError):
+class UndersampledError(ConfigError):
     """Too few samples for a meaningful plug-in entropy estimate."""

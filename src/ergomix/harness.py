@@ -172,11 +172,6 @@ def run_ruelle(config: Config):
 
 def run_mixing(config: Config):
     """Mixing-direction verification at the configured resolution."""
-    return _run_mixing(config)[:3]
-
-
-def _run_mixing(config: Config):
-    """run_mixing's (payload, passed, series), and the mask of its fit window over the series times."""
     field = make_field(config.field)
     series = DiagnosticSeries(
         metadata={
@@ -246,12 +241,13 @@ def _run_mixing(config: Config):
         "lambda_stderr": float(lyap.stderr[0]),
         "seed": config.seed,
     }
-    return payload, passed, series, window
+    return payload, passed, series
 
 
 def run_regularity(config: Config):
     """Regularity-slope verification, with a grid-doubling stability check."""
-    payload, _, series, window = _run_mixing(config)
+    payload, _, series = run_mixing(config)
+    window = _fit_window(series.times, payload["burn_in"])
     values = []  # at the times of the mixing series inside its fit window, which the doubled series shares
     inside = iter(window)  # not zip, whose reused result tuple would hold a grid while the next is built
     for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):

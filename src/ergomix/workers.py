@@ -23,13 +23,13 @@ def run_chunked(func, points, out):
     """Write ``func`` of each row piece of ``points`` into the same rows of ``out``.
 
     ``points`` is anything with a length that slices by rows (an array, or
-    a ``range`` of row indices).  ``out`` is a tuple of arrays with
+    a ``range`` of row indices).  ``out`` is a tuple or list of arrays with
     ``len(points)`` rows, returned when filled; ``func`` returns one array
     per entry (a bare array for one) and must be independent across rows.
     The pieces are visited one at a time, in order, on the calling thread:
     that is part of the contract, because the orbit coder draws each
-    piece's random points inside ``func`` and its stream must equal one
-    draw of the whole sample.
+    piece's random points inside ``func``, and codes every segment of their
+    orbits there, and its stream must equal one draw of the whole sample.
     """
     for a, b in piece_bounds(len(points)):
         parts = func(points[a:b])

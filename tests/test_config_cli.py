@@ -230,6 +230,27 @@ def test_cli_ruelle_bad_kind_exits_2_before_echo(tmp_path, capsys, override):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("override", ["field.amplitude=-1", "field.amplitude=2.0"])
+def test_cli_section_key_without_a_kind_exits_2(tmp_path, capsys, override):
+    # ruelle_cat has no [field] block, so a field key there is a mistake, not an older echo's default
+    path = os.path.join(CONFIG_DIR, "ruelle_cat.cfg")
+    assert main(["run", path, "--set", f"output_dir={tmp_path / 'o'}", "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: field.amplitude is given without field.kind\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_undersampled_entropy_exits_2(tmp_path, capsys):
+    path = os.path.join(CONFIG_DIR, "ruelle_cat.cfg")
+    argv = ["run", path, "--set", f"output_dir={tmp_path / 'o'}", "--set", "samples=2000", "--set", "level=5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: undersampled")
+    assert not (tmp_path / "o").exists()
+
+
 def test_section_types_reject_a_kind_outside_their_catalog():
     for kind in ("", "bogus"):
         with pytest.raises(ConfigError, match=rf"^unknown field kind '{kind}'; valid kinds: zero, "):
@@ -580,6 +601,11 @@ def test_every_cli_path_runs_without_a_numpy_warning(tmp_path, capsys):
             argv += ["--set", item]
         assert main(argv) in (0, 1), name  # ruelle_cat fails its gate at these sizes
         assert "Traceback" not in capsys.readouterr().err
+    # level 3 at depth 11 is 66 bits, so the baker's codes span two segments, as no shipped config's do
+    argv = ["run", os.path.join(CONFIG_DIR, "ruelle_baker.cfg"), "--set", f"output_dir={tmp_path / 'segments'}"]
+    for item in ("level=3", "n=11", "samples=120000", "lyapunov_samples=40", "lyapunov_n=20"):
+        argv += ["--set", item]
+    assert main(argv) == 0
     grid = sample_scalar(
         make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95)), make_initial("checkerboard"), 3.0, 64
     )

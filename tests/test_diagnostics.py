@@ -505,6 +505,7 @@ STRADDLE = 3 * workers._PIECE_ROWS + 5  # four row pieces, the last one short
         pytest.param(IdentityMap(), 3, 8, 50_000, id="identity"),
         pytest.param(make_map("cat"), 4, 8, STRADDLE, id="cat-64-bits-straddling-pieces"),
         pytest.param(make_map("cat"), 8, 8, STRADDLE, id="cat-128-bits-two-reranks-straddling-pieces"),
+        pytest.param(make_map("cat"), 8, 8, 2**16, id="cat-128-bits-rank-of-2-16-samples"),
     ],
 )
 def test_integer_orbit_codes_match_structured_oracle(map_, level, n, samples):
@@ -530,15 +531,26 @@ def test_orbit_coder_holds_no_point_array_on_one_segment():
     assert peak < 20 * 2**20, peak / 2**20
 
 
+def test_orbit_coder_holds_no_point_array_on_any_segment():
+    # level 8 at depth 8 is three segments: the peak is three words per sample, an argsort order
+    # and the counts (53 MiB), with no (samples, 2) array of points or np.unique re-rank (111.6 MiB)
+    tracemalloc.start()
+    try:
+        counts = _orbit_codes(make_map("cat"), Partition(level=8), 8, 10**6, np.random.default_rng(7), range(4, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts[8]) == 10**6
+    assert peak < 80 * 2**20, peak / 2**20
+
+
 def test_group_counts_read_every_depth_off_one_xor():
-    # sorted codes with repeats, and a tally over their distinct values, agree with np.unique per shift
+    # sorted codes with repeats agree with np.unique per shift
     codes = np.sort(np.random.default_rng(0).integers(0, 2**12, 5000, dtype=np.uint64) << np.uint64(50))
-    values, tally = np.unique(codes, return_counts=True)
-    change, distinct = diagnostics._neighbour_xor(codes.copy()), diagnostics._neighbour_xor(values.copy())
+    change = diagnostics._neighbour_xor(codes.copy())
     for shift in (0, 50, 54, 61, 63):
         _, expected = np.unique(codes >> np.uint64(shift), return_counts=True)
         assert np.array_equal(diagnostics._group_counts(change, shift), expected), shift
-        assert np.array_equal(diagnostics._group_counts(distinct, shift, tally), expected), shift
 
 
 def test_entropy_rate_monotone_in_n():
