@@ -422,24 +422,25 @@ def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: in
 
     A statistical lower approximation of the one-step refinement bound: for
     each cube, probes_per_cell uniform points are mapped forward and the
-    distinct image cubes are counted.
+    distinct image cubes are counted, in run_chunked's pieces of cells.
     """
     if probes_per_cell < MIN_PROBES:
         raise ConfigError(f"probes_per_cell must be >= {MIN_PROBES}, got {probes_per_cell}")
     rng = np.random.default_rng(seed)
-    side = 2**partition.level
-    cells = partition.cell_count
-    corners_x = np.repeat(np.arange(side), side) / side
-    corners_y = np.tile(np.arange(side), side) / side
+    side, cells = 2**partition.level, partition.cell_count
+
+    def hits_piece(piece):
+        # the piece's share of the one probe stream, placed at (corner + u) / side, which is
+        # corner / side + u / side bitwise: dividing by a power of two is exact
+        probes = rng.random((len(piece), probes_per_cell, 2))
+        probes += np.stack(np.divmod(np.asarray(piece), side), axis=-1)[:, None, :]
+        probes /= side
+        image_labels = np.sort(partition.labels(map_.apply(probes)), axis=1)
+        # distinct image cells per cell: one plus the changes along its sorted row
+        return 1 + np.count_nonzero(image_labels[:, 1:] != image_labels[:, :-1], axis=1)
+
+    (hits,) = run_chunked(hits_piece, range(cells), (np.empty(cells, dtype=np.int64),))
     total = 0.0
-    offsets = rng.random((cells, probes_per_cell, 2)) / side
-    probes = np.stack(
-        [corners_x[:, None] + offsets[..., 0], corners_y[:, None] + offsets[..., 1]], axis=-1
-    )
-    images = map_.apply(probes.reshape(-1, 2)).reshape(cells, probes_per_cell, 2)
-    image_labels = np.sort(partition.labels(images), axis=1)
-    # distinct image cells per cell: one plus the changes along its sorted row
-    hits = 1 + np.count_nonzero(image_labels[:, 1:] != image_labels[:, :-1], axis=1)
     for count in hits:
         total += np.log(count)
     return float(total / cells)

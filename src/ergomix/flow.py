@@ -1,13 +1,14 @@
 """Lagrangian flow of catalog fields and the tangent (variational) cocycle.
 
 Positions and tangent matrices are advanced jointly by classical fixed-step
-RK4, and every step taken comes from one schedule, ``_steps``.  It cuts the
-interval at every crossing of a field time breakpoint, so no step straddles a
-switching time, shares the step count over the pieces, and queries the field
-at each step's midpoint time.  Catalog fields are constant in time between
-breakpoints, so this is exact in t, and leaves the classical order for the
-autonomous members.  ``VelocityField.rk4_steps`` gives the step count to use;
-one step per steady piece is exact for the shear members.
+RK4, and every step taken comes from one schedule, ``_steps``, built once per
+call.  It cuts the interval at every crossing of a field time breakpoint, so
+no step straddles a switching time, shares the step count over the pieces,
+and queries the field at each step's midpoint time.  Catalog fields are
+constant in time between breakpoints, so this is exact in t, and leaves the
+classical order for the autonomous members.  ``VelocityField.rk4_steps``
+gives the step count to use; one step per steady piece is exact for the
+shear members.
 
 When ``VelocityField.constant_along_flow`` holds, the four RK4 stages read
 the same velocity and gradient bitwise, so a step evaluates them once and
@@ -21,9 +22,8 @@ bitwise); ``cellular`` keeps the oracle step.
 ``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
 in bounded pieces.  Positions are wrapped to [0,1) after every full step;
 tangents live on the universal cover and are never wrapped.  A shear
-``advect`` builds its step schedule once per call and gives each piece its
-own scratch, so no state outlives a call and concurrent calls on disjoint
-rows do not interfere.
+``advect`` gives each piece its own scratch, so no state outlives a call and
+concurrent calls on disjoint rows do not interfere.
 """
 
 import numpy as np
@@ -37,14 +37,16 @@ TANGENT_BLOWUP = 1e12
 
 
 def _steps(field, t0, t1, steps):
-    """Yield the midpoint time and the length of each RK4 step from t0 to t1.
+    """The (midpoint time, length) of each RK4 step from t0 to t1, in order, as a list.
 
     [t0, t1] is cut at every crossing k + frac of a field time breakpoint, and
     `steps` are shared over the pieces in proportion to their length, at least
-    one each.
+    one each.  Raises ConfigError unless steps >= 1.
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     if t0 == t1:
-        return
+        return []
     lo, hi = (t0, t1) if t1 > t0 else (t1, t0)
     cuts = []
     for frac in field.time_breakpoints:
@@ -58,11 +60,12 @@ def _steps(field, t0, t1, steps):
         times = times[::-1]
     pieces = list(zip(times[:-1], times[1:]))
     total = sum(abs(b - a) for a, b in pieces)
+    schedule = []
     for a, b in pieces:
         count = max(1, int(round(steps * abs(b - a) / total)))
         h = (b - a) / count
-        for j in range(count):
-            yield a + (j + 0.5) * h, h
+        schedule += [(a + (j + 0.5) * h, h) for j in range(count)]
+    return schedule
 
 
 def _check_finite(pts):
@@ -70,13 +73,13 @@ def _check_finite(pts):
         raise IntegrationDivergedError("a flow position is not finite; check the input points")
 
 
-def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
+def _integrate(field: VelocityField, points, schedule, with_tangent):
     # Position arithmetic below is identical whether or not the tangent is
     # carried, so advect and advect_cocycle agree bitwise on positions.
     pts = wrap(np.asarray(points, dtype=float))
     if with_tangent:
         tangent = np.broadcast_to(np.eye(2), pts.shape + (2,)).copy()
-    for t_mid, h in _steps(field, t0, t1, steps):
+    for t_mid, h in schedule:
         v1 = field.velocity(t_mid, pts)
         if field.constant_along_flow:
             # the stage points p2..p4 differ from pts only along v1
@@ -111,7 +114,7 @@ def _integrate(field: VelocityField, points, t0, t1, steps, with_tangent):
 def _shear_in_place(field, pts, schedule):
     """_integrate of a shear without a tangent, in place, updating only the moved column.
 
-    ``schedule`` lists the steps of ``_steps``; every float intermediate goes to one scratch
+    ``schedule`` is the list of ``_steps``; every float intermediate goes to one scratch
     of 3 len(pts) floats.
     """
     rows = len(pts)
@@ -135,19 +138,17 @@ def _shear_in_place(field, pts, schedule):
 
 def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
     """RK4 flow X(t1, t0, x) into ``out`` (C-contiguous, may be ``x``); t1 < t0 inverts it."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    schedule = _steps(field, float(t0), float(t1), steps)
     x = np.asarray(x, dtype=float)
     if out is None:
         out = x.copy()
     elif out is not x:
         np.copyto(out, x)
-    pieces, t0, t1 = out.reshape(-1, 2), float(t0), float(t1)
+    pieces = out.reshape(-1, 2)
     if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
-        schedule = list(_steps(field, t0, t1, steps))
         run_chunked(lambda piece: _shear_in_place(field, piece, schedule), pieces, ())
     else:
-        run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, False), pieces, (pieces,))
+        run_chunked(lambda piece: _integrate(field, piece, schedule, False), pieces, (pieces,))
     return out
 
 
@@ -156,10 +157,8 @@ def advect_cocycle(field: VelocityField, x, t0: float, t1: float, steps: int):
 
     Returns (position (..., 2), tangent (..., 2, 2)).
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    x, t0, t1 = np.asarray(x, dtype=float), float(t0), float(t1)
+    schedule, x = _steps(field, float(t0), float(t1), steps), np.asarray(x, dtype=float)
     rows = x.reshape(-1, 2)
     out = (np.empty_like(rows), np.empty(rows.shape + (2,)))
-    run_chunked(lambda piece: _integrate(field, piece, t0, t1, steps, True), rows, out)
+    run_chunked(lambda piece: _integrate(field, piece, schedule, True), rows, out)
     return out[0].reshape(x.shape), out[1].reshape(x.shape + (2,))

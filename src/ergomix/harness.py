@@ -254,6 +254,7 @@ def run_regularity(config: Config):
         if next(inside):
             values.append(log_sobolev(grid))
         del grid  # free its arrays before the series builds the next grid
+    release_scratch()  # the doubled resolution's workspace, which no later run reads
     slope_double, stderr_double = _fit(np.asarray(series.times)[window], np.asarray(values), log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)

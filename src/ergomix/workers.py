@@ -27,9 +27,10 @@ def run_chunked(func, points, out):
     ``len(points)`` rows, returned when filled; ``func`` returns one array
     per entry (a bare array for one) and must be independent across rows.
     The pieces are visited one at a time, in order, on the calling thread:
-    that is part of the contract, because the orbit coder draws each
-    piece's random points inside ``func``, and codes every segment of their
-    orbits there, and its stream must equal one draw of the whole sample.
+    that is part of the contract, because two samplers draw inside ``func``
+    and each stream must equal one draw of the whole batch: the orbit coder
+    draws each piece's points and codes every segment of their orbits there,
+    and ``nu_log_bound`` draws the probes of each piece's cells there.
     """
     for a, b in piece_bounds(len(points)):
         parts = func(points[a:b])

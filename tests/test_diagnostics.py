@@ -599,11 +599,27 @@ def _nu_log_bound_per_cell_unique(map_, partition, probes_per_cell, seed):
     return float(total / cells)
 
 
-@pytest.mark.parametrize("kind, level, probes", [("cat", 4, 64), ("cat", 5, 16), ("baker", 3, 100)])
+# level 7 has 16,384 cells, two row pieces, so the probe stream crosses a piece boundary
+@pytest.mark.parametrize(
+    "kind, level, probes", [("cat", 4, 64), ("cat", 5, 16), ("baker", 3, 100), ("cat", 7, 16)]
+)
 def test_nu_log_bound_matches_per_cell_unique(kind, level, probes):
     partition = Partition(level=level)
     fast = nu_log_bound(make_map(kind), partition, probes, seed=9)
     assert fast == _nu_log_bound_per_cell_unique(make_map(kind), partition, probes, seed=9)
+
+
+def test_nu_log_bound_holds_one_piece_of_probes():
+    # 16,384 cells of 64 probes: the whole probe, image and label arrays peak at 89 MiB, one
+    # piece's at 37 MiB
+    tracemalloc.start()
+    try:
+        value = nu_log_bound(make_map("cat"), Partition(level=7), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_nu_log_bound_validation():

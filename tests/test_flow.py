@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergomix import workers
-from ergomix.errors import IntegrationDivergedError
+from ergomix.errors import ConfigError, IntegrationDivergedError
 from ergomix.fields import PHASES_READ, VelocityField, VelocityFieldSpec, make_field
 from ergomix.flow import advect, advect_cocycle
 from ergomix.maps import TimeOneFlowMap
@@ -220,6 +220,14 @@ def test_nan_position_is_reported():
         advect(ALTERNATING, pts, 1.0, 0.0, 16)
     with pytest.raises(IntegrationDivergedError):
         advect(ALTERNATING, pts, 0.0, 0.0, 16)
+
+
+@pytest.mark.parametrize("field", [CELLULAR, ALTERNATING], ids=["cellular", "alternating"])
+def test_zero_steps_is_a_config_error(field):
+    with pytest.raises(ConfigError):
+        advect(field, np.array([0.3, 0.4]), 0.0, 1.0, 0)
+    with pytest.raises(ConfigError):
+        advect_cocycle(field, np.array([0.3, 0.4]), 0.0, 1.0, 0)
 
 
 def test_time_one_map_wraps_field():

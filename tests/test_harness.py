@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ergomix import harness, scalar
+from ergomix import diagnostics, harness, scalar
 from ergomix.config import parse_config
 from ergomix.diagnostics import DiagnosticSeries, h_minus_one, h_minus_one_floor, log_sobolev
 from ergomix.errors import ConfigError, ErgomixError
@@ -206,6 +206,11 @@ def test_run_regularity_zero_field():
     assert payload["fitted_log_sobolev_slope"] == pytest.approx(0.0, abs=1e-9)
     assert payload["log_sobolev_slope_double_resolution"] == pytest.approx(0.0, abs=1e-9)
     assert passed
+
+
+def test_run_regularity_frees_its_doubled_workspace():
+    run_regularity(_config(ZERO_MIXING.replace("experiment = mixing", "experiment = regularity")))
+    assert diagnostics._workspace.cache_info().currsize == 0
 
 
 def test_series_consumers_hold_one_grid_at_a_time(monkeypatch):
