@@ -58,12 +58,8 @@ class MapBlock:
 class Config:
     """One experiment's settings, checked when built.
 
-    A datum must be resolved by the grid: at least 4 nodes per half period
-    along each axis.  A checkerboard of level m flips sign every 2^-m, so it
-    needs N >= 2^(m+2); a stripe flips every 2^-(m+1), so N >= 2^(m+3); a
-    sinusoid needs max(|kx|, |ky|) <= N / 8.  A coarser grid aliases the
-    datum (a level-6 checkerboard on 32^2 samples to the constant +1, with
-    H^-1 exactly 0), so the run could only report a meaningless gate.
+    A number is never a bool, and the resolution is at least the datum's
+    ``coarsest_resolution()``, the grid that resolves it.
     """
 
     experiment: str
@@ -86,7 +82,7 @@ class Config:
     def __post_init__(self):
         for key, kind in _ROOT_KEYS.items():
             value = getattr(self, key)
-            if not isinstance(value, (int, float) if kind is float else kind):
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}")
@@ -101,20 +97,13 @@ class Config:
                 raise ConfigError(f"experiment {self.experiment} requires {section}.kind")
         if self.map is not None and self.map.kind == "time_one_flow" and self.field is None:
             raise ConfigError("map.kind = time_one_flow requires a [field] block")
-        coarsest = 0 if self.datum is None else _coarsest_resolution(self.datum)
+        coarsest = 0 if self.datum is None else self.datum.coarsest_resolution()
         if self.resolution < coarsest:
             parameter = DATUM_PARAMETER[self.datum.kind]
             raise ConfigError(
                 f"datum {self.datum.kind} {parameter} {_format_value(getattr(self.datum, parameter))} "
                 f"needs resolution >= {coarsest} (4 nodes per half period), got {self.resolution}"
             )
-
-
-def _coarsest_resolution(datum):
-    """The coarsest grid with 4 nodes per half period of the datum along each axis."""
-    if datum.kind == "sinusoid":
-        return 8 * max(abs(k) for k in datum.wavevector)
-    return 2 ** (datum.level + (2 if datum.kind == "checkerboard" else 3))
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}

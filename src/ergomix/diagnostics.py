@@ -422,14 +422,17 @@ def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: in
 
     A statistical lower approximation of the one-step refinement bound: for
     each cube, probes_per_cell uniform points are mapped forward and the
-    distinct image cubes are counted, in run_chunked's pieces of cells.
+    distinct image cubes are counted, in run_chunked's pieces of cells; each
+    cell's log is read from a table, and the logs are summed in cell order.
     """
     if probes_per_cell < MIN_PROBES:
         raise ConfigError(f"probes_per_cell must be >= {MIN_PROBES}, got {probes_per_cell}")
     rng = np.random.default_rng(seed)
     side, cells = 2**partition.level, partition.cell_count
+    # log_hits[c] = log(c + 1): a cell hits at least one image cell, so no entry is log(0)
+    log_hits = np.log(np.arange(1, probes_per_cell + 1))
 
-    def hits_piece(piece):
+    def logs_piece(piece):
         # the piece's share of the one probe stream, placed at (corner + u) / side, which is
         # corner / side + u / side bitwise: dividing by a power of two is exact
         probes = rng.random((len(piece), probes_per_cell, 2))
@@ -437,13 +440,11 @@ def nu_log_bound(map_, partition: Partition, probes_per_cell: int = 64, seed: in
         probes /= side
         image_labels = np.sort(partition.labels(map_.apply(probes)), axis=1)
         # distinct image cells per cell: one plus the changes along its sorted row
-        return 1 + np.count_nonzero(image_labels[:, 1:] != image_labels[:, :-1], axis=1)
+        return log_hits[np.count_nonzero(image_labels[:, 1:] != image_labels[:, :-1], axis=1)]
 
-    (hits,) = run_chunked(hits_piece, range(cells), (np.empty(cells, dtype=np.int64),))
-    total = 0.0
-    for count in hits:
-        total += np.log(count)
-    return float(total / cells)
+    (logs,) = run_chunked(logs_piece, range(cells), (np.empty(cells),))
+    # accumulate adds left to right, as a sequential loop does; np.sum pairs and changes the last bits
+    return float(np.add.accumulate(logs)[-1] / cells)
 
 
 def maximal_ergodic(map_, g_values, x, horizon: int):

@@ -39,17 +39,18 @@ class VelocityFieldSpec:
     def __post_init__(self):
         if self.kind not in PHASES_READ:
             raise ConfigError(f"unknown field kind {self.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}")
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
+        if isinstance(self.amplitude, bool) or not np.isfinite(self.amplitude) or self.amplitude < 0:
             raise ConfigError(f"field amplitude must be finite and >= 0, got {self.amplitude}")
-        if int(self.wavenumber) != self.wavenumber or self.wavenumber < 1:
-            raise ConfigError(f"field wavenumber must be an integer >= 1, got {self.wavenumber}")
+        wavenumber = self.wavenumber
+        if isinstance(wavenumber, bool) or int(wavenumber) != wavenumber or wavenumber < 1:
+            raise ConfigError(f"field wavenumber must be an integer >= 1, got {wavenumber}")
         limit = PHASES_READ[self.kind]
         if len(self.phases) > limit:
             raise ConfigError(
                 f"field kind {self.kind!r} reads at most {limit} phases, got {len(self.phases)}"
             )
         for p in self.phases:
-            if not (0.0 <= p < 1.0):
+            if isinstance(p, bool) or not (0.0 <= p < 1.0):
                 raise ConfigError(f"field phases must lie in [0, 1), got {p}")
 
 

@@ -31,6 +31,7 @@ from .workers import piece_bounds, run_chunked
 DATUM_PARAMETER = {"sinusoid": "wavevector", "checkerboard": "level", "stripe": "level"}
 DATUM_KINDS = tuple(DATUM_PARAMETER)
 MIN_RESOLUTION = 16
+_SIGN_OF_PARITY = np.array([1.0, -1.0])  # a square wave's value by the parity of its half-period index
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,13 @@ class InitialDatum:
     every 2^-m (values exactly +-1).
     stripe level m: square wave in x alone, sign flips every 2^-(m+1).
     Each square wave is +1 on [0, half period) and takes the value of the
-    right side at every jump.
+    right side at every jump: its sign is the parity of the integer index
+    floor(x / half period), summed over both coordinates for the checkerboard.
+
+    A grid resolves the datum with 4 nodes per half period along each axis
+    (``coarsest_resolution``); a coarser one aliases it (a level-6
+    checkerboard on 32^2 samples to the constant +1, with H^-1 exactly 0),
+    so a run could only report a meaningless gate.
     """
 
     kind: str
@@ -52,40 +59,37 @@ class InitialDatum:
     l2_norm: float = 1.0
     bv_seminorm: float = 0.0
 
+    @property
+    def _half_period_bits(self):
+        """A square wave's half period is 2^-bits: level for a checkerboard, level + 1 for a stripe."""
+        return self.level if self.kind == "checkerboard" else self.level + 1
+
+    def coarsest_resolution(self):
+        """The coarsest grid with 4 nodes per half period of the datum along each axis."""
+        if self.kind == "sinusoid":
+            return 8 * max(abs(k) for k in self.wavevector)
+        return 2 ** (self._half_period_bits + 2)
+
     def evaluate(self, points):
-        """Values at points of shape (..., 2), computed in row pieces."""
+        """Values at points of shape (..., 2), which must be finite, computed in row pieces."""
         points = np.asarray(points, dtype=float)
         values = np.empty(points.shape[:-1])
         run_chunked(self._values, points.reshape(-1, 2), (values.reshape(-1),))
         return values
 
     def _values(self, points):
-        x, y = points[:, 0], points[:, 1]
         if self.kind == "sinusoid":
             kx, ky = self.wavevector
-            return np.sin(2.0 * np.pi * (kx * x + ky * y))
-        # square waves: the value is +1 or -1 by the parity p of the integer
-        # half-period index i = floor(2^m x) (summed over both coordinates for
-        # the checkerboard), held in float64; scaling by a power of two is
-        # exact, and so is p = i - 2 floor(i/2) for |i| < 2^52, so the value is
-        # exact at every jump and for negative coordinates
-        index, half = np.empty_like(x), np.empty_like(x)
+            return np.sin(2.0 * np.pi * (kx * points[:, 0] + ky * points[:, 1]))
+        # scaling by a power of two is exact, so the half-period index is exact
+        # at every jump and for negative coordinates
+        scale = 2.0**self._half_period_bits
         if self.kind == "checkerboard":
-            _half_periods(x, self.level, index)
-            index += _half_periods(y, self.level, half)
+            index = np.floor(points * scale).astype(np.int64)
+            index = index[:, 0] + index[:, 1]
         else:  # stripe
-            _half_periods(x, self.level + 1, index)
-        np.floor(np.multiply(index, 0.5, out=half), out=half)
-        half *= 2.0
-        index -= half  # the parity p, 0.0 or 1.0
-        index *= -2.0
-        index += 1.0
-        return index
-
-
-def _half_periods(coords, level, out):
-    """floor(2^level * coords) into out, the half-period index of each coordinate."""
-    return np.floor(np.multiply(coords, 2.0**level, out=out), out=out)
+            index = np.floor(points[:, 0] * scale).astype(np.int64)
+        return _SIGN_OF_PARITY.take(index & 1)
 
 
 def make_initial(kind, wavevector=None, level=None) -> InitialDatum:

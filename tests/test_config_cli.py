@@ -68,7 +68,7 @@ def test_overrides_compose_textually():
 
 
 def _resolved_data(resolution):
-    """The catalog data a grid of this resolution resolves: 4 nodes per half period (Config's rule)."""
+    """The catalog data a grid of this resolution resolves: 4 nodes per half period (the datum's rule)."""
     finest = resolution.bit_length() - 1  # floor(log2 N): a checkerboard level m needs N >= 2^(m+2)
     k = min(4, resolution // 8)
     return st.one_of(
@@ -331,6 +331,20 @@ def test_config_built_in_python_rejects_wrong_types():
     for key, value in (("kappa", "0.5"), ("experiment", 3), ("output_dir", None), ("level", 4.0)):
         with pytest.raises(ConfigError, match=f"^{key} must be an? "):
             Config(**{**ruelle, key: value})
+
+
+def test_a_bool_is_not_a_number():
+    # render_config would echo "seed = True", which parse_config rejects
+    ruelle = dict(experiment="ruelle", seed=1, map=MapBlock(kind="cat"))
+    for key, value, kind in (
+        ("seed", True, "an integer"), ("n", True, "an integer"), ("burn_in_fraction", False, "a number"),
+        ("kappa", True, "a number"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{key} must be {kind}, got {value}$"):
+            Config(**{**ruelle, key: value})
+    for key, value, shown in (("amplitude", True, True), ("wavenumber", True, True), ("phases", (False,), False)):
+        with pytest.raises(ConfigError, match=f"^field {key} must .*, got {shown}$"):
+            VelocityFieldSpec(kind="steady_shear", **{key: value})
 
 
 def test_kappa_range_reads_the_same_from_diagnose_and_run(tmp_path, capsys):
@@ -606,6 +620,12 @@ def test_every_cli_path_runs_without_a_numpy_warning(tmp_path, capsys):
     for item in ("level=3", "n=11", "samples=120000", "lyapunov_samples=40", "lyapunov_n=20"):
         argv += ["--set", item]
     assert main(argv) == 0
+    # level 7 has 16,384 cells, so nu_log_bound's log table is read in two pieces
+    argv = ["run", os.path.join(CONFIG_DIR, "ruelle_cat.cfg"), "--set", f"output_dir={tmp_path / 'cells'}"]
+    for item in ("level=7", "n=1", "samples=50000", "lyapunov_samples=40", "lyapunov_n=20"):
+        argv += ["--set", item]
+    assert main(argv) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
     grid = sample_scalar(
         make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95)), make_initial("checkerboard"), 3.0, 64
     )

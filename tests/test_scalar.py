@@ -139,6 +139,21 @@ def test_integer_parity_equals_the_float_formula(kind, level):
     assert np.array_equal(values.view(np.int64), _float_parity(kind, level, points).view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "kind, level", [("checkerboard", level) for level in range(1, 13)] + [("stripe", level) for level in range(13)]
+)
+def test_square_wave_has_4_nodes_per_half_period_on_its_coarsest_grid(kind, level):
+    # the datum's values and its own resolution rule read the same half period
+    datum = make_initial(kind, level=level)
+    n = datum.coarsest_resolution()
+    centers = (np.arange(n) + 0.5) / n  # one row of grid_nodes(n), without the n^2 grid
+    row = np.stack([centers, np.full(n, 0.5 / n)], axis=1)
+    for line in [row, row[:, ::-1]] if kind == "checkerboard" else [row]:
+        runs = datum.evaluate(line).reshape(-1, 4)
+        assert np.all(runs == runs[:, :1])
+        assert np.array_equal(runs[1:, 0], -runs[:-1, 0])
+
+
 @pytest.mark.parametrize("kind", ["sinusoid", "checkerboard"])
 def test_evaluate_keeps_the_point_shape(kind):
     datum = make_initial(kind)
