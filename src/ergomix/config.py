@@ -15,6 +15,7 @@ file, and ``parse_config(render_config(c)) == c`` for every valid config.
 import inspect
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
@@ -58,7 +59,8 @@ class MapBlock:
 class Config:
     """One experiment's settings, checked when built.
 
-    A number is never a bool, and the resolution is at least the datum's
+    Every field has its declared type: a number is never a bool, and a section
+    is its owner's type or None.  The resolution is at least the datum's
     ``coarsest_resolution()``, the grid that resolves it.
     """
 
@@ -80,7 +82,7 @@ class Config:
     map: MapBlock | None = None
 
     def __post_init__(self):
-        for key, kind in _ROOT_KEYS.items():
+        for key, kind in _TYPES.items():
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
@@ -106,10 +108,12 @@ class Config:
             )
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-# root key -> type, in field order; the sections are the non-scalar fields
-_ROOT_KEYS = {f.name: f.type for f in fields(Config) if f.type in (int, float, str)}
+# field -> type, in field order; the root keys are the scalar fields, the sections the others
+_TYPES = {f.name: f.type for f in fields(Config)}
+_ROOT_KEYS = {key: kind for key, kind in _TYPES.items() if kind in (int, float, str)}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"} | {
+    kind: f"{get_args(kind)[0].__name__} or None" for key, kind in _TYPES.items() if key not in _ROOT_KEYS
+}
 _REQUIRED = [f.name for f in fields(Config) if f.default is MISSING]
 
 # section key -> type, where (int,) or (float,) is a comma-separated list; the

@@ -8,6 +8,7 @@ sequence of steady fields switched at the fractions-of-a-period listed in
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,10 +16,29 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
-# kind -> number of phases the kind reads
-PHASES_READ = {"zero": 0, "constant": 1, "steady_shear": 1, "alternating_shear": 2, "cellular": 2}
-FIELD_KINDS = tuple(PHASES_READ)
-SHEAR_KINDS = ("steady_shear", "alternating_shear")
+
+class KindFacts(NamedTuple):
+    phases: int  # how many phases the kind reads
+    shears: tuple  # (moved axis, driving axis, phase index) per half period: one if steady, none if no shear
+    grad_bound: tuple  # mean gradient norm per unit wA, as a (numerator, denominator) ratio
+    constant_along_flow: bool
+
+
+# kind -> its facts, read by every consumer that branches on them.  A shear's one gradient entry
+# 2 pi w A cos(2 pi w s) has mean absolute value 4wA; the cellular norm 2 pi w A (|cos X cos Y| +
+# |sin X sin Y|) averages to 16wA/pi, kept as a ratio so that it rounds as 16 w A / pi.
+CATALOG = {
+    "zero": KindFacts(0, (), (0.0, 1.0), True),
+    "constant": KindFacts(1, (), (0.0, 1.0), True),
+    "steady_shear": KindFacts(1, ((0, 1, 0),), (4.0, 1.0), True),
+    "alternating_shear": KindFacts(2, ((0, 1, 0), (1, 0, 1)), (4.0, 1.0), True),
+    "cellular": KindFacts(2, (), (16.0, np.pi), False),
+}
+FIELD_KINDS = tuple(CATALOG)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -28,7 +48,8 @@ class VelocityFieldSpec:
     kind is one of ``FIELD_KINDS``.  phases are fractions of a period in
     [0, 1); their meaning depends on kind (direction, shear offset,
     switching-half offsets, or cell offsets), and there are at most
-    PHASES_READ[kind] of them.  Kind and ranges are checked on construction.
+    ``CATALOG[kind].phases`` of them.  Kind, types and ranges are checked on
+    construction, so ``render_config`` echoes only what ``parse_config`` reads.
     """
 
     kind: str
@@ -37,45 +58,48 @@ class VelocityFieldSpec:
     wavenumber: int = 1
 
     def __post_init__(self):
-        if self.kind not in PHASES_READ:
+        if self.kind not in CATALOG:
             raise ConfigError(f"unknown field kind {self.kind!r}; valid kinds: {', '.join(FIELD_KINDS)}")
-        if isinstance(self.amplitude, bool) or not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ConfigError(f"field amplitude must be finite and >= 0, got {self.amplitude}")
-        wavenumber = self.wavenumber
-        if isinstance(wavenumber, bool) or int(wavenumber) != wavenumber or wavenumber < 1:
-            raise ConfigError(f"field wavenumber must be an integer >= 1, got {wavenumber}")
-        limit = PHASES_READ[self.kind]
+        amplitude, wavenumber = self.amplitude, self.wavenumber
+        if not _is_number(amplitude) or not 0 <= amplitude < np.inf:
+            raise ConfigError(f"field amplitude must be finite and >= 0, got {amplitude!r}")
+        if isinstance(wavenumber, bool) or not isinstance(wavenumber, int) or wavenumber < 1:
+            raise ConfigError(f"field wavenumber must be an integer >= 1, got {wavenumber!r}")
+        if not isinstance(self.phases, tuple):
+            raise ConfigError(f"field phases must be a tuple, got {self.phases!r}")
+        limit = CATALOG[self.kind].phases
         if len(self.phases) > limit:
             raise ConfigError(
                 f"field kind {self.kind!r} reads at most {limit} phases, got {len(self.phases)}"
             )
         for p in self.phases:
-            if isinstance(p, bool) or not (0.0 <= p < 1.0):
-                raise ConfigError(f"field phases must lie in [0, 1), got {p}")
+            if not _is_number(p) or not 0.0 <= p < 1.0:
+                raise ConfigError(f"field phases must be numbers in [0, 1), got {p!r}")
 
 
 class VelocityField:
-    """A catalog field; evaluation is pure.
+    """A catalog field; evaluation is pure.  ``facts`` is its kind's row of ``CATALOG``.
 
     ``time_breakpoints`` lists the fractions of the unit period, in [0, 1), at
-    which the closed form switches: ``alternating_shear`` switches at every
-    integer and half-integer time, and the list is empty for steady members.
-    Between consecutive breakpoints the field does not depend on t, which
-    integrators exploit to resolve the switching branch unambiguously.
+    which the closed form switches: a kind with two shear halves switches at
+    every integer and half-integer time, and the list is empty for steady
+    members.  Between consecutive breakpoints the field does not depend on t,
+    which integrators exploit to resolve the switching branch unambiguously.
 
     ``constant_along_flow`` is true when, on each steady piece, the velocity
-    and its gradient do not vary along the velocity's own direction: every
-    member but ``cellular``.  Points moved along the velocity then read the
-    same velocity and gradient, bitwise, as the points they started from.
+    and its gradient do not vary along the velocity's own direction.  Points
+    moved along the velocity then read the same velocity and gradient,
+    bitwise, as the points they started from.
     """
 
     def __init__(self, spec: VelocityFieldSpec):
         self.spec = spec
-        self.time_breakpoints = (0.0, 0.5) if spec.kind == "alternating_shear" else ()
-        self.constant_along_flow = spec.kind != "cellular"
+        self.facts = CATALOG[spec.kind]
+        self.time_breakpoints = (0.0, 0.5) if len(self.facts.shears) == 2 else ()
+        self.constant_along_flow = self.facts.constant_along_flow
 
     def rk4_steps(self, duration):
-        """RK4 steps for a flow over ``duration`` time units: 256 per unit for cellular.
+        """RK4 steps for a flow over ``duration`` time units: 256 per unit unless constant along the flow.
 
         When the field is constant along the flow, each steady piece moves
         points along straight lines at their starting velocity and the
@@ -90,14 +114,11 @@ class VelocityField:
         return self.spec.phases[i] if i < len(self.spec.phases) else 0.0
 
     def _shear(self, t):
-        """(moved axis, driving axis, phase) of the shear acting at time t.
-
-        The steady shear and the first half of each alternating period move x
-        by a sine of y; the second alternating half moves y by a sine of x.
+        """(moved axis, driving axis, phase) of the shear acting at time t: the first or the last of
+        ``facts.shears``, in the first or the second half of each period.
         """
-        if self.spec.kind == "steady_shear" or (t % 1.0) < 0.5:
-            return 0, 1, self._phase(0)
-        return 1, 0, self._phase(1)
+        moved, driving, index = self.facts.shears[0 if (t % 1.0) < 0.5 else -1]
+        return moved, driving, self._phase(index)
 
     def shear_speed(self, t, points, out=None):
         """(moved axis, its speed A sin(2 pi w (driving + phase))) of a shear member at time t.
@@ -123,7 +144,7 @@ class VelocityField:
             out[..., 0] = amp * np.cos(angle)
             out[..., 1] = amp * np.sin(angle)
             return out
-        if spec.kind in SHEAR_KINDS:
+        if self.facts.shears:
             moved, speed = self.shear_speed(t, points)
             out[..., moved] = speed
             return out
@@ -142,7 +163,7 @@ class VelocityField:
         grad = np.zeros(points.shape[:-1] + (2, 2))
         if spec.kind in ("zero", "constant"):
             return grad
-        if spec.kind in SHEAR_KINDS:
+        if self.facts.shears:
             moved, driving, phase = self._shear(t)
             grad[..., moved, driving] = TWO_PI * w * amp * np.cos(TWO_PI * w * (points[..., driving] + phase))
             return grad
@@ -163,15 +184,8 @@ def make_field(spec: VelocityFieldSpec) -> VelocityField:
 def grad_l1_time_average(field: VelocityField) -> float:
     """Space-time average of the spectral norm of the velocity gradient, in closed form.
 
-    It bounds the top Lyapunov exponent integral from above.  A shear's one
-    gradient entry 2 pi w A cos(2 pi w s) has mean absolute value 4wA, in
-    either half of the alternating period; the cellular norm
-    2 pi w A (|cos X cos Y| + |sin X sin Y|) averages to 16wA/pi; ``zero`` and
-    ``constant`` have no gradient.  Phases only shift a period.
+    It bounds the top Lyapunov exponent integral from above: the kind's
+    ``grad_bound`` per unit wA, times wA.  Phases only shift a period.
     """
-    spec = field.spec
-    if spec.kind in SHEAR_KINDS:
-        return 4.0 * spec.wavenumber * spec.amplitude
-    if spec.kind == "cellular":
-        return 16.0 * spec.wavenumber * spec.amplitude / np.pi
-    return 0.0
+    top, bottom = field.facts.grad_bound
+    return top * field.spec.wavenumber * field.spec.amplitude / bottom

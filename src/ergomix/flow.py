@@ -17,7 +17,7 @@ field has one nonzero entry, so the tangent stages G (T + c k1) equal
 k1 = G T up to signed zeros, and the step takes k1 for all four.  ``advect``
 of a shear updates only the moved column, in place, by the same operations
 in the same order (x + (h/6)*0 and the wrap leave the other unchanged
-bitwise); ``cellular`` keeps the oracle step.
+bitwise); every other field keeps the oracle step.
 
 ``advect`` and ``advect_cocycle`` walk their points as rows of shape (-1, 2),
 in bounded pieces.  Positions are wrapped to [0,1) after every full step;
@@ -29,7 +29,7 @@ concurrent calls on disjoint rows do not interfere.
 import numpy as np
 
 from .errors import ConfigError, IntegrationDivergedError
-from .fields import SHEAR_KINDS, VelocityField
+from .fields import VelocityField
 from .torus import wrap
 from .workers import run_chunked
 
@@ -145,7 +145,7 @@ def advect(field: VelocityField, x, t0: float, t1: float, steps: int, out=None):
     elif out is not x:
         np.copyto(out, x)
     pieces = out.reshape(-1, 2)
-    if field.constant_along_flow and field.spec.kind in SHEAR_KINDS:
+    if field.constant_along_flow and field.facts.shears:
         run_chunked(lambda piece: _shear_in_place(field, piece, schedule), pieces, ())
     else:
         run_chunked(lambda piece: _integrate(field, piece, schedule, False), pieces, (pieces,))

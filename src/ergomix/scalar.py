@@ -97,6 +97,7 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
 
     A square wave reads a level in [1, 12] (checkerboard) or [0, 12] (stripe),
     2 when none is given; a sinusoid reads a wavevector, (1, 0) by default.
+    Both are ints, never bools, so nothing is truncated.
     """
     if kind not in DATUM_PARAMETER:
         raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
@@ -104,7 +105,9 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
         if value is not None and name != DATUM_PARAMETER[kind]:
             raise ConfigError(f"datum kind {kind} reads no {name}, only {DATUM_PARAMETER[kind]}")
     if kind == "sinusoid":
-        wavevector = (1, 0) if wavevector is None else tuple(int(k) for k in wavevector)
+        wavevector = (1, 0) if wavevector is None else tuple(wavevector)
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in wavevector):
+            raise ConfigError(f"sinusoid wavevector must have integer components, got {wavevector}")
         if len(wavevector) != 2:
             raise ConfigError(f"sinusoid wavevector must have 2 components, got {len(wavevector)}")
         if all(k == 0 for k in wavevector):
@@ -117,7 +120,9 @@ def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
             l2_norm=1.0 / np.sqrt(2.0),
             bv_seminorm=4.0 * norm_k,
         )
-    level = 2 if level is None else int(level)
+    level = 2 if level is None else level
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ConfigError(f"{kind} level must be an integer, got {level!r}")
     lowest = 1 if kind == "checkerboard" else 0
     if not lowest <= level <= 12:
         raise ConfigError(f"{kind} level must lie in [{lowest}, 12], got {level}")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from ergomix import harness
 from ergomix.config import EXPERIMENTS, Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import GridField, make_initial, sample_scalar, save_grid
-from ergomix.fields import PHASES_READ, VelocityFieldSpec, make_field
+from ergomix.fields import CATALOG, VelocityFieldSpec, make_field
 
 MINIMAL_MIXING = """
 experiment = mixing
@@ -104,7 +105,7 @@ valid_configs = st.integers(16, 2048).flatmap(
                 VelocityFieldSpec,
                 kind=st.just(kind),
                 amplitude=st.floats(0.0, 8.0, allow_nan=False),
-                phases=st.lists(st.floats(0.0, 0.999), max_size=PHASES_READ[kind]).map(tuple),
+                phases=st.lists(st.floats(0.0, 0.999), max_size=CATALOG[kind].phases).map(tuple),
                 wavenumber=st.integers(1, 5),
             )
         ),
@@ -331,6 +332,14 @@ def test_config_built_in_python_rejects_wrong_types():
     for key, value in (("kappa", "0.5"), ("experiment", 3), ("output_dir", None), ("level", 4.0)):
         with pytest.raises(ConfigError, match=f"^{key} must be an? "):
             Config(**{**ruelle, key: value})
+    # a section given as its kind, or as another section's type, fails before any section is read
+    for key, value, owner in (
+        ("map", "cat", "MapBlock"),
+        ("datum", "checkerboard", "InitialDatum"),
+        ("field", MapBlock(kind="cat"), "VelocityFieldSpec"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^{key} must be {owner} or None, got "):
+            Config(**{**ruelle, key: value})
 
 
 def test_a_bool_is_not_a_number():
@@ -345,6 +354,23 @@ def test_a_bool_is_not_a_number():
     for key, value, shown in (("amplitude", True, True), ("wavenumber", True, True), ("phases", (False,), False)):
         with pytest.raises(ConfigError, match=f"^field {key} must .*, got {shown}$"):
             VelocityFieldSpec(kind="steady_shear", **{key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("wavenumber", 2.0, "2.0"),
+        ("wavenumber", "2", "'2'"),
+        ("phases", [0.1], "[0.1]"),
+        ("phases", 0.1, "0.1"),
+        ("phases", ("0.1",), "'0.1'"),
+        ("amplitude", "1", "'1'"),
+    ],
+)
+def test_field_spec_rejects_a_value_of_the_wrong_type(key, value, shown):
+    # each would echo as text that parse_config rejects, or fail later with a bare TypeError
+    with pytest.raises(ConfigError, match=rf"^field {key} must .*, got {re.escape(shown)}$"):
+        VelocityFieldSpec(kind="alternating_shear", **{key: value})
 
 
 def test_kappa_range_reads_the_same_from_diagnose_and_run(tmp_path, capsys):

@@ -5,8 +5,8 @@ from scipy import integrate
 
 from ergomix.errors import ConfigError
 from ergomix.fields import (
+    CATALOG,
     FIELD_KINDS,
-    PHASES_READ,
     VelocityFieldSpec,
     grad_l1_time_average,
     make_field,
@@ -36,9 +36,9 @@ def test_make_field_rejects_bad_phase():
         make_field(VelocityFieldSpec(kind="steady_shear", phases=(1.5,)))
 
 
-@pytest.mark.parametrize("kind", sorted(PHASES_READ))
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_spec_rejects_phases_its_kind_does_not_read(kind):
-    limit = PHASES_READ[kind]
+    limit = CATALOG[kind].phases
     assert VelocityFieldSpec(kind=kind, phases=(0.1, 0.5)[:limit]).phases == (0.1, 0.5)[:limit]
     with pytest.raises(ConfigError, match=f"reads at most {limit} phases"):
         VelocityFieldSpec(kind=kind, phases=(0.1, 0.5, 0.7)[: limit + 1])
@@ -209,6 +209,26 @@ def test_grad_l1_steady_shear_quadrature_oracle():
     assert grad_l1_time_average(field) == pytest.approx(oracle, abs=1e-9)
 
 
+# kind -> its gradient average at wavenumber w and amplitude a, as each closed form was first written
+GRAD_L1_CLOSED_FORMS = {
+    "zero": lambda w, a: 0.0,
+    "constant": lambda w, a: 0.0,
+    "steady_shear": lambda w, a: 4.0 * w * a,
+    "alternating_shear": lambda w, a: 4.0 * w * a,
+    "cellular": lambda w, a: 16.0 * w * a / np.pi,
+}
+
+
+@given(st.sampled_from(FIELD_KINDS), st.floats(0.0, 8.0), st.integers(1, 5))
+@example("cellular", 1.3, 3)
+@settings(max_examples=300, deadline=None)
+def test_grad_l1_is_bitwise_the_closed_form_of_its_kind(kind, amplitude, wavenumber):
+    # the table keeps 16/pi as a ratio: (16/pi) * 3 * 1.3 is one ulp off 16 * 3 * 1.3 / pi
+    field = make_field(VelocityFieldSpec(kind=kind, amplitude=amplitude, wavenumber=wavenumber))
+    expected = GRAD_L1_CLOSED_FORMS[kind](wavenumber, amplitude)
+    assert grad_l1_time_average(field).hex() == float(expected).hex()
+
+
 def test_grad_l1_alternating_shear_scales_with_amplitude():
     field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.7))
     assert grad_l1_time_average(field) == 4.0 * 1.7
@@ -254,3 +274,4 @@ def test_spectral_norm_closed_form_matches_svd():
 
 def test_catalog_is_complete():
     assert set(FIELD_KINDS) == {"zero", "constant", "steady_shear", "alternating_shear", "cellular"}
+    assert set(GRAD_L1_CLOSED_FORMS) == set(FIELD_KINDS)

@@ -3,7 +3,7 @@ import pytest
 
 from ergomix import workers
 from ergomix.errors import ConfigError, IntegrationDivergedError
-from ergomix.fields import PHASES_READ, VelocityField, VelocityFieldSpec, make_field
+from ergomix.fields import CATALOG, FIELD_KINDS, VelocityField, VelocityFieldSpec, make_field
 from ergomix.flow import advect, advect_cocycle
 from ergomix.maps import TimeOneFlowMap
 from torus_distance import distance
@@ -173,10 +173,12 @@ def test_steps_straddling_integer_times_match_composition(t0, t1, steps):
     assert np.max(distance(advect(field, composed, t1, t0, steps), pts)) < 1e-11
 
 
-SHEAR_SPECS = [
-    VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41)[: PHASES_READ[kind]])
-    for kind in ("zero", "constant", "steady_shear", "alternating_shear")
-]
+def _spec(kind):
+    return VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41)[: CATALOG[kind].phases])
+
+
+# every kind whose row says it is constant along its own flow
+SHEAR_SPECS = [_spec(kind) for kind, facts in CATALOG.items() if facts.constant_along_flow]
 # off the breakpoints, across integer and half-integer times, both directions
 EXACT_INTERVALS = [(0.3, 2.7), (2.7, 0.3), (0.8, 1.2), (1.45, 0.55), (0.0, 1.0), (1.0, 0.0)]
 
@@ -307,9 +309,36 @@ def test_one_column_step_reports_non_finite_positions(column):
             advect(field, pts, t0, t1, 1)
 
 
-def test_only_cellular_takes_the_four_evaluation_step():
-    kinds = {kind: make_field(VelocityFieldSpec(kind=kind)).constant_along_flow for kind in PHASES_READ}
-    assert kinds == {kind: kind != "cellular" for kind in PHASES_READ}
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_constant_along_flow_holds_exactly_where_the_row_says(kind):
+    # velocity and gradient at p + s v(p) against those at p, bitwise, in both halves of a period:
+    # all equal where the row lets a step reuse its first stage, none equal where it does not
+    field = make_field(_spec(kind))
+    pts = np.random.default_rng(15).random((500, 2))
+    for t in (0.2, 0.7):
+        velocity, gradient = field.velocity(t, pts), field.gradient(t, pts)
+        same = [
+            field.velocity(t, moved).tobytes() == velocity.tobytes()
+            and field.gradient(t, moved).tobytes() == gradient.tobytes()
+            for moved in (pts + s * velocity for s in (0.5, -1.3, 7.0))
+        ]
+        assert all(same) if field.constant_along_flow else not any(same)
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_velocity_changes_in_time_exactly_at_the_breakpoints(kind):
+    # steady between consecutive crossings k + frac of a breakpoint, bitwise, and changed across each
+    field = make_field(_spec(kind))
+    rng = np.random.default_rng(16)
+    pts = rng.random((200, 2))
+    crossings = sorted(k + frac for k in range(4) for frac in field.time_breakpoints)
+    edges = sorted({0.0, 3.0, *crossings})
+    for a, b in zip(edges[:-1], edges[1:]):
+        expected = field.velocity(a, pts).tobytes()
+        for t in (*rng.uniform(a, b, 5), np.nextafter(b, a)):
+            assert field.velocity(t, pts).tobytes() == expected
+    for c in crossings:
+        assert field.velocity(np.nextafter(c, -np.inf), pts).tobytes() != field.velocity(c, pts).tobytes()
 
 
 def test_run_chunked_bounds_pieces():

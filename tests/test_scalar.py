@@ -1,5 +1,6 @@
 import collections
 import json
+import re
 import sys
 import threading
 import time
@@ -171,6 +172,21 @@ def test_square_waves_default_to_level_2_and_stop_at_12(kind):
     assert make_initial(kind, level=12).level == 12
     with pytest.raises(ConfigError, match=rf"^{kind} level must lie in \[[01], 12\], got 13$"):
         make_initial(kind, level=13)
+
+
+@pytest.mark.parametrize(
+    "kind, parameters, shown",
+    [
+        ("checkerboard", {"level": 2.7}, "level must be an integer, got 2.7"),
+        ("stripe", {"level": 2.0}, "level must be an integer, got 2.0"),
+        ("checkerboard", {"level": True}, "level must be an integer, got True"),
+        ("sinusoid", {"wavevector": (1.5, 0)}, "wavevector must have integer components, got (1.5, 0)"),
+        ("sinusoid", {"wavevector": (1, False)}, "wavevector must have integer components, got (1, False)"),
+    ],
+)
+def test_datum_parameters_are_integers_never_truncated(kind, parameters, shown):
+    with pytest.raises(ConfigError, match=f"^{kind} {re.escape(shown)}$"):
+        make_initial(kind, **parameters)
 
 
 def test_unknown_datum_kind():
