@@ -34,9 +34,14 @@ MIN_PROBES = 16  # fewest forward probes per cell nu_log_bound accepts
 
 @dataclass(frozen=True)
 class Partition:
-    """Dyadic-cube partition of the torus: 4^level open cubes of side 2^-level."""
+    """Dyadic-cube partition of the torus: 4^level open cubes of side 2^-level, level in [1, 31]."""
 
     level: int
+
+    def __post_init__(self):
+        # the int64 labels hold 4^level cells only up to level 31
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or not 1 <= self.level <= 31:
+            raise ConfigError(f"partition level must be an integer in [1, 31], got {self.level!r}")
 
     @property
     def cell_count(self) -> int:
@@ -191,7 +196,8 @@ def _ball(work, radius):
 
     spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table keeps the real
     part and drops imaginary roundoff.  count: the node count.  offsets: the nodes' row and
-    column offsets modulo N (two int64 per node), taken when the fail certificate reads them.
+    column offsets modulo N, in the smallest unsigned type that holds N - 1 (uint16 up to
+    N = 65536), taken when the fail certificate reads them.
     """
     ball = work.balls.get(radius)
     if ball is None:
@@ -258,8 +264,8 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
             continue
         if peak is not None:
             if ball.offsets is None:
-                ball.offsets = np.nonzero(_ball_kernel(n, radii[i]))
-            rows, cols = ball.offsets
+                ball.offsets = [a.astype(np.min_scalar_type(n - 1)) for a in np.nonzero(_ball_kernel(n, radii[i]))]
+            rows, cols = ball.offsets  # added to peak's np.intp, so the sums are int64 and cannot wrap
             direct = abs(grid.values[(rows + peak[0]) % n, (cols + peak[1]) % n].sum()) / ball.count
             if direct > threshold * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS:
                 break
@@ -302,15 +308,29 @@ def _neighbour_xor(values):
 
 def _group_counts(change, shift):
     """Sizes of the groups of equal value >> shift of a sorted array, in order, off its _neighbour_xor."""
-    starts = np.flatnonzero(change >= np.uint64(1 << shift))
-    # the run lengths, in place: the output trails the input, so numpy needs no overlap copy
+    return _run_lengths(np.flatnonzero(change >= np.uint64(1 << shift)), len(change))
+
+
+def _group_counts_in_place(change):
+    """_group_counts(change, 0) written over change, which it consumes: an int64 view of its head."""
+    starts, found = change.view(np.int64), 0
+    for a, b in piece_bounds(len(change)):
+        # a piece's starts are found (off a bool piece: faster) before they land at or before it
+        piece = np.flatnonzero(change[a:b] != 0)
+        np.add(piece, a, out=starts[found : found + len(piece)])
+        found += len(piece)
+    return _run_lengths(starts[:found], len(change))
+
+
+def _run_lengths(starts, rows):
+    # in place: the output trails the input, so numpy needs no overlap copy
     np.subtract(starts[1:], starts[:-1], out=starts[:-1])
-    starts[-1] = len(change) - starts[-1]
+    starts[-1] = rows - starts[-1]
     return starts
 
 
 def _orbit_codes(map_, partition, n, sample_count, rng, depths):
-    """Counts of the distinct depth-d orbit codes for each d in depths.
+    """Plug-in entropy and number of the distinct depth-d orbit codes for each d in depths.
 
     The steps are cut into segments, each coded as one uint64 word per orbit,
     2 * level bits per step with the first in the most significant bits: the
@@ -322,9 +342,10 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     whose order also gathers the later words) and replaced by its
     _neighbour_xor, from which its depths' counts are read; its running count
     of changes, the dense rank plus one, is packed above the next word, which
-    keeps the lexicographic order.  Memory: one uint64 per sample per segment,
-    an argsort order while a segment is ordered, and the counts.  Returns
-    {depth: counts}, each in ascending code order.
+    keeps the lexicographic order.  Each depth's counts become its entropy as
+    they are read; depth n's are read over the last word.  Memory: one uint64
+    per sample per segment, an argsort order while a segment is ordered, and
+    one shallower depth's counts.  Returns {depth: (entropy, codes)}.
     """
     step_bits = 2 * partition.level
     wanted = {int(d) for d in depths}
@@ -351,7 +372,7 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
 
     words = [np.empty(sample_count, dtype=np.uint64) for _ in segments]
     run_chunked(code_piece, range(sample_count), words)
-    counts = {}
+    read = {}
     for i, (first, last) in enumerate(segments):
         codes, words[i] = words[i], None
         if last < n:
@@ -365,17 +386,28 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
         change = _neighbour_xor(codes)
         for depth in range(first, last + 1):
             if depth in wanted:
-                counts[depth] = _group_counts(change, step_bits * (last - depth))
+                shift = step_bits * (last - depth)
+                counts = _group_counts(change, shift) if depth < n else _group_counts_in_place(change)
+                read[depth] = _plugin_entropy(counts, sample_count), len(counts)
+                del counts  # freed before the next depth's are made
         if last < n:
             ranks = np.cumsum(change != 0, dtype=np.uint64, out=change)
             ranks <<= np.uint64(step_bits * (segments[i + 1][1] - last))
             words[i + 1] |= ranks
-    return counts
+    return read
 
 
 def _plugin_entropy(counts, sample_count):
-    p = counts / sample_count
-    return float(-np.sum(p * np.log(p)))
+    """-sum p log p of p = counts / sample_count; p log p is written over the int64 counts, piece by piece.
+
+    The values, their order and the pairwise sum are those of full-size temporaries, so it is bitwise theirs.
+    """
+    bounds, terms = piece_bounds(len(counts)), counts.view(np.float64)
+    scratch = np.empty(max(b - a for a, b in bounds))
+    for a, b in bounds:
+        p = np.divide(counts[a:b], sample_count, out=scratch[: b - a])
+        np.multiply(p, np.log(p, out=terms[a:b]), out=terms[a:b])
+    return float(-np.sum(terms))
 
 
 def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: int):
@@ -387,7 +419,7 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
 
     The orbits are coded and counted by _orbit_codes, one uint64 word per
     segment of steps, each sorted once; no run holds the sample's points, and
-    memory is one word per sample per segment plus the counts.
+    memory is one word per sample per segment plus one depth's counts.
 
     Returns (estimate, plug-in bias bound, number of distinct depth-n codes);
     raises UndersampledError when the sample barely covers the observed
@@ -400,8 +432,8 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
     rng = np.random.default_rng(seed)
     start = (n + 1) // 2
     depths = np.arange(start, n + 1)
-    counts = _orbit_codes(map_, partition, n, sample_count, rng, depths)
-    codes_full = len(counts[n])
+    read = _orbit_codes(map_, partition, n, sample_count, rng, depths)
+    codes_full = read[n][1]
     required = int(np.ceil(ENTROPY_GUARD_FACTOR * codes_full))
     if sample_count < required:
         raise UndersampledError(
@@ -409,11 +441,10 @@ def entropy_rate(map_, partition: Partition, n: int, sample_count: int, seed: in
             f"{required} samples (factor {ENTROPY_GUARD_FACTOR}), got {sample_count}"
         )
     if n == 1:
-        h_full = _plugin_entropy(counts[n], sample_count)
-        return h_full, (codes_full - 1) / (2.0 * sample_count), codes_full
-    entropies = np.array([_plugin_entropy(counts[d], sample_count) for d in depths])
+        return read[n][0], (codes_full - 1) / (2.0 * sample_count), codes_full
+    entropies = np.array([read[d][0] for d in depths])
     slope = np.polyfit(depths, entropies, 1)[0]
-    bias_bound = (codes_full - len(counts[start])) / (2.0 * sample_count * (n - start))
+    bias_bound = (codes_full - read[start][1]) / (2.0 * sample_count * (n - start))
     return float(slope), float(bias_bound), codes_full
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -339,6 +340,27 @@ def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
     assert min(decided.values()) > 0, decided
 
 
+def test_failure_witness_reads_every_ball_node_above_256():
+    # above N = 256 the offsets no longer fit uint8: they are stored as uint16, and the failure
+    # witness still sums the ball's own nodes
+    n = 264
+    grid = sample_scalar(
+        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
+        make_initial("checkerboard", level=2),
+        2.0,
+        n,
+    )
+    maxima = _ball_maxima(grid, scan_radii(n))
+    for kappa in (0.15, 1.0 / 3.0, 0.7):
+        assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(n), maxima)
+    read = {r: ball.offsets for r, ball in diagnostics._workspace(n).balls.items() if ball.offsets is not None}
+    assert len(read) >= 3
+    for radius, (rows, cols) in read.items():
+        assert rows.dtype == cols.dtype == np.uint16
+        expected_rows, expected_cols = np.nonzero(_ball_kernel(n, radius))
+        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+
+
 def test_mixing_scale_conventions():
     # fully uniform data mixes at every radius -> the smallest scan radius;
     # an unmixed half-half split fails at every radius -> the largest
@@ -514,34 +536,66 @@ def test_integer_orbit_codes_match_structured_oracle(map_, level, n, samples):
     fast = _orbit_codes(map_, partition, n, samples, np.random.default_rng(7), depths)
     oracle = _structured_orbit_codes(map_, partition, n, samples, np.random.default_rng(7))
     for depth in depths:
-        assert np.array_equal(fast[depth], oracle[depth]), depth
-        assert _plugin_entropy(fast[depth], samples) == _plugin_entropy(oracle[depth], samples)
+        # _plugin_entropy overwrites the counts it is given, so the oracle's are copied
+        assert fast[depth] == (_plugin_entropy(oracle[depth].copy(), samples), len(oracle[depth])), depth
 
 
 def test_orbit_coder_holds_no_point_array_on_one_segment():
-    # level 4 at depth 8 is one 64-bit segment: each piece draws its own points, so the peak
-    # is the 8 MB of codes plus the counts (16.6 MiB), not also a (samples, 2) array (25.3 MiB)
+    # level 4 at depth 8 is one 64-bit segment: each piece draws its own points and each depth's
+    # counts become its entropy as they are read, so the peak is the 8 MB of codes plus one
+    # shallower depth's counts (10.7 MiB), not also a (samples, 2) array (25.3 MiB) or every
+    # depth's counts (15.8 MiB)
     tracemalloc.start()
     try:
-        counts = _orbit_codes(make_map("cat"), Partition(level=4), 8, 10**6, np.random.default_rng(7), range(4, 9))
+        read = _orbit_codes(make_map("cat"), Partition(level=4), 8, 10**6, np.random.default_rng(7), range(4, 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(counts[8]) == 10**6
-    assert peak < 20 * 2**20, peak / 2**20
+    assert sorted(read) == [4, 5, 6, 7, 8]
+    assert peak < 12.5 * 2**20, peak / 2**20
 
 
 def test_orbit_coder_holds_no_point_array_on_any_segment():
     # level 8 at depth 8 is three segments: the peak is three words per sample, an argsort order
-    # and the counts (53 MiB), with no (samples, 2) array of points or np.unique re-rank (111.6 MiB)
+    # and one depth's counts (38.2 MiB), with no (samples, 2) array of points or np.unique
+    # re-rank (111.6 MiB), nor every depth's counts (52.3 MiB)
     tracemalloc.start()
     try:
-        counts = _orbit_codes(make_map("cat"), Partition(level=8), 8, 10**6, np.random.default_rng(7), range(4, 9))
+        read = _orbit_codes(make_map("cat"), Partition(level=8), 8, 10**6, np.random.default_rng(7), range(4, 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(counts[8]) == 10**6
-    assert peak < 80 * 2**20, peak / 2**20
+    assert sorted(read) == [4, 5, 6, 7, 8]
+    assert peak < 42 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("level", [0, -1, 32, 33, True, 4.0, "4", None])
+def test_partition_rejects_a_level_its_labels_cannot_hold(level):
+    with pytest.raises(ConfigError, match=f"partition level .*got {re.escape(repr(level))}$"):
+        Partition(level=level)
+
+
+def test_partition_accepts_every_level_its_labels_hold():
+    assert Partition(level=31).labels([[0.9999999999, 0.5]]) == [(2**31 - 1) * 2**31 + 2**30]
+    assert Partition(level=1).cell_count == 4
+
+
+def test_deepest_depth_is_read_in_place_as_group_counts_reads_it():
+    rng = np.random.default_rng(3)
+    codes = np.sort(rng.integers(0, STRADDLE // 3, STRADDLE, dtype=np.uint64) << np.uint64(40))
+    change = diagnostics._neighbour_xor(codes)
+    expected = diagnostics._group_counts(change, 0)
+    counts = diagnostics._group_counts_in_place(change)
+    assert counts.dtype == np.int64 and np.shares_memory(counts, change)
+    assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("length", [1, workers._PIECE_ROWS, STRADDLE])
+def test_plugin_entropy_in_place_is_bitwise_that_of_full_temporaries(length):
+    counts = np.random.default_rng(length).integers(1, 50, length)
+    samples = int(counts.sum())
+    p = counts / samples
+    assert _plugin_entropy(counts.copy(), samples) == float(-np.sum(p * np.log(p)))
 
 
 def test_group_counts_read_every_depth_off_one_xor():
