@@ -4,24 +4,24 @@ Format: one ``key = value`` per line, optional ``[field]``, ``[datum]`` and
 ``[map]`` section headers, ``#`` comments.  A root key is one ``Config``
 field: its type (int, float or str) gives its parser, ``_RANGES`` its range,
 and ``Config`` checks itself when built, from a file or from Python.  A
-section without a ``kind`` is absent (``None``, no block in the echo, any other
-key at its builder's default); one with a kind parses into its owner's type,
-which rejects a kind outside its catalog: ``VelocityFieldSpec``,
-``scalar.make_initial`` or ``MapBlock``.
+section is its owner's frozen type, ``VelocityFieldSpec``, ``InitialDatum`` or
+``MapBlock``, which checks itself the same way: the section's keys and their
+types are that type's init fields, where ``X | None`` parses as X and
+``tuple[X, ...]`` as a comma-separated list.  A section without a ``kind`` is
+absent (``None``, no block in the echo, any other key at its field's default).
 ``--set section.key=value`` overrides compose textually on top of the parsed
 file, and ``parse_config(render_config(c)) == c`` for every valid config.
 """
 
-import inspect
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import get_args
+from typing import get_args, get_origin
 
 from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
 from .maps import MAP_KINDS
-from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum, make_initial
+from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum
 
 # experiment -> the sections whose kind it requires
 EXPERIMENTS = {
@@ -116,24 +116,20 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"} | {
 }
 _REQUIRED = [f.name for f in fields(Config) if f.default is MISSING]
 
-# section key -> type, where (int,) or (float,) is a comma-separated list; the
-# section's own type checks the values
-_SECTIONS = {
-    "field": {"kind": str, "amplitude": float, "phases": (float,), "wavenumber": int},
-    "datum": {"kind": str, "wavevector": (int,), "level": int},
-    "map": {"kind": str},
-}
-# section -> the builder of its type, from the section's keys
-_BUILDERS = {"field": VelocityFieldSpec, "datum": make_initial, "map": MapBlock}
+# section -> its owner type, whose init fields are the section's keys, in order, with their defaults
+_SECTIONS = {"field": VelocityFieldSpec, "datum": InitialDatum, "map": MapBlock}
+_SECTION_KEYS = {name: {f.name: f.type for f in fields(owner) if f.init} for name, owner in _SECTIONS.items()}
 
 
 def _parse(key, raw, kind):
-    """raw as a str, an int, a finite float, or a tuple of the numbers listed between commas."""
+    """raw as its field's type: a str, int or finite float, X for X | None, a list between commas for tuple."""
+    if get_origin(kind) is tuple:
+        raw = raw.strip()
+        return tuple(_parse(key, part, get_args(kind)[0]) for part in raw.split(",")) if raw else ()
+    if get_origin(kind) is not None:  # X | None
+        return _parse(key, raw, get_args(kind)[0])
     if kind is str:
         return raw
-    if isinstance(kind, tuple):
-        raw = raw.strip()
-        return tuple(_parse(key, part, kind[0]) for part in raw.split(",")) if raw else ()
     try:
         value = kind(raw)
     except ValueError:
@@ -182,7 +178,7 @@ def parse_config(text, overrides=()) -> Config:
     root = {}
     blocks = {section: {} for section in _SECTIONS}
     for (section, key), raw_value in pairs.items():
-        registry = _ROOT_KEYS if section is None else _SECTIONS[section]
+        registry = _ROOT_KEYS if section is None else _SECTION_KEYS[section]
         label = key if section is None else f"{section}.{key}"
         if key not in registry:
             raise ConfigError(f"unknown key {label!r}; valid keys: {', '.join(sorted(registry))}")
@@ -192,14 +188,14 @@ def parse_config(text, overrides=()) -> Config:
         if required not in root:
             raise ConfigError(f"missing required key {required!r}")
     sections = {}
-    for name, build in _BUILDERS.items():
+    for name, owner in _SECTIONS.items():
         block = blocks[name]
         if block.get("kind"):
-            sections[name] = build(**block)
+            sections[name] = owner(**block)
         elif set(block) - {"kind"}:
             # a key at its default needs no kind: the older echo wrote an absent [field] with its defaults
-            defaults = inspect.signature(build).parameters
-            given = sorted(k for k, value in block.items() if k != "kind" and value != defaults[k].default)
+            defaults = {f.name: f.default for f in fields(owner)}
+            given = sorted(k for k, value in block.items() if k != "kind" and value != defaults[k])
             if given:
                 raise ConfigError(f"{name}.{given[0]} is given without {name}.kind")
     return Config(**root, **sections)
@@ -216,7 +212,7 @@ def _format_value(value):
 def render_config(config: Config) -> str:
     """Canonical text form; parse_config(render_config(c)) == c."""
     lines = [f"{key} = {_format_value(getattr(config, key))}" for key in _ROOT_KEYS]
-    for section, keys in _SECTIONS.items():
+    for section, keys in _SECTION_KEYS.items():
         block = getattr(config, section)
         if block is None:
             continue

@@ -335,9 +335,10 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     The steps are cut into segments, each coded as one uint64 word per orbit,
     2 * level bits per step with the first in the most significant bits: the
     first segment holds the steps that fit in 64 bits, a later one those that
-    fit beside a dense rank of the sample.  Each row piece draws its points
-    and codes every segment while it is in cache; run_chunked visits the
-    pieces in order, so the stream is that of one draw of the whole sample.
+    fit beside a dense rank of the sample (ConfigError if n needs one but none
+    fits).  Each row piece draws its points and codes every segment while it
+    is in cache; run_chunked visits the pieces in order, so the stream is that
+    of one draw of the whole sample.
     Each word is then sorted (the last in place; an earlier one by an argsort
     whose order also gathers the later words) and replaced by its
     _neighbour_xor, from which its depths' counts are read; its running count
@@ -349,8 +350,14 @@ def _orbit_codes(map_, partition, n, sample_count, rng, depths):
     """
     step_bits = 2 * partition.level
     wanted = {int(d) for d in depths}
-    later = max(1, (64 - sample_count.bit_length()) // step_bits)
+    rank_bits = sample_count.bit_length()
+    later = (64 - rank_bits) // step_bits
     segments = [(1, min(n, 64 // step_bits))]
+    if later < 1 and n > segments[0][1]:
+        raise ConfigError(
+            f"partition level {partition.level} cannot code n = {n} steps of {sample_count} samples: a step "
+            f"past the first {segments[0][1]} needs {step_bits} bits beside the {rank_bits}-bit rank"
+        )
     while segments[-1][1] < n:
         first = segments[-1][1] + 1
         segments.append((first, min(n, first - 1 + later)))

@@ -54,7 +54,7 @@ class VelocityFieldSpec:
 
     kind: str
     amplitude: float = 1.0
-    phases: tuple = ()
+    phases: tuple[float, ...] = ()
     wavenumber: int = 1
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConfigError
+from .fields import _is_number
 from .flow import advect
 from .workers import piece_bounds, run_chunked
 
@@ -36,15 +37,19 @@ _SIGN_OF_PARITY = np.array([1.0, -1.0])  # a square wave's value by the parity o
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Catalog initial datum with exact norms.
+    """Catalog initial datum with exact norms, checked when built.
 
-    sinusoid: sin(2 pi k.x) for an integer wavevector k != 0.
+    sinusoid: sin(2 pi k.x) for an integer wavevector k != 0, (1, 0) by default.
     checkerboard level m: product of coordinate square waves, sign flips
     every 2^-m (values exactly +-1).
     stripe level m: square wave in x alone, sign flips every 2^-(m+1).
     Each square wave is +1 on [0, half period) and takes the value of the
     right side at every jump: its sign is the parity of the integer index
     floor(x / half period), summed over both coordinates for the checkerboard.
+
+    A level is an int in [1, 12] for a checkerboard, [0, 12] for a stripe, 2 by
+    default.  A kind rejects the parameter it does not read and stores it as
+    (1, 0) or 0.  The norms are derived from the kind and its parameter.
 
     A grid resolves the datum with 4 nodes per half period along each axis
     (``coarsest_resolution``); a coarser one aliases it (a level-6
@@ -53,11 +58,41 @@ class InitialDatum:
     """
 
     kind: str
-    wavevector: tuple = (1, 0)
-    level: int = 0
-    sup_norm: float = 1.0
-    l2_norm: float = 1.0
-    bv_seminorm: float = 0.0
+    wavevector: tuple[int, ...] | None = None
+    level: int | None = None
+    sup_norm: float = dataclass_field(default=1.0, init=False)  # every catalog datum takes the values +-1
+    l2_norm: float = dataclass_field(init=False)
+    bv_seminorm: float = dataclass_field(init=False)
+
+    def __post_init__(self):
+        kind, wavevector, level = self.kind, self.wavevector, self.level
+        if kind not in DATUM_PARAMETER:
+            raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
+        for name, value in (("wavevector", wavevector), ("level", level)):
+            if value is not None and name != DATUM_PARAMETER[kind]:
+                raise ConfigError(f"datum kind {kind} reads no {name}, only {DATUM_PARAMETER[kind]}")
+        if kind == "sinusoid":
+            wavevector = (1, 0) if wavevector is None else wavevector
+            if not isinstance(wavevector, tuple):
+                raise ConfigError(f"sinusoid wavevector must be a tuple, got {wavevector!r}")
+            if any(isinstance(k, bool) or not isinstance(k, int) for k in wavevector):
+                raise ConfigError(f"sinusoid wavevector must have integer components, got {wavevector}")
+            if len(wavevector) != 2:
+                raise ConfigError(f"sinusoid wavevector must have 2 components, got {len(wavevector)}")
+            if all(k == 0 for k in wavevector):
+                raise ConfigError("sinusoid wavevector must be nonzero (zero mode is not mean-free)")
+            level, l2_norm, bv_seminorm = 0, 1.0 / np.sqrt(2.0), 4.0 * float(np.hypot(*wavevector))
+        else:
+            level = 2 if level is None else level
+            if isinstance(level, bool) or not isinstance(level, int):
+                raise ConfigError(f"{kind} level must be an integer, got {level!r}")
+            lowest = 1 if kind == "checkerboard" else 0
+            if not lowest <= level <= 12:
+                raise ConfigError(f"{kind} level must lie in [{lowest}, 12], got {level}")
+            wavevector, l2_norm, bv_seminorm = (1, 0), 1.0, 4.0 * 2**level
+        stored = dict(wavevector=wavevector, level=level, l2_norm=l2_norm, bv_seminorm=bv_seminorm)
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     @property
     def _half_period_bits(self):
@@ -92,47 +127,7 @@ class InitialDatum:
         return _SIGN_OF_PARITY.take(index & 1)
 
 
-def make_initial(kind, wavevector=None, level=None) -> InitialDatum:
-    """Build a catalog datum with closed-form norms, rejecting a parameter its kind ignores.
-
-    A square wave reads a level in [1, 12] (checkerboard) or [0, 12] (stripe),
-    2 when none is given; a sinusoid reads a wavevector, (1, 0) by default.
-    Both are ints, never bools, so nothing is truncated.
-    """
-    if kind not in DATUM_PARAMETER:
-        raise ConfigError(f"unknown datum kind {kind!r}; valid kinds: {', '.join(DATUM_KINDS)}")
-    for name, value in (("wavevector", wavevector), ("level", level)):
-        if value is not None and name != DATUM_PARAMETER[kind]:
-            raise ConfigError(f"datum kind {kind} reads no {name}, only {DATUM_PARAMETER[kind]}")
-    if kind == "sinusoid":
-        wavevector = (1, 0) if wavevector is None else tuple(wavevector)
-        if any(isinstance(k, bool) or not isinstance(k, int) for k in wavevector):
-            raise ConfigError(f"sinusoid wavevector must have integer components, got {wavevector}")
-        if len(wavevector) != 2:
-            raise ConfigError(f"sinusoid wavevector must have 2 components, got {len(wavevector)}")
-        if all(k == 0 for k in wavevector):
-            raise ConfigError("sinusoid wavevector must be nonzero (zero mode is not mean-free)")
-        norm_k = float(np.hypot(*wavevector))
-        return InitialDatum(
-            kind="sinusoid",
-            wavevector=wavevector,
-            sup_norm=1.0,
-            l2_norm=1.0 / np.sqrt(2.0),
-            bv_seminorm=4.0 * norm_k,
-        )
-    level = 2 if level is None else level
-    if isinstance(level, bool) or not isinstance(level, int):
-        raise ConfigError(f"{kind} level must be an integer, got {level!r}")
-    lowest = 1 if kind == "checkerboard" else 0
-    if not lowest <= level <= 12:
-        raise ConfigError(f"{kind} level must lie in [{lowest}, 12], got {level}")
-    return InitialDatum(
-        kind=kind,
-        level=level,
-        sup_norm=1.0,
-        l2_norm=1.0,
-        bv_seminorm=4.0 * 2**level,
-    )
+make_initial = InitialDatum  # another name for the type, which builds and checks the datum itself
 
 
 @dataclass
@@ -333,7 +328,3 @@ def load_grid(path: str) -> GridField:
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"grid values {values_path} are not all finite")
     return GridField(resolution=n, values=values, time=sidecar["time"], metadata=metadata)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

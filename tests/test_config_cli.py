@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from ergomix.cli import main
 from ergomix import harness
 from ergomix.config import EXPERIMENTS, Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
-from ergomix.scalar import GridField, make_initial, sample_scalar, save_grid
+from ergomix.scalar import GridField, InitialDatum, make_initial, sample_scalar, save_grid
 from ergomix.fields import CATALOG, VelocityFieldSpec, make_field
 
 MINIMAL_MIXING = """
@@ -304,6 +305,59 @@ def test_config_built_in_python_checks_itself():
         Config(experiment="lyapunov", seed=1, map=MapBlock(kind="time_one_flow"))
     with pytest.raises(ConfigError, match="experiment must be one of"):
         Config(experiment="blob", seed=1)
+
+
+_MIXING_WITHOUT_DATUM = dict(experiment="mixing", seed=1, field=VelocityFieldSpec(kind="alternating_shear"))
+
+
+@pytest.mark.parametrize(
+    "kind, parameters, shown",
+    [
+        ("bogus", {"level": 2}, "unknown datum kind 'bogus'; valid kinds: sinusoid, checkerboard, stripe"),
+        ("checkerboard", {"level": -3}, "checkerboard level must lie in [1, 12], got -3"),
+        ("stripe", {"level": 13}, "stripe level must lie in [0, 12], got 13"),
+        ("checkerboard", {"level": 2.0}, "checkerboard level must be an integer, got 2.0"),
+        ("sinusoid", {"wavevector": (0, 0)}, "sinusoid wavevector must be nonzero (zero mode is not mean-free)"),
+        ("sinusoid", {"wavevector": 5}, "sinusoid wavevector must be a tuple, got 5"),
+        ("sinusoid", {"wavevector": "ab"}, "sinusoid wavevector must be a tuple, got 'ab'"),
+        ("sinusoid", {"wavevector": [1, 0]}, "sinusoid wavevector must be a tuple, got [1, 0]"),
+        ("checkerboard", {"wavevector": (1, 0)}, "datum kind checkerboard reads no wavevector, only level"),
+        ("sinusoid", {"level": 0}, "datum kind sinusoid reads no level, only wavevector"),
+    ],
+)
+def test_datum_built_in_python_checks_itself(kind, parameters, shown):
+    with pytest.raises(ConfigError, match=f"^{re.escape(shown)}$"):
+        InitialDatum(kind, **parameters)
+
+
+def test_datum_norms_are_derived_not_passed():
+    assert [f.name for f in dataclasses.fields(InitialDatum) if not f.init] == ["sup_norm", "l2_norm", "bv_seminorm"]
+    with pytest.raises(TypeError, match="sup_norm"):
+        InitialDatum("checkerboard", level=2, sup_norm=5.0)
+    datum = InitialDatum("sinusoid", wavevector=(3, 4))
+    assert (datum.sup_norm, datum.l2_norm, datum.bv_seminorm) == (1.0, 1.0 / np.sqrt(2.0), 20.0)
+    assert (datum.level, InitialDatum("stripe").wavevector) == (0, (1, 0))  # the unread parameter
+
+
+_ANY_DATUM = st.builds(
+    InitialDatum,
+    st.sampled_from(["sinusoid", "checkerboard", "stripe", "bogus"]),
+    wavevector=st.one_of(
+        st.none(), st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.just(5), st.just("ab"), st.just([1, 0])
+    ),
+    level=st.one_of(st.none(), st.integers(-3, 13), st.just(2.0), st.just(True)),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_datum_is_rejected_or_round_trips_in_a_config(data):
+    try:
+        datum = data.draw(_ANY_DATUM)
+    except ConfigError:
+        return
+    config = Config(**_MIXING_WITHOUT_DATUM, datum=datum, resolution=max(16, datum.coarsest_resolution()))
+    assert parse_config(render_config(config)) == config
 
 
 @pytest.mark.parametrize(

@@ -580,6 +580,29 @@ def test_partition_accepts_every_level_its_labels_hold():
     assert Partition(level=1).cell_count == 4
 
 
+class _PointMap:
+    """Sends every point to (0.3, 0.3), counting its calls."""
+
+    calls = 0
+
+    def apply(self, points):
+        self.calls += 1
+        return np.full_like(points, 0.3)
+
+
+def test_orbit_coder_rejects_a_later_segment_with_no_room_beside_the_rank():
+    # level 26 codes one 52-bit step per word; 10^4 samples need a 14-bit rank, so a second step
+    # fits nowhere, and coding it beside the rank wrapped 10^4 distinct depth-2 codes to 4096
+    map_ = _PointMap()
+    with pytest.raises(ConfigError, match=r"^partition level 26 cannot code n = 2 steps of 10000 samples: "):
+        _orbit_codes(map_, Partition(level=26), 2, 10**4, np.random.default_rng(7), [1, 2])
+    assert map_.calls == 0  # raised before any coding
+    # one step needs no later segment, and level 25 leaves a step of room beside the rank
+    assert _orbit_codes(map_, Partition(level=26), 1, 10**4, np.random.default_rng(7), [1])[1][1] == 10**4
+    read = _orbit_codes(map_, Partition(level=25), 2, 10**4, np.random.default_rng(7), [1, 2])
+    assert read[1][1] == read[2][1] == 10**4
+
+
 def test_deepest_depth_is_read_in_place_as_group_counts_reads_it():
     rng = np.random.default_rng(3)
     codes = np.sort(rng.integers(0, STRADDLE // 3, STRADDLE, dtype=np.uint64) << np.uint64(40))
