@@ -53,7 +53,7 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as handle:
+    with open(args.config, encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -121,8 +121,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except OSError as exc:
-        # a config path that is a directory, an output_dir under a file, ...
+    except (OSError, UnicodeEncodeError) as exc:
+        # a config path that is a directory, an output_dir under a file or one the locale cannot name
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except ErgomixError as exc:
@@ -132,6 +132,8 @@ def main(argv=None) -> int:
 
 
 def console_entry():
+    # the echoed config may hold text the locale's stdout encoding lacks
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -18,7 +18,7 @@ class IntegrationDivergedError(ErgomixError):
 
 
 class DegenerateCocycleError(ErgomixError):
-    """A cocycle factor was exactly rank-deficient (zero QR diagonal)."""
+    """A cocycle step was exactly singular (determinant 0)."""
 
 
 class UndersampledError(ConfigError):

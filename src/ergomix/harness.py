@@ -290,7 +290,7 @@ def _write_atomic(text, path):
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(descriptor, 0o666 & ~umask)
-        with os.fdopen(descriptor, "w") as handle:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

@@ -1,13 +1,10 @@
 """Finite-time Lyapunov spectra from Jacobian cocycles.
 
-The n-fold Jacobian product is never formed directly.  Each iteration
-re-orthonormalizes with a QR step (Gram-Schmidt with positive diagonal), and
-the running upper-triangular factor is carried in log-scaled form
-``[[e^a, e^a tau], [0, e^g]]``, which stays representable for arbitrarily
-long products.  Exponents are (1/n) log of the exact singular values of that
-factor, recovered by closed form; the product of an orthogonal matrix with
-the triangular factor has the same singular values, so these are the singular
-values of the full cocycle product.
+The n-fold Jacobian product is formed step by step and rescaled after each
+step by an exact power of two, with the powers counted as integers, so it
+stays representable for arbitrarily long orbits.  Exponents are (1/n) log of
+its singular values: the top one in closed form, the bottom one from the
+running sum of log|det J|, which the nearly rank-one product cannot give.
 """
 
 import warnings
@@ -51,70 +48,53 @@ class LyapunovReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
-class _TriangularAccumulator:
-    """Log-scaled running product of the per-step QR triangular factors."""
+class _RescaledProduct:
+    """Running cocycle product ``mantissa * 2**exponent``, with its log|det|."""
 
     def __init__(self, count):
-        self.q = np.broadcast_to(np.eye(2), (count, 2, 2)).copy()
-        self.log_r11 = np.zeros(count)
-        self.log_r22 = np.zeros(count)
-        self.tau = np.zeros(count)
+        self.mantissa = np.broadcast_to(np.eye(2), (count, 2, 2)).copy()
+        self.exponent = np.zeros(count, dtype=np.int64)
+        self.log_det = np.zeros(count)
 
     def push(self, jacobians):
-        """Absorb one QR re-orthonormalization step."""
-        m = jacobians @ self.q
-        col0, col1 = m[:, :, 0], m[:, :, 1]
-        r11 = np.linalg.norm(col0, axis=1)
-        if np.any(r11 == 0.0):
-            raise DegenerateCocycleError("zero QR diagonal: cocycle factor is rank deficient")
-        q1 = col0 / r11[:, None]
-        r12 = np.sum(q1 * col1, axis=1)
-        residual = col1 - r12[:, None] * q1
-        r22 = np.linalg.norm(residual, axis=1)
-        if np.any(r22 == 0.0):
-            raise DegenerateCocycleError("zero QR diagonal: cocycle factor is rank deficient")
-        self.tau = self.tau + (r12 / r11) * np.exp(self.log_r22 - self.log_r11)
-        self.log_r11 = self.log_r11 + np.log(r11)
-        self.log_r22 = self.log_r22 + np.log(r22)
-        self.q = np.stack([q1, residual / r22[:, None]], axis=-1)
+        """Multiply one step in on the left, then rescale by an exact power of two."""
+        (a, b), (c, d) = jacobians.transpose(1, 2, 0)
+        det = a * d - b * c
+        if np.any(det == 0.0):
+            raise DegenerateCocycleError("a cocycle step has determinant 0")
+        self.log_det += np.log(np.abs(det))
+        product = jacobians @ self.mantissa
+        _, shift = np.frexp(np.max(np.abs(product), axis=(1, 2)))
+        self.mantissa = np.ldexp(product, -shift[:, None, None])
+        self.exponent += shift
 
     def keep(self, mask):
         """Drop the rows where ``mask`` is False."""
-        self.q = self.q[mask]
-        self.log_r11 = self.log_r11[mask]
-        self.log_r22 = self.log_r22[mask]
-        self.tau = self.tau[mask]
+        self.mantissa = self.mantissa[mask]
+        self.exponent = self.exponent[mask]
+        self.log_det = self.log_det[mask]
 
     def log_singular_values(self):
-        """Exact (log sigma_1, log sigma_2) of the accumulated triangular factor."""
-        a2 = 2.0 * self.log_r11 + np.log1p(self.tau**2)
-        g2 = 2.0 * self.log_r22
-        top = np.maximum(a2, g2)
-        f_hat = np.exp(a2 - top) + np.exp(g2 - top)
-        det_hat2 = np.exp(2.0 * (self.log_r11 + self.log_r22) - 2.0 * top)
-        s1_hat2 = 0.5 * (f_hat + np.sqrt(np.maximum(f_hat**2 - 4.0 * det_hat2, 0.0)))
-        log_s1 = 0.5 * top + 0.5 * np.log(s1_hat2)
-        log_s2 = (self.log_r11 + self.log_r22) - log_s1
-        return log_s1, log_s2
+        """Rows (log sigma_1, log sigma_2): sigma_1 in closed form, sigma_2 from the determinant."""
+        (a, b), (c, d) = self.mantissa.transpose(1, 2, 0)
+        sigma1 = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+        log_s1 = np.log(sigma1) + self.exponent * np.log(2.0)
+        return np.stack([log_s1, self.log_det - log_s1], axis=1)
 
     def right_singular_vectors(self):
         """Rows = right singular vectors of the one orbit, by descending singular value."""
-        (a,), (g,), (t,) = self.log_r11, self.log_r22, self.tau
-        scale = max(a + 0.5 * np.log1p(t * t), g)
-        balanced = np.array(
-            [[np.exp(a - scale), np.exp(a - scale) * t], [0.0, np.exp(g - scale)]]
-        )
-        _, _, vh = np.linalg.svd(balanced)
-        return vh
+        return np.linalg.svd(self.mantissa[0])[2]
 
 
 def _batch_spectrum(map_: MeasurePreservingMap, points, n):
-    """(exponents, alive, accumulator) of the orbits that avoid the singular set.
+    """(exponents, alive, product) of the orbits that avoid the singular set.
 
     ``alive`` is indexed by input row; an orbit is dropped at its first singular iterate.
     """
+    if n < 1:
+        raise ErgomixError(f"n must be >= 1, got {n}")
     current = np.atleast_2d(np.asarray(points, dtype=float))
-    acc = _TriangularAccumulator(len(current))
+    acc = _RescaledProduct(len(current))
     alive = np.ones(len(current), dtype=bool)
     for _ in range(n):
         hit = map_.singular_mask(current)
@@ -126,8 +106,7 @@ def _batch_spectrum(map_: MeasurePreservingMap, points, n):
             acc.keep(~hit)
         current, jacs = map_.apply_with_jacobian(current)
         acc.push(jacs)
-    log_s1, log_s2 = acc.log_singular_values()
-    return np.stack([log_s1, log_s2], axis=1) / n, alive, acc
+    return acc.log_singular_values() / n, alive, acc
 
 
 def _single_orbit(map_: MeasurePreservingMap, x, n):
@@ -137,8 +116,6 @@ def _single_orbit(map_: MeasurePreservingMap, x, n):
 
 def finite_time_spectrum(map_: MeasurePreservingMap, x, n: int):
     """Sorted finite-time exponents (1/n) log chi_i of the n-fold product at x."""
-    if n < 1:
-        raise ErgomixError(f"n must be >= 1, got {n}")
     return _single_orbit(map_, x, n)[0]
 
 

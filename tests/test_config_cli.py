@@ -469,6 +469,41 @@ def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
     assert "bad.cfg" in _assert_one_line_file_error(capsys)
 
 
+def _run_under_the_c_locale(path, *overrides):
+    """``ergomix run`` in a child process whose locale encoding is ASCII."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    argv = [sys.executable, "-m", "ergomix.cli", "run", path]
+    for item in overrides:
+        argv += ["--set", item]
+    return subprocess.run(argv, env=env, capture_output=True)
+
+
+def test_cli_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "o"
+    path = tmp_path / "r.cfg"
+    path.write_bytes(("# caf\u00e9\n" + RUELLE_SMALL.format(out=out)).encode("utf-8"))
+    result = _run_under_the_c_locale(str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    assert (out / "ruelle_report.json").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "override"])
+def test_cli_non_ascii_output_dir_under_an_ascii_locale_exits_2_in_one_line(tmp_path, where):
+    # an override reaches argv as surrogate escapes, the config file as decoded UTF-8
+    out = tmp_path / "caf\u00e9"
+    overrides = [f"output_dir={out}"] if where == "override" else []
+    path = tmp_path / "r.cfg"
+    path.write_bytes(RUELLE_SMALL.format(out=tmp_path / "o" if overrides else out).encode("utf-8"))
+    result = _run_under_the_c_locale(str(path), *overrides)
+    assert result.returncode == 2, result.stderr
+    assert b"Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert result.stderr.startswith(b"file error: ")
+    assert b"output_dir = " in result.stdout
+
+
 def test_cli_output_dir_under_a_file_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("ergomix.cli.run_experiment", lambda config: ({"pass": True}, True, None))
     blocker = tmp_path / "file"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergomix.errors import ErgomixError, SingularInputError
+from ergomix.errors import DegenerateCocycleError, ErgomixError, SingularInputError
 from ergomix.fields import VelocityFieldSpec, make_field
 from ergomix.lyapunov import (
     DegenerateSpectrumWarning,
@@ -71,7 +71,7 @@ def test_baker_map_ground_truth():
     assert abs(exps[1] + math.log(2.0)) <= 1e-9
 
 
-def test_qr_matches_brute_force_product_svd():
+def test_product_matches_brute_force_product_svd():
     rng = np.random.default_rng(12)
     for trial in range(20):
         n = int(rng.integers(2, 9))
@@ -84,6 +84,50 @@ def test_qr_matches_brute_force_product_svd():
         sv = np.linalg.svd(product, compute_uv=False)
         expected = np.log(sv) / n
         assert np.max(np.abs(exps - expected)) < 1e-10
+
+
+# the first three are positive, so their products never cancel; the fourth brings in signs
+SL2Z_GENERATORS = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]], [[1, -1], [0, 1]]]
+
+
+def _exact_exponents(matrices):
+    """(1/n) log of the product's singular values, and its largest entry, in Python ints."""
+    (a, b), (c, d) = ((1, 0), (0, 1))
+    for (p, q), (r, s) in matrices:
+        (a, b), (c, d) = (p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)
+    frobenius, det = a * a + b * b + c * c + d * d, a * d - b * c
+    # sigma_1^2 is the larger root of x^2 - frobenius x + det^2
+    log_s1 = 0.5 * math.log((frobenius + math.isqrt(frobenius * frobenius - 4 * det * det)) // 2)
+    exponents = [log_s1 / len(matrices), (math.log(abs(det)) - log_s1) / len(matrices)]
+    return exponents, max(abs(a), abs(b), abs(c), abs(d))
+
+
+@pytest.mark.parametrize("generators", [3, 4])
+@pytest.mark.parametrize("length, cat_steps", [(600, 0), (700, 0), (1000, 800)])
+def test_long_sl2z_products_match_the_exact_integer_oracle(length, cat_steps, generators):
+    rng = np.random.default_rng(length)
+    matrices = [SL2Z_GENERATORS[i] for i in rng.integers(0, generators, size=length)]
+    for i in rng.choice(length, size=cat_steps, replace=False):
+        matrices[i] = SL2Z_GENERATORS[2]
+    expected, largest_entry = _exact_exponents(matrices)
+    if cat_steps:
+        assert largest_entry > 10**308  # the exact product has no float64 form
+    exps = finite_time_spectrum(SequenceCocycle(np.array(matrices, dtype=float)), np.array([0.5, 0.5]), length)
+    assert np.max(np.abs(exps - expected)) <= 1e-13
+
+
+def test_cat_map_at_n_1000_is_exact_to_rounding():
+    exps = finite_time_spectrum(make_map("cat"), np.array([0.2, 0.7]), 1000)
+    assert np.max(np.abs(exps - [CAT_LAMBDA, -CAT_LAMBDA])) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [[[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[1, 0], [3, 1]]], [[[0.1, 0.3], [0.2, 0.6]]]],
+)
+def test_a_singular_step_raises_degenerate_cocycle(matrices):
+    with pytest.raises(DegenerateCocycleError):
+        finite_time_spectrum(SequenceCocycle(np.array(matrices, dtype=float)), np.array([0.5, 0.5]), len(matrices))
 
 
 def test_exponent_sum_telescopes_determinant():
@@ -235,6 +279,11 @@ def test_skipped_samples_are_reported():
 def test_invalid_n_rejected():
     with pytest.raises(ErgomixError):
         finite_time_spectrum(make_map("cat"), np.array([0.1, 0.1]), 0)
+
+
+def test_ensemble_rejects_n_below_one():
+    with pytest.raises(ErgomixError, match="n must be >= 1"):
+        ensemble_spectrum(make_map("cat"), 10, 0, 3)
 
 
 class LeftEdgeSingularFlow(TimeOneFlowMap):
