@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end; each experiment's summary line is its row of harness.EXPERIMENTS.
 
 Subcommands:
   run <config> [--set key=value ...]   run an experiment, write report + series
@@ -6,9 +6,10 @@ Subcommands:
   catalog                              list field, map, and datum kinds
 
 Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error
-(including an undersampled entropy, a fit window under 4 points or a datum
-the grid cannot resolve), 3 any other package error, such as a numeric
-divergence or a non-finite report value; each prints one line.
+(including an undersampled entropy, a fit window under 4 points, a datum
+the grid cannot resolve or an output_dir that is not UTF-8 text the file
+system can name, the last three found before any work), 3 any other package
+error, such as a numeric divergence or a non-finite report value; each prints one line.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .config import Config, parse_config, render_config
 from .diagnostics import h_minus_one, log_sobolev, mixing_scale
 from .errors import ConfigError, ErgomixError
 from .fields import FIELD_KINDS
-from .harness import run_experiment, write_json_atomic, write_series_csv_atomic, write_text_atomic
+from .harness import EXPERIMENTS, run_experiment, write_json_atomic, write_series_csv_atomic, write_text_atomic
 from .maps import MAP_KINDS
 from .scalar import DATUM_KINDS, load_grid
 
@@ -63,31 +64,18 @@ def _cmd_run(args) -> int:
     resolved = render_config(config)
     print(resolved, end="")
 
-    payload, passed, series = run_experiment(config)
     out = config.output_dir
+    try:  # every output is UTF-8 text at a path the file system encoding must name
+        out.encode("utf-8"), os.fsencode(out)
+    except UnicodeEncodeError as exc:
+        raise OSError(f"output_dir {out!r} cannot be written: {exc}")
+    payload, passed, series = run_experiment(config)
     write_text_atomic(resolved, os.path.join(out, "resolved_config.cfg"))
     write_json_atomic(payload, os.path.join(out, f"{config.experiment}_report.json"))
     if series is not None:
         write_series_csv_atomic(series, os.path.join(out, f"{config.experiment}_series.csv"))
-    print(_summary_line(config.experiment, payload, passed))
+    print(f"{config.experiment}: {EXPERIMENTS[config.experiment].summary.format(**payload)} pass={passed}")
     return EXIT_OK if passed else EXIT_GATE_FAILURE
-
-
-def _summary_line(experiment, payload, passed):
-    if experiment == "ruelle":
-        return (
-            f"ruelle: entropy={payload['entropy_estimate']:.4f} "
-            f"sum_positive={payload['sum_positive_exponents']:.4f} pass={passed}"
-        )
-    if experiment in ("mixing", "regularity"):
-        return (
-            f"{experiment}: beta={payload['fitted_h_minus_one_rate']:.4f} "
-            f"lsq_slope={payload['fitted_log_sobolev_slope']:.4f} "
-            f"lambda_int={payload['lambda_max_integral']:.4f} pass={passed}"
-        )
-    return (
-        f"lyapunov: lambda_max_integral={payload['lambda_max_integral']:.6f} pass={passed}"
-    )
 
 
 def _diagnose_path(path, kappa) -> int:
@@ -122,7 +110,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (OSError, UnicodeEncodeError) as exc:
-        # a config path that is a directory, an output_dir under a file or one the locale cannot name
+        # a config path that is a directory or one the locale cannot name, an output_dir under a file
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except ErgomixError as exc:

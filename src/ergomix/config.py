@@ -9,6 +9,7 @@ section is its owner's frozen type, ``VelocityFieldSpec``, ``InitialDatum`` or
 types are that type's init fields, where ``X | None`` parses as X and
 ``tuple[X, ...]`` as a comma-separated list.  A section without a ``kind`` is
 absent (``None``, no block in the echo, any other key at its field's default).
+The sections an experiment requires are its row of ``harness.EXPERIMENTS``.
 ``--set section.key=value`` overrides compose textually on top of the parsed
 file, and ``parse_config(render_config(c)) == c`` for every valid config.
 """
@@ -20,16 +21,9 @@ from typing import get_args, get_origin
 from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
 from .fields import VelocityFieldSpec
+from .harness import EXPERIMENTS
 from .maps import MAP_KINDS
 from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum
-
-# experiment -> the sections whose kind it requires
-EXPERIMENTS = {
-    "lyapunov": ("map",),
-    "ruelle": ("map",),
-    "mixing": ("field", "datum"),
-    "regularity": ("field", "datum"),
-}
 
 # root key -> (lowest, highest), both allowed; diagnostics.check_kappa owns kappa's open range
 _RANGES = {
@@ -94,7 +88,7 @@ class Config:
             if not lowest <= value <= highest:
                 bounds = f"be >= {lowest}" if highest == math.inf else f"lie in [{lowest}, {highest}]"
                 raise ConfigError(f"{key} must {bounds}, got {value}")
-        for section in EXPERIMENTS[self.experiment]:
+        for section in EXPERIMENTS[self.experiment].sections:
             if getattr(self, section) is None:
                 raise ConfigError(f"experiment {self.experiment} requires {section}.kind")
         if self.map is not None and self.map.kind == "time_one_flow" and self.field is None:

@@ -1,11 +1,12 @@
 """End-to-end experiment runs with machine-readable reports and gates.
 
-Three headline verifications: the entropy/exponent inequality (with the cat
-map as the equality witness), exponential decay of the mixing diagnostics
-against the exponent integral, and at-most-linear growth of the squared
-log-Sobolev norm.  Gates check inequality directions with 3-sigma Monte
-Carlo slack; observed ratios involving the theory's non-explicit constants
-are reported and regression-baselined, never gated on target values.
+``EXPERIMENTS`` holds one row per experiment: its required sections, runner
+and summary line.  Besides the Oseledets spectrum, three headline verifications:
+the entropy/exponent inequality (with the cat map as the equality witness),
+exponential decay of the mixing diagnostics against the exponent integral, and
+at-most-linear growth of the squared log-Sobolev norm.  Gates check inequality
+directions with 3-sigma Monte Carlo slack; observed ratios involving the theory's
+non-explicit constants are reported and regression-baselined, never gated on target values.
 """
 
 import json
@@ -13,10 +14,10 @@ import math
 import os
 import tempfile
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config
 from .diagnostics import (
     DiagnosticSeries,
     Partition,
@@ -114,13 +115,13 @@ def _ratio(numerator: float, denominator: float) -> float:
     return 0.0 if abs(numerator) <= 1e-12 else float("inf")
 
 
-def _build_map(config: Config):
+def _build_map(config):
     """The configured map, and the field of a time-one flow map (else None)."""
     field = make_field(config.field) if config.map.kind == "time_one_flow" else None
     return make_map(config.map.kind, field=field), field
 
 
-def run_lyapunov(config: Config):
+def run_lyapunov(config):
     """Ensemble spectrum of the configured map, plus the gradient bound gap."""
     map_, field = _build_map(config)
     report = ensemble_spectrum(map_, config.samples, config.n, child_seed(config.seed, "lyapunov"))
@@ -137,7 +138,7 @@ def run_lyapunov(config: Config):
     return payload, passed, None
 
 
-def run_ruelle(config: Config):
+def run_ruelle(config):
     """Entropy-rate vs positive-exponent-sum verification on one map."""
     map_, _ = _build_map(config)
     partition = Partition(config.level)
@@ -170,8 +171,10 @@ def run_ruelle(config: Config):
     return payload, passed, None
 
 
-def run_mixing(config: Config):
+def run_mixing(config):
     """Mixing-direction verification at the configured resolution."""
+    burn_in = config.burn_in_fraction * config.horizon
+    window = _fit_window(np.arange(config.horizon + 1), burn_in)  # the series times, before any grid is built
     field = make_field(config.field)
     series = DiagnosticSeries(
         metadata={
@@ -196,8 +199,6 @@ def run_mixing(config: Config):
     floor = h_minus_one_floor(config.resolution) * config.datum.l2_norm  # reads the warm tables
     release_scratch()  # before the Lyapunov run, which adds numpy.random's pages
     series.metadata["l2_norm"] = l2_values
-    burn_in = config.burn_in_fraction * config.horizon
-    window = _fit_window(series.times, burn_in)
     columns = (series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale)
     times, h1_window, lsq_window, mix_window = np.array(columns, dtype=float)[:, window]
     beta, beta_stderr = _fit(times, h1_window, log=True)
@@ -244,10 +245,10 @@ def run_mixing(config: Config):
     return payload, passed, series
 
 
-def run_regularity(config: Config):
+def run_regularity(config):
     """Regularity-slope verification, with a grid-doubling stability check."""
     payload, _, series = run_mixing(config)
-    window = _fit_window(series.times, payload["burn_in"])
+    window = _fit_window(np.arange(config.horizon + 1), payload["burn_in"])  # the mask run_mixing fitted on
     values = []  # at the times of the mixing series inside its fit window, which the doubled series shares
     inside = iter(window)  # not zip, whose reused result tuple would hold a grid while the next is built
     for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):
@@ -267,17 +268,29 @@ def run_regularity(config: Config):
     return payload, passed, series
 
 
-_RUNNERS = {
-    "lyapunov": run_lyapunov,
-    "ruelle": run_ruelle,
-    "mixing": run_mixing,
-    "regularity": run_regularity,
+class Experiment(NamedTuple):
+    sections: tuple  # the sections whose kind it requires
+    run: object  # config -> (payload, passed, series or None)
+    summary: str  # its summary line, a format string over its payload
+
+
+_ENTROPY = "entropy={entropy_estimate:.4f} sum_positive={sum_positive_exponents:.4f}"
+_RATES = (
+    "beta={fitted_h_minus_one_rate:.4f} lsq_slope={fitted_log_sobolev_slope:.4f} "
+    "lambda_int={lambda_max_integral:.4f}"
+)
+# experiment -> its row; config checks the sections, the CLI prints the summary
+EXPERIMENTS = {
+    "lyapunov": Experiment(("map",), run_lyapunov, "lambda_max_integral={lambda_max_integral:.6f}"),
+    "ruelle": Experiment(("map",), run_ruelle, _ENTROPY),
+    "mixing": Experiment(("field", "datum"), run_mixing, _RATES),
+    "regularity": Experiment(("field", "datum"), run_regularity, _RATES),
 }
 
 
-def run_experiment(config: Config):
+def run_experiment(config):
     """Dispatch on config.experiment; returns (payload, passed, series or None)."""
-    return _RUNNERS[config.experiment](config)
+    return EXPERIMENTS[config.experiment].run(config)
 
 
 def _write_atomic(text, path):

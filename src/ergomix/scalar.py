@@ -281,7 +281,8 @@ def load_grid(path: str) -> GridField:
     has a resolution that is not an integer >= MIN_RESOLUTION, names a dtype
     other than '<f8', has a time that is not a finite number, has a metadata
     or metadata.datum that is not an object or a datum sup_norm that is not a
-    finite positive number, or when the values file does not hold 8 N^2 finite values.
+    finite positive number, names a values_file other than a bare file name in
+    its own directory, or when the values file does not hold 8 N^2 finite values.
     """
     if path.endswith(".json"):
         sidecar_path = path
@@ -317,7 +318,10 @@ def load_grid(path: str) -> GridField:
         raise ConfigError(
             f"grid sidecar {sidecar_path}: metadata.datum.sup_norm {sup!r} is not a finite number > 0"
         )
-    values_path = os.path.join(os.path.dirname(sidecar_path), str(sidecar["values_file"]))
+    name = str(sidecar["values_file"])
+    if name in ("", ".", "..") or name != os.path.basename(name):  # save_grid writes a bare file name
+        raise ConfigError(f"grid sidecar {sidecar_path}: values_file {name!r} is not a file name beside it")
+    values_path = os.path.join(os.path.dirname(sidecar_path), name)
     try:
         size = os.path.getsize(values_path)
     except OSError as exc:

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergomix.cli import main
-from ergomix import harness
-from ergomix.config import EXPERIMENTS, Config, MapBlock, parse_config, render_config
+from ergomix.config import Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import GridField, InitialDatum, make_initial, sample_scalar, save_grid
 from ergomix.fields import CATALOG, VelocityFieldSpec, make_field
@@ -441,10 +440,6 @@ def test_kappa_range_reads_the_same_from_diagnose_and_run(tmp_path, capsys):
         assert captured.err == "config error: kappa must lie in (0.0, 1.0), got 1.5\n"
 
 
-def test_experiments_match_the_harness_runners():
-    assert set(EXPERIMENTS) == set(harness._RUNNERS)
-
-
 def test_datum_is_checked_for_experiments_that_do_not_read_it():
     with pytest.raises(ConfigError, match="blob"):
         parse_config(RUELLE_SMALL.format(out="o") + "\n[datum]\nkind = blob\n")
@@ -500,8 +495,9 @@ def test_cli_non_ascii_output_dir_under_an_ascii_locale_exits_2_in_one_line(tmp_
     assert result.returncode == 2, result.stderr
     assert b"Traceback" not in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
-    assert result.stderr.startswith(b"file error: ")
+    assert result.stderr.startswith(b"file error: output_dir '")
     assert b"output_dir = " in result.stdout
+    assert not out.exists()  # checked before the run, so no directory is made
 
 
 def test_cli_output_dir_under_a_file_exits_2(tmp_path, monkeypatch, capsys):
@@ -749,6 +745,35 @@ def test_every_cli_path_runs_without_a_numpy_warning(tmp_path, capsys):
     assert main(["diagnose", stem]) == 0
     assert main(["catalog"]) == 0
     assert capsys.readouterr().err == ""
+
+
+_SUMMARIES = {
+    "lyapunov_steady_shear.cfg": lambda r: f"lyapunov: lambda_max_integral={r['lambda_max_integral']:.6f}",
+    "ruelle_baker.cfg": (
+        lambda r: f"ruelle: entropy={r['entropy_estimate']:.4f} sum_positive={r['sum_positive_exponents']:.4f}"
+    ),
+    "mixing_alternating.cfg": lambda r: (
+        f"mixing: beta={r['fitted_h_minus_one_rate']:.4f} lsq_slope={r['fitted_log_sobolev_slope']:.4f} "
+        f"lambda_int={r['lambda_max_integral']:.4f}"
+    ),
+    "regularity_alternating.cfg": lambda r: (
+        f"regularity: beta={r['fitted_h_minus_one_rate']:.4f} lsq_slope={r['fitted_log_sobolev_slope']:.4f} "
+        f"lambda_int={r['lambda_max_integral']:.4f}"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUMMARIES))
+def test_cli_summary_line_reads_the_report(tmp_path, capsys, name):
+    argv = ["run", os.path.join(CONFIG_DIR, name), "--set", f"output_dir={tmp_path}"]
+    for item in _SMALL_RUN:
+        argv += ["--set", item]
+    code = main(argv)
+    assert code in (0, 1)
+    (report_path,) = tmp_path.glob("*_report.json")
+    report = json.loads(report_path.read_text())
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"{_SUMMARIES[name](report)} pass={code == 0}"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -241,6 +241,18 @@ def test_regularity_takes_log_sobolev_only_inside_the_fit_window(monkeypatch):
     assert resolutions.count(64) == config.horizon + 1 and resolutions.count(128) == inside
 
 
+@pytest.mark.parametrize("runner", [run_mixing, run_regularity])
+def test_short_fit_window_fails_before_any_grid(monkeypatch, runner):
+    # the window reads only the times 0..horizon and the burn-in, so no grid is built for a window of 3 points
+    def no_series(*args):
+        raise AssertionError("the grid series started")
+
+    monkeypatch.setattr(harness, "scalar_series", no_series)
+    config = _config(ZERO_MIXING.replace("horizon = 6", "horizon = 20\nburn_in_fraction = 0.9"))
+    with pytest.raises(ConfigError, match=r"need at least 4 points after burn_in=18.0, got 3"):
+        runner(config)
+
+
 def test_steady_shear_h_minus_one_matches_bessel_oracle():
     # closed-form transported sinusoid: rho(t) = sin(2 pi (x - t sin 2 pi y));
     # its Fourier mass sits at k = (+-1, m) with |rho_hat| = |J_m(2 pi t)| / 2

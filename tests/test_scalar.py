@@ -496,6 +496,9 @@ def test_load_grid_rejects_malformed_sidecar(tmp_path):
         ("resolution", True),
         ("resolution", 8),
         ("time", float("nan")),
+        # the grid's own values file, named by a path rather than a bare file name
+        ("values_file", "{dir}/grid.bin"),
+        ("values_file", "../{name}/grid.bin"),
     ],
 )
 def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
@@ -505,7 +508,7 @@ def test_load_grid_rejects_missing_or_bad_key(tmp_path, key, value):
     if value is None:
         del sidecar[key]
     else:
-        sidecar[key] = value
+        sidecar[key] = value.format(dir=tmp_path, name=tmp_path.name) if isinstance(value, str) else value
     with open(stem + ".json", "w") as handle:
         json.dump(sidecar, handle)
     with pytest.raises(ConfigError, match=key):
