@@ -17,6 +17,7 @@ from .diagnostics import (
     Partition,
     entropy_rate,
     h_minus_one,
+    l2_norm,
     log_sobolev,
     maximal_ergodic,
     mixing_scale,

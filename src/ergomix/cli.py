@@ -8,8 +8,9 @@ Subcommands:
 Exit codes: 0 all gates pass, 1 gate failure, 2 config or file error
 (including an undersampled entropy, a fit window under 4 points, a datum
 the grid cannot resolve or an output_dir that is not UTF-8 text the file
-system can name, the last three found before any work), 3 any other package
-error, such as a numeric divergence or a non-finite report value; each prints one line.
+system can name, the last three found before any work, and a size the
+machine cannot hold, a MemoryError), 3 any other package error, such as a
+numeric divergence or a non-finite report value; each prints one line.
 """
 
 import argparse
@@ -108,6 +109,10 @@ def main(argv=None) -> int:
         return _cmd_catalog()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        # the config asks for more than the machine has: numpy names the array it could not allocate
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (OSError, UnicodeEncodeError) as exc:
         # a config path that is a directory or one the locale cannot name, an output_dir under a file

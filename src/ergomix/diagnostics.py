@@ -83,6 +83,8 @@ def _workspace(n):
     and W[0, 0] = 0, so that sum |rfft2(values)|^2 W over the half spectrum is its square.
     spectrum, modulus: rfft2(values) of the grid ``source`` refers to (weakly) and its modulus,
     taken once per grid visit (_transform); ball_averages writes spectrum x K_hat into product.
+    averages: the one N x N scratch: the log-Sobolev kernel while the tables are built, each
+    ball kernel while its table is built, mixing_scale's ball averages and l2_norm's squares.
     balls: radius -> _ball table, one per radius asked for: at most len(scan_radii(N)) from
     mixing_scale (14 at N = 512, all once a grid mixes down to two cells), plus one per other
     radius passed to ball_averages, until release_scratch().  One block, mapped apart from
@@ -142,6 +144,11 @@ def _spectral_sum(grid: GridField, norm):
     return float(np.sum(np.multiply(power, getattr(work, norm), out=power)))
 
 
+def l2_norm(grid: GridField) -> float:
+    """Root mean square of the grid values, squared into the workspace's scratch, so no grid is allocated."""
+    return float(np.sqrt(np.mean(np.square(grid.values, out=_workspace(grid.resolution).averages))))
+
+
 def h_minus_one(grid: GridField) -> float:
     """Homogeneous H^-1 norm of the grid scalar: the root of sum_k |rfft2(values)|^2 / (N^4 |k|^2)."""
     return float(np.sqrt(_spectral_sum(grid, "h_minus_one")))
@@ -185,27 +192,48 @@ def log_sobolev_brute_force(grid: GridField) -> float:
 
 
 def _ball_kernel(resolution, radius):
+    """The dense 0/1 kernel of the discrete ball of radius: the oracle of _ball_nodes and _ball."""
     k = np.arange(resolution)
     offsets = ((k + resolution // 2) % resolution - resolution // 2) / resolution
     dist2 = offsets[:, None] ** 2 + offsets[None, :] ** 2
     return (dist2 <= radius**2).astype(float)
 
 
+def _ball_nodes(resolution, radius):
+    """Row-major rows and columns, modulo N, of the nodes of the discrete ball of radius.
+
+    A node is in the ball when o_i^2 + o_j^2 <= radius^2, o the signed offset / N, the float test
+    of _ball_kernel; it is made one row vector at a time over the rows the ball reaches, so no
+    N x N array is made.  Both arrays are in the smallest unsigned type that holds N - 1.
+    """
+    k = np.arange(resolution)
+    squares = (((k + resolution // 2) % resolution - resolution // 2) / resolution) ** 2
+    limit, dtype = radius**2, np.min_scalar_type(resolution - 1)
+    # squares[0] = 0 and a float sum of non-negatives is no less than either term, so the rows the
+    # ball reaches, and the columns it can reach, are those whose own square passes the test
+    reached = np.flatnonzero(squares <= limit)
+    within, candidates = squares[reached], reached.astype(dtype)
+    cols = [candidates[squares[i] + within <= limit] for i in reached]
+    return np.repeat(candidates, [len(c) for c in cols]), np.concatenate(cols)
+
+
 def _ball(work, radius):
     """The table of the discrete ball of radius at the workspace's resolution, built on first use.
 
     spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table keeps the real
-    part and drops imaginary roundoff.  count: the node count.  offsets: the nodes' row and
-    column offsets modulo N, in the smallest unsigned type that holds N - 1 (uint16 up to
-    N = 65536), taken when the fail certificate reads them.
+    part and drops imaginary roundoff.  count: the node count.  offsets: _ball_nodes, taken
+    when the fail certificate reads them.
     """
     ball = work.balls.get(radius)
     if ball is None:
-        kernel = _ball_kernel(len(work.averages), radius)
-        # transformed into the workspace's scratch, so no complex array is made per radius
+        rows, cols = _ball_nodes(len(work.averages), radius)
+        # the kernel is scattered into the scratch and transformed into product: no grid is allocated
+        kernel = work.averages
+        kernel.fill(0.0)
+        kernel[rows, cols] = 1.0
         spectrum = np.fft.rfft2(kernel, out=work.product).real.copy()
         spectrum.flags.writeable = False
-        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=kernel.sum(), offsets=None)
+        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=len(rows), offsets=None)
     return ball
 
 
@@ -264,9 +292,14 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
             continue
         if peak is not None:
             if ball.offsets is None:
-                ball.offsets = [a.astype(np.min_scalar_type(n - 1)) for a in np.nonzero(_ball_kernel(n, radii[i]))]
-            rows, cols = ball.offsets  # added to peak's np.intp, so the sums are int64 and cannot wrap
-            direct = abs(grid.values[(rows + peak[0]) % n, (cols + peak[1]) % n].sum()) / ball.count
+                ball.offsets = _ball_nodes(n, radii[i])
+            # an offset plus the peak's index is at most 2N - 2, so the sums fit that width and
+            # cannot wrap; reduced modulo N in place, they index the same nodes in the same order
+            wide = np.min_scalar_type(2 * n - 2)
+            rows, cols = (np.add(offsets, at, dtype=wide) for offsets, at in zip(ball.offsets, peak))
+            rows %= n
+            cols %= n
+            direct = abs(grid.values[rows, cols].sum()) / ball.count
             if direct > threshold * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS:
                 break
         averages = ball_averages(grid, radii[i], out=work.averages)
@@ -274,7 +307,7 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
         node = high if averages.flat[high] >= -averages.flat[low] else low
         if abs(averages.flat[node]) > threshold:
             break
-        peak = np.unravel_index(node, (n, n))
+        peak = divmod(int(node), n)
     else:
         return radii[0]
     return radii[min(i + 1, len(radii) - 1)]

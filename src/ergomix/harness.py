@@ -24,6 +24,7 @@ from .diagnostics import (
     entropy_rate,
     h_minus_one,
     h_minus_one_floor,
+    l2_norm,
     log_sobolev,
     mixing_scale,
     nu_log_bound,
@@ -192,7 +193,7 @@ def run_mixing(config):
         lsq = log_sobolev(grid)
         mix = mixing_scale(grid, config.kappa)
         series.append(grid.time, h1, lsq, mix)
-        l2 = grid.l2_norm()
+        l2 = l2_norm(grid)
         l2_values.append(l2)
         c_obs.append(_ratio(float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2, lsq))
         del grid  # free its arrays before the series builds the next grid

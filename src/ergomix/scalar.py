@@ -139,9 +139,6 @@ class GridField:
     time: float
     metadata: dict = dataclass_field(default_factory=dict)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.mean(self.values**2)))
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 

@@ -594,6 +594,38 @@ def test_cli_unresolved_datum_exits_2_with_no_warning(tmp_path):
         assert not out.exists()
 
 
+# Address space of the child: far below either size, so each fails at its first allocation
+# and commits nothing, whatever memory the machine has
+_CHILD_ADDRESS_SPACE = 16 * 2**30
+
+
+@pytest.mark.parametrize(
+    "overrides, size",
+    [
+        (["samples=1000000000000"], "7.28 TiB"),  # the orbit codes
+        (["level=1", "probes_per_cell=10000000000"], "74.5 GiB"),  # nu_log_bound's log table
+    ],
+)
+def test_cli_size_the_machine_cannot_hold_exits_2_in_one_line(tmp_path, overrides, size):
+    out = tmp_path / "o"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = ["ergomix", "run", os.path.join(CONFIG_DIR, "ruelle_cat.cfg")]
+    for item in overrides + [f"output_dir={out}"]:
+        argv += ["--set", item]
+    code = (
+        "import resource, runpy, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({_CHILD_ADDRESS_SPACE}, {_CHILD_ADDRESS_SPACE})); "
+        f"sys.argv = {argv!r}; runpy.run_module('ergomix.cli', run_name='__main__')"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert result.stderr.startswith("memory error: Unable to allocate " + size), result.stderr
+    assert not (out / "ruelle_report.json").exists()
+
+
 def test_cli_non_finite_report_value_exits_3_naming_the_key(tmp_path, monkeypatch, capsys):
     def infinite_run(config):
         payload = {"pass": True, "entropy_estimate": 1.0, "sum_positive_exponents": 1.0, "ratios": [0.5, math.inf]}

@@ -11,13 +11,16 @@ from ergomix import diagnostics, workers
 from ergomix.config import parse_config
 from ergomix.diagnostics import (
     Partition,
+    _ball,
     _ball_kernel,
+    _ball_nodes,
     _orbit_codes,
     _plugin_entropy,
     ball_averages,
     entropy_rate,
     h_minus_one,
     h_minus_one_floor,
+    l2_norm,
     log_sobolev,
     log_sobolev_brute_force,
     maximal_ergodic,
@@ -431,6 +434,74 @@ def test_cached_ball_spectrum_equals_a_fresh_transform():
     del tables, ball
     diagnostics.release_scratch()
     assert all(ref() is None for ref in dead)
+
+
+@pytest.mark.parametrize("n", [16, 17, 48, 264])
+def test_ball_tables_from_node_lists_equal_the_dense_kernel(n):
+    # the node lists make the dense kernel's float test row by row: the same nodes, in
+    # np.nonzero's row-major order, and so the same spectrum and count, bit for bit
+    diagnostics.release_scratch()
+    work = diagnostics._workspace(n)
+    for radius in scan_radii(n) + (0.05, 0.3):
+        kernel = _ball_kernel(n, radius)
+        rows, cols = _ball_nodes(n, radius)
+        assert rows.dtype == cols.dtype == (np.uint16 if n > 256 else np.uint8)
+        expected_rows, expected_cols = np.nonzero(kernel)
+        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols), radius
+        ball = _ball(work, radius)
+        assert np.array_equal(ball.spectrum, np.fft.rfft2(kernel).real), radius
+        assert ball.count == kernel.sum(), radius
+    diagnostics.release_scratch()
+
+
+def test_l2_conserved_within_one_percent():
+    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    datum = make_initial("checkerboard", level=2)
+    initial = None
+    for grid in scalar_series(field, datum, 10, 512):
+        if initial is None:
+            initial = l2_norm(grid)
+        assert abs(l2_norm(grid) - initial) <= 0.01 * initial
+
+
+@pytest.mark.parametrize("datum", [make_initial("checkerboard", level=2), make_initial("sinusoid", wavevector=(2, 1))])
+def test_l2_norm_is_bitwise_the_mean_of_the_squares(datum):
+    # squared into the workspace's scratch, which mixing_scale also writes: neither disturbs the other
+    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    for grid in scalar_series(field, datum, 3, 64):
+        before = mixing_scale(grid, 0.3)
+        assert l2_norm(grid) == float(np.sqrt(np.mean(grid.values**2)))
+        assert mixing_scale(grid, 0.3) == before
+
+
+def _transient(call, *args):
+    """The traced peak minus the traced current after one call: the memory it made and freed."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_mixed_grid_diagnostics_allocate_nothing_grid_sized():
+    # with the workspace built, building every ball table (from node lists, scattered into the
+    # scratch), the fail certificate's gather and the L2 squares each make less than one grid
+    n = 256
+    grid = sample_scalar(
+        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
+        make_initial("checkerboard", level=2),
+        3.0,
+        n,
+    )
+    diagnostics.release_scratch()
+    diagnostics._workspace(n)
+    assert _transient(mixing_scale, grid, 0.2) < 8 * n * n
+    balls = diagnostics._workspace(n).balls
+    assert len(balls) >= 3 and any(ball.offsets is not None for ball in balls.values())
+    assert _transient(l2_norm, grid) < 8 * n * n
+    diagnostics.release_scratch()
 
 
 # --- partition entropy and entropy rate ------------------------------------
