@@ -12,9 +12,11 @@ calls and never edits.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both trees'
 medians and quartiles, the median of the paired differences (change minus
-parent), the number of pairs the change wins (ties count for neither) and
-the two-sided sign test's p-value, plus whether each tree's peak RSS repeats
-within perfbench's tolerance.  The last line of standard output is the JSON
+parent), the number of pairs the change wins (ties count for neither), the
+two-sided sign test's p-value and a verdict (see ``verdict``), plus whether
+each tree's peak RSS repeats within perfbench's tolerance and each tree's
+median count of minor page faults per run, which tells the heap states of a
+bimodal workload apart.  The last line of standard output is the JSON
 record, with every run's samples.  The exit code is 1 if any run failed.
 
 Usage, from anywhere:
@@ -67,7 +69,11 @@ def spawn(copy, workload, seed, reference, tag):
         finally:
             timer.cancel()
     code = os.waitstatus_to_exitcode(status)
-    run = {"peak_rss_mb": usage.ru_maxrss / 1024.0, "problems": [] if code == 0 else [f"exit code {code}"]}
+    run = {
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "minor_faults": usage.ru_minflt,
+        "problems": [] if code == 0 else [f"exit code {code}"],
+    }
     try:
         times = json.loads(result_path.read_text())["times"]
         run.update(
@@ -93,6 +99,26 @@ def sign_test(wins, losses):
     return min(1.0, 2.0 * sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n)
 
 
+def verdict(parent, change, metric):
+    """One metric's verdict from both trees' samples, in the metric's ``better`` direction.
+
+    "better" when every change run beats every parent run; else "unresolved"
+    when the parent's quartile spread, (q3 - q1) / median, exceeds the
+    metric's ``bound``; else "worse" when the change's median is worse than
+    the parent's by more than that bound, relative to the parent's median;
+    else "within bound".
+    """
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "better"
+    base = perfbench.summary(parent)
+    if (base["q3"] - base["q1"]) / base["median"] > metric["bound"]:
+        return "unresolved"
+    if sign * (statistics.median(change) - base["median"]) / base["median"] > metric["bound"]:
+        return "worse"
+    return "within bound"
+
+
 def compare(pairs, metrics):
     """Per end-to-end metric: each tree's summary, the paired differences, the wins and the sign test."""
     rows = {}
@@ -108,6 +134,7 @@ def compare(pairs, metrics):
             "change_wins": wins,
             "change_losses": losses,
             "sign_test_p": sign_test(wins, losses),
+            "verdict": verdict(values["parent"], values["change"], metric),
         }
     return rows
 
@@ -142,21 +169,24 @@ def main(argv=None):
     failed = sum(1 for pair in runs for run in pair.values() if run["problems"])
     pairs = [pair for pair in runs if not any(run["problems"] for run in pair.values())]
     rows = compare(pairs, metrics) if pairs else {}
-    rss = {}
+    rss, faults = {}, {}
     for tree in TREES:
         values = [pair[tree]["peak_rss_mb"] for pair in pairs]
         median = statistics.median(values) if values else math.nan
         spread = max((abs(v / median - 1.0) for v in values), default=math.nan)
         rss[tree] = {"max_rel_deviation": spread, "repeats": spread <= perfbench.RSS_REL_TOL}
+        faults[tree] = statistics.median(pair[tree]["minor_faults"] for pair in pairs) if pairs else math.nan
     print(f"{args.workload}: {len(pairs)} complete pairs of {args.pairs}, {failed} failed runs, seed {args.seed}")
     for name, row in rows.items():
         sides = "  ".join(f"{t} {row[t]['median']:.4f} (q1 {row[t]['q1']:.4f}, q3 {row[t]['q3']:.4f})" for t in TREES)
         print(
             f"{name}: {sides}  paired diff {row['median_paired_difference']:+.4f}  "
-            f"change better in {row['change_wins']} of {len(pairs)}  sign p {row['sign_test_p']:.3g}"
+            f"change better in {row['change_wins']} of {len(pairs)}  sign p {row['sign_test_p']:.3g}  "
+            f"verdict: {row['verdict']}"
         )
     for tree in TREES:
         print(f"{tree} peak_rss_mb within {perfbench.RSS_REL_TOL:.0%} of its median: {rss[tree]['repeats']}")
+    print("median minor faults per run: " + ", ".join(f"{t} {faults[t]:.0f}" for t in TREES))
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -166,6 +196,7 @@ def main(argv=None):
         "first_in_pair": order,
         "metrics": rows,
         "peak_rss_repeats": rss,
+        "minor_faults_median": faults,
         "runs": runs,
     }
     print(json.dumps(record))

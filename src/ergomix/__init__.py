@@ -1,6 +1,6 @@
 """Ergodic-theory diagnostics for incompressible flows on the torus."""
 
-from .fields import FIELD_KINDS, VelocityField, VelocityFieldSpec, grad_l1_time_average, make_field
+from .fields import FIELD_KINDS, VelocityField, grad_l1_time_average
 from .flow import advect, advect_cocycle
 from .maps import MAP_KINDS, BakerMap, CatMap, MeasurePreservingMap, TimeOneFlowMap, make_map
 from .lyapunov import (
@@ -11,7 +11,7 @@ from .lyapunov import (
     oseledets_filtration,
     top_exponent_bound_gap,
 )
-from .scalar import DATUM_KINDS, GridField, InitialDatum, make_initial, sample_scalar, scalar_series
+from .scalar import DATUM_KINDS, GridField, InitialDatum, sample_scalar, scalar_series
 from .diagnostics import (
     DiagnosticSeries,
     Partition,

@@ -4,11 +4,12 @@ Format: one ``key = value`` per line, optional ``[field]``, ``[datum]`` and
 ``[map]`` section headers, ``#`` comments.  A root key is one ``Config``
 field: its type (int, float or str) gives its parser, ``_RANGES`` its range,
 and ``Config`` checks itself when built, from a file or from Python.  A
-section is its owner's frozen type, ``VelocityFieldSpec``, ``InitialDatum`` or
+section is its owner's frozen type, ``VelocityField``, ``InitialDatum`` or
 ``MapBlock``, which checks itself the same way: the section's keys and their
 types are that type's init fields, where ``X | None`` parses as X and
-``tuple[X, ...]`` as a comma-separated list.  A section without a ``kind`` is
-absent (``None``, no block in the echo, any other key at its field's default).
+``tuple[X, ...]`` as a comma-separated list.  So ``config.field`` is the
+field that the flow evaluates.  A section without a ``kind`` is absent
+(``None``, no block in the echo, any other key at its field's default).
 The sections an experiment requires are its row of ``harness.EXPERIMENTS``.
 ``--set section.key=value`` overrides compose textually on top of the parsed
 file, and ``parse_config(render_config(c)) == c`` for every valid config.
@@ -20,7 +21,7 @@ from typing import get_args, get_origin
 
 from .diagnostics import MIN_PROBES, check_kappa
 from .errors import ConfigError
-from .fields import VelocityFieldSpec
+from .fields import VelocityField
 from .harness import EXPERIMENTS
 from .maps import MAP_KINDS
 from .scalar import DATUM_PARAMETER, MIN_RESOLUTION, InitialDatum
@@ -71,7 +72,7 @@ class Config:
     resolution: int = 512
     kappa: float = 1.0 / 3.0
     burn_in_fraction: float = 0.2
-    field: VelocityFieldSpec | None = None
+    field: VelocityField | None = None
     datum: InitialDatum | None = None
     map: MapBlock | None = None
 
@@ -111,7 +112,7 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"} | {
 _REQUIRED = [f.name for f in fields(Config) if f.default is MISSING]
 
 # section -> its owner type, whose init fields are the section's keys, in order, with their defaults
-_SECTIONS = {"field": VelocityFieldSpec, "datum": InitialDatum, "map": MapBlock}
+_SECTIONS = {"field": VelocityField, "datum": InitialDatum, "map": MapBlock}
 _SECTION_KEYS = {name: {f.name: f.type for f in fields(owner) if f.init} for name, owner in _SECTIONS.items()}
 
 

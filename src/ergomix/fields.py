@@ -8,6 +8,7 @@ sequence of steady fields switched at the fractions-of-a-period listed in
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,14 +43,28 @@ def _is_number(value):
 
 
 @dataclass(frozen=True)
-class VelocityFieldSpec:
-    """Parameters selecting one catalog field.
+class VelocityField:
+    """One catalog field, checked when built; evaluation is pure.
 
     kind is one of ``FIELD_KINDS``.  phases are fractions of a period in
     [0, 1); their meaning depends on kind (direction, shear offset,
     switching-half offsets, or cell offsets), and there are at most
     ``CATALOG[kind].phases`` of them.  Kind, types and ranges are checked on
     construction, so ``render_config`` echoes only what ``parse_config`` reads.
+
+    ``facts`` is its kind's row of ``CATALOG``.  ``time_breakpoints`` lists the
+    fractions of the unit period, in [0, 1), at which the closed form switches:
+    a kind with two shear halves switches at every integer and half-integer
+    time, and the list is empty for steady members.  Between consecutive
+    breakpoints the field does not depend on t, which integrators exploit to
+    resolve the switching branch unambiguously.
+
+    ``constant_along_flow`` is true when, on each steady piece, the velocity
+    and its gradient do not vary along the velocity's own direction.  Points
+    moved along the velocity then read the same velocity and gradient,
+    bitwise, as the points they started from.  These three are derived once
+    per field and are not dataclass fields, so ``asdict`` holds the four
+    parameters only.
     """
 
     kind: str
@@ -76,27 +91,17 @@ class VelocityFieldSpec:
             if not _is_number(p) or not 0.0 <= p < 1.0:
                 raise ConfigError(f"field phases must be numbers in [0, 1), got {p!r}")
 
+    @cached_property
+    def facts(self):
+        return CATALOG[self.kind]
 
-class VelocityField:
-    """A catalog field; evaluation is pure.  ``facts`` is its kind's row of ``CATALOG``.
+    @cached_property
+    def time_breakpoints(self):
+        return (0.0, 0.5) if len(self.facts.shears) == 2 else ()
 
-    ``time_breakpoints`` lists the fractions of the unit period, in [0, 1), at
-    which the closed form switches: a kind with two shear halves switches at
-    every integer and half-integer time, and the list is empty for steady
-    members.  Between consecutive breakpoints the field does not depend on t,
-    which integrators exploit to resolve the switching branch unambiguously.
-
-    ``constant_along_flow`` is true when, on each steady piece, the velocity
-    and its gradient do not vary along the velocity's own direction.  Points
-    moved along the velocity then read the same velocity and gradient,
-    bitwise, as the points they started from.
-    """
-
-    def __init__(self, spec: VelocityFieldSpec):
-        self.spec = spec
-        self.facts = CATALOG[spec.kind]
-        self.time_breakpoints = (0.0, 0.5) if len(self.facts.shears) == 2 else ()
-        self.constant_along_flow = self.facts.constant_along_flow
+    @cached_property
+    def constant_along_flow(self):
+        return self.facts.constant_along_flow
 
     def rk4_steps(self, duration):
         """RK4 steps for a flow over ``duration`` time units: 256 per unit unless constant along the flow.
@@ -111,7 +116,7 @@ class VelocityField:
         return max(1, int(round(256 * abs(duration))))
 
     def _phase(self, i):
-        return self.spec.phases[i] if i < len(self.spec.phases) else 0.0
+        return self.phases[i] if i < len(self.phases) else 0.0
 
     def _shear(self, t):
         """(moved axis, driving axis, phase) of the shear acting at time t: the first or the last of
@@ -128,18 +133,17 @@ class VelocityField:
         moved, driving, phase = self._shear(t)
         out = np.empty(points.shape[:-1]) if out is None else out
         speed = np.add(points[..., driving], phase, out=out)
-        speed *= TWO_PI * self.spec.wavenumber
-        return moved, np.multiply(np.sin(speed, out=speed), self.spec.amplitude, out=speed)
+        speed *= TWO_PI * self.wavenumber
+        return moved, np.multiply(np.sin(speed, out=speed), self.amplitude, out=speed)
 
     def velocity(self, t, points):
         """Velocity b(t, x) for points of shape (..., 2)."""
         points = np.asarray(points, dtype=float)
-        spec = self.spec
-        amp, w = spec.amplitude, spec.wavenumber
+        amp, w = self.amplitude, self.wavenumber
         out = np.zeros_like(points)
-        if spec.kind == "zero":
+        if self.kind == "zero":
             return out
-        if spec.kind == "constant":
+        if self.kind == "constant":
             angle = TWO_PI * self._phase(0)
             out[..., 0] = amp * np.cos(angle)
             out[..., 1] = amp * np.sin(angle)
@@ -158,10 +162,9 @@ class VelocityField:
     def gradient(self, t, points):
         """Exact gradient matrix (d b_i / d x_j) of shape (..., 2, 2)."""
         points = np.asarray(points, dtype=float)
-        spec = self.spec
-        amp, w = spec.amplitude, spec.wavenumber
+        amp, w = self.amplitude, self.wavenumber
         grad = np.zeros(points.shape[:-1] + (2, 2))
-        if spec.kind in ("zero", "constant"):
+        if self.kind in ("zero", "constant"):
             return grad
         if self.facts.shears:
             moved, driving, phase = self._shear(t)
@@ -176,11 +179,6 @@ class VelocityField:
         return grad
 
 
-def make_field(spec: VelocityFieldSpec) -> VelocityField:
-    """Instantiate a catalog field from its spec, which checked its parameters when built."""
-    return VelocityField(spec)
-
-
 def grad_l1_time_average(field: VelocityField) -> float:
     """Space-time average of the spectral norm of the velocity gradient, in closed form.
 
@@ -188,4 +186,4 @@ def grad_l1_time_average(field: VelocityField) -> float:
     ``grad_bound`` per unit wA, times wA.  Phases only shift a period.
     """
     top, bottom = field.facts.grad_bound
-    return top * field.spec.wavenumber * field.spec.amplitude / bottom
+    return top * field.wavenumber * field.amplitude / bottom

@@ -32,7 +32,7 @@ from .diagnostics import (
     scan_radii,
 )
 from .errors import ConfigError, ErgomixError
-from .fields import grad_l1_time_average, make_field
+from .fields import grad_l1_time_average
 from .lyapunov import ensemble_spectrum, top_exponent_bound_gap
 from .maps import make_map
 from .scalar import scalar_series
@@ -116,22 +116,16 @@ def _ratio(numerator: float, denominator: float) -> float:
     return 0.0 if abs(numerator) <= 1e-12 else float("inf")
 
 
-def _build_map(config):
-    """The configured map, and the field of a time-one flow map (else None)."""
-    field = make_field(config.field) if config.map.kind == "time_one_flow" else None
-    return make_map(config.map.kind, field=field), field
-
-
 def run_lyapunov(config):
     """Ensemble spectrum of the configured map, plus the gradient bound gap."""
-    map_, field = _build_map(config)
+    map_ = make_map(config.map.kind, field=config.field)
     report = ensemble_spectrum(map_, config.samples, config.n, child_seed(config.seed, "lyapunov"))
     payload = report.to_json_dict()
     payload["exponent_sum"] = float(np.sum(report.mean_exponents))
     passed = abs(payload["exponent_sum"]) <= 1e-3 * 2  # d = 2 per the incompressible-sum contract
-    if field is not None:
-        gap = top_exponent_bound_gap(field, report)
-        payload["grad_l1_average"] = grad_l1_time_average(field)
+    if config.map.kind == "time_one_flow":
+        gap = top_exponent_bound_gap(config.field, report)
+        payload["grad_l1_average"] = grad_l1_time_average(config.field)
         payload["top_exponent_bound_gap"] = gap
         passed = passed and gap >= -3.0 * float(report.stderr[0])
     passed = bool(passed)
@@ -141,7 +135,7 @@ def run_lyapunov(config):
 
 def run_ruelle(config):
     """Entropy-rate vs positive-exponent-sum verification on one map."""
-    map_, _ = _build_map(config)
+    map_ = make_map(config.map.kind, field=config.field)
     partition = Partition(config.level)
     estimate, bias_bound, codes = entropy_rate(
         map_, partition, config.n, config.samples, child_seed(config.seed, "entropy")
@@ -176,7 +170,6 @@ def run_mixing(config):
     """Mixing-direction verification at the configured resolution."""
     burn_in = config.burn_in_fraction * config.horizon
     window = _fit_window(np.arange(config.horizon + 1), burn_in)  # the series times, before any grid is built
-    field = make_field(config.field)
     series = DiagnosticSeries(
         metadata={
             "resolution": config.resolution,
@@ -188,7 +181,7 @@ def run_mixing(config):
     )
     l2_values = []
     c_obs = []  # observed constant in the L2 / H^-1 / log-Sobolev interpolation bound
-    for grid in scalar_series(field, config.datum, config.horizon, config.resolution):
+    for grid in scalar_series(config.field, config.datum, config.horizon, config.resolution):
         h1 = h_minus_one(grid)
         lsq = log_sobolev(grid)
         mix = mixing_scale(grid, config.kappa)
@@ -206,7 +199,7 @@ def run_mixing(config):
     lsq_slope, lsq_stderr = _fit(times, lsq_window, log=False)
     mix_rate, mix_stderr = _fit(times, mix_window, log=True)
     lyap = ensemble_spectrum(
-        make_map("time_one_flow", field=field),
+        make_map("time_one_flow", field=config.field),
         config.lyapunov_samples,
         config.lyapunov_n,
         child_seed(config.seed, "lyapunov"),
@@ -229,7 +222,7 @@ def run_mixing(config):
         "fitted_log_sobolev_slope": lsq_slope,
         "fitted_log_sobolev_slope_stderr": lsq_stderr,
         "lambda_max_integral": lyap.lambda_max_integral,
-        "grad_l1_average": grad_l1_time_average(field),
+        "grad_l1_average": grad_l1_time_average(config.field),
         "ratio_mixing": ratio_mixing,
         "ratio_regularity": ratio_regularity,
         "pass_direction": passed,
@@ -252,7 +245,7 @@ def run_regularity(config):
     window = _fit_window(np.arange(config.horizon + 1), payload["burn_in"])  # the mask run_mixing fitted on
     values = []  # at the times of the mixing series inside its fit window, which the doubled series shares
     inside = iter(window)  # not zip, whose reused result tuple would hold a grid while the next is built
-    for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 2 * config.resolution):
+    for grid in scalar_series(config.field, config.datum, config.horizon, 2 * config.resolution):
         if next(inside):
             values.append(log_sobolev(grid))
         del grid  # free its arrays before the series builds the next grid

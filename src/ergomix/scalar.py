@@ -127,9 +127,6 @@ class InitialDatum:
         return _SIGN_OF_PARITY.take(index & 1)
 
 
-make_initial = InitialDatum  # another name for the type, which builds and checks the datum itself
-
-
 @dataclass
 class GridField:
     """Scalar samples on the uniform node-centered N x N grid."""
@@ -250,7 +247,7 @@ class _March:
 
 
 def _grid_meta(field, datum: InitialDatum):
-    return {"datum": asdict(datum), "field": asdict(field.spec)}
+    return {"datum": asdict(datum), "field": asdict(field)}
 
 
 def save_grid(grid: GridField, stem: str):

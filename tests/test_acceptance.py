@@ -22,7 +22,7 @@ from ergomix.diagnostics import (
     log_sobolev_brute_force,
     maximal_ergodic,
 )
-from ergomix.fields import VelocityFieldSpec, grad_l1_time_average, make_field
+from ergomix.fields import VelocityField, grad_l1_time_average
 from ergomix.flow import advect_cocycle
 from ergomix.harness import (
     fit_exponential_rate,
@@ -32,7 +32,7 @@ from ergomix.harness import (
 )
 from ergomix.lyapunov import ensemble_spectrum, finite_time_spectrum, top_exponent_bound_gap
 from ergomix.maps import TimeOneFlowMap, make_map
-from ergomix.scalar import grid_nodes, make_initial, sample_scalar, scalar_series
+from ergomix.scalar import InitialDatum, grid_nodes, sample_scalar, scalar_series
 from ergomix.cli import main
 
 CAT_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -134,19 +134,18 @@ kind = baker
 
 def test_criterion_04_top_exponent_bound_across_catalog():
     cases = [
-        (VelocityFieldSpec(kind="zero"), 10),
-        (VelocityFieldSpec(kind="constant", amplitude=1.0), 10),
-        (VelocityFieldSpec(kind="steady_shear", amplitude=1.0), 200),
-        (VelocityFieldSpec(kind="alternating_shear", amplitude=1.0), 60),
-        (VelocityFieldSpec(kind="cellular", amplitude=1.0), 60),
+        (VelocityField(kind="zero"), 10),
+        (VelocityField(kind="constant", amplitude=1.0), 10),
+        (VelocityField(kind="steady_shear", amplitude=1.0), 200),
+        (VelocityField(kind="alternating_shear", amplitude=1.0), 60),
+        (VelocityField(kind="cellular", amplitude=1.0), 60),
     ]
     with _Budget(4, 120.0):
-        for spec, n in cases:
-            field = make_field(spec)
+        for field, n in cases:
             report = ensemble_spectrum(TimeOneFlowMap(field), 200, n, seed=103)
             gap = top_exponent_bound_gap(field, report)
-            assert gap >= -3.0 * float(report.stderr[0]), spec.kind
-            if spec.kind == "steady_shear":
+            assert gap >= -3.0 * float(report.stderr[0]), field.kind
+            if field.kind == "steady_shear":
                 assert abs(grad_l1_time_average(field) - 4.0) <= 1e-3
                 assert report.lambda_max_integral <= 0.05
 
@@ -156,24 +155,23 @@ def test_criterion_05_volume_preservation():
     # the hyperbolic alternating case runs at amplitude 0.5; the exponent sum
     # covers volume preservation in log space for the amplitude-1 case
     det_cases = [
-        VelocityFieldSpec(kind="zero"),
-        VelocityFieldSpec(kind="constant", amplitude=1.0),
-        VelocityFieldSpec(kind="steady_shear", amplitude=1.0),
-        VelocityFieldSpec(kind="alternating_shear", amplitude=0.5),
-        VelocityFieldSpec(kind="cellular", amplitude=1.0),
+        VelocityField(kind="zero"),
+        VelocityField(kind="constant", amplitude=1.0),
+        VelocityField(kind="steady_shear", amplitude=1.0),
+        VelocityField(kind="alternating_shear", amplitude=0.5),
+        VelocityField(kind="cellular", amplitude=1.0),
     ]
     with _Budget(5, 60.0):
         rng = np.random.default_rng(104)
         pts = rng.random((1000, 2))
-        for spec in det_cases:
-            field = make_field(spec)
+        for field in det_cases:
             _, tangent = advect_cocycle(field, pts, 0.0, 10.0, 2560)
-            assert np.max(np.abs(np.linalg.det(tangent) - 1.0)) <= 1e-6, spec.kind
-        for spec in det_cases + [VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)]:
-            mapping = TimeOneFlowMap(make_field(spec))
+            assert np.max(np.abs(np.linalg.det(tangent) - 1.0)) <= 1e-6, field.kind
+        for field in det_cases + [VelocityField(kind="alternating_shear", amplitude=1.0)]:
+            mapping = TimeOneFlowMap(field)
             report = ensemble_spectrum(mapping, 200, 10, seed=105)
             sums = np.sum(report.per_sample_exponents, axis=1)
-            assert np.max(np.abs(sums)) <= 1e-3, spec.kind
+            assert np.max(np.abs(sums)) <= 1e-3, field.kind
 
 
 def test_criterion_06_h_minus_one_fourier_values():
@@ -189,13 +187,13 @@ def test_criterion_06_h_minus_one_fourier_values():
 
 
 def test_criterion_07_log_sobolev_versus_brute_force():
-    zero = make_field(VelocityFieldSpec(kind="zero"))
-    stirred = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    zero = VelocityField(kind="zero")
+    stirred = VelocityField(kind="alternating_shear", amplitude=1.0)
     grids = [
-        sample_scalar(zero, make_initial("sinusoid", wavevector=(1, 0)), 0.0, 64),
-        sample_scalar(zero, make_initial("checkerboard", level=1), 0.0, 64),
-        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 64),
-        sample_scalar(stirred, make_initial("checkerboard", level=2), 2.0, 63),
+        sample_scalar(zero, InitialDatum("sinusoid", wavevector=(1, 0)), 0.0, 64),
+        sample_scalar(zero, InitialDatum("checkerboard", level=1), 0.0, 64),
+        sample_scalar(stirred, InitialDatum("checkerboard", level=2), 2.0, 64),
+        sample_scalar(stirred, InitialDatum("checkerboard", level=2), 2.0, 63),
     ]
     with _Budget(7, 120.0):
         for grid in grids:
@@ -209,7 +207,7 @@ def mixing_runs():
     config = parse_config(MIXING_CONFIG_TEXT)
     payload, _, series = run_mixing(config)
     # criterion 08 reads only H^-1 from the doubled-resolution series
-    grids = scalar_series(make_field(config.field), config.datum, config.horizon, 1024)
+    grids = scalar_series(config.field, config.datum, config.horizon, 1024)
     h1_double = tuple(zip(*[(grid.time, h_minus_one(grid)) for grid in grids]))
     return config, payload, series, h1_double, time.perf_counter() - start
 

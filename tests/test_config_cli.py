@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from ergomix.cli import main
 from ergomix.config import Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
-from ergomix.scalar import GridField, InitialDatum, make_initial, sample_scalar, save_grid
-from ergomix.fields import CATALOG, VelocityFieldSpec, make_field
+from ergomix.scalar import GridField, InitialDatum, sample_scalar, save_grid
+from ergomix.fields import CATALOG, VelocityField
 
 MINIMAL_MIXING = """
 experiment = mixing
@@ -74,12 +74,12 @@ def _resolved_data(resolution):
     k = min(4, resolution // 8)
     return st.one_of(
         st.builds(
-            make_initial,
+            InitialDatum,
             st.just("sinusoid"),
             wavevector=st.tuples(st.integers(-k, k), st.integers(-k, k)).filter(any),
         ),
-        st.builds(make_initial, st.just("checkerboard"), level=st.integers(1, min(12, finest - 2))),
-        st.builds(make_initial, st.just("stripe"), level=st.integers(0, min(12, finest - 3))),
+        st.builds(InitialDatum, st.just("checkerboard"), level=st.integers(1, min(12, finest - 2))),
+        st.builds(InitialDatum, st.just("stripe"), level=st.integers(0, min(12, finest - 3))),
     )
 
 
@@ -102,7 +102,7 @@ valid_configs = st.integers(16, 2048).flatmap(
         burn_in_fraction=st.floats(0.0, 0.9, allow_nan=False),
         field=st.sampled_from(["zero", "steady_shear", "alternating_shear", "cellular"]).flatmap(
             lambda kind: st.builds(
-                VelocityFieldSpec,
+                VelocityField,
                 kind=st.just(kind),
                 amplitude=st.floats(0.0, 8.0, allow_nan=False),
                 phases=st.lists(st.floats(0.0, 0.999), max_size=CATALOG[kind].phases).map(tuple),
@@ -128,7 +128,7 @@ def test_resolved_config_echoes_the_datum_used():
     assert "[map]" not in text  # an absent section echoes no block
     text = render_config(parse_config(MINIMAL_MIXING))
     assert text.endswith("[datum]\nkind = checkerboard\nlevel = 2\n")
-    assert parse_config(text).datum == make_initial("checkerboard", level=2)
+    assert parse_config(text).datum == InitialDatum("checkerboard", level=2)
     for datum in ("sinusoid\nwavevector = 2, -1\nlevel = 5", "checkerboard\nwavevector = 3, 4"):
         with pytest.raises(ConfigError, match="reads no"):
             parse_config(MINIMAL_MIXING.replace("checkerboard", datum))
@@ -255,7 +255,7 @@ def test_cli_undersampled_entropy_exits_2(tmp_path, capsys):
 def test_section_types_reject_a_kind_outside_their_catalog():
     for kind in ("", "bogus"):
         with pytest.raises(ConfigError, match=rf"^unknown field kind '{kind}'; valid kinds: zero, "):
-            VelocityFieldSpec(kind=kind)
+            VelocityField(kind=kind)
         with pytest.raises(ConfigError, match=rf"^unknown map kind '{kind}'; valid kinds: cat, "):
             MapBlock(kind=kind)
 
@@ -289,8 +289,8 @@ def test_config_built_in_python_checks_itself():
     mixing = dict(
         experiment="mixing",
         seed=1,
-        field=VelocityFieldSpec(kind="alternating_shear"),
-        datum=make_initial("checkerboard"),
+        field=VelocityField(kind="alternating_shear"),
+        datum=InitialDatum("checkerboard"),
     )
     assert Config(**mixing).kappa == pytest.approx(1.0 / 3.0)
     for key, value in (("kappa", 5.0), ("seed", -1), ("resolution", 8), ("burn_in_fraction", 0.95)):
@@ -306,7 +306,7 @@ def test_config_built_in_python_checks_itself():
         Config(experiment="blob", seed=1)
 
 
-_MIXING_WITHOUT_DATUM = dict(experiment="mixing", seed=1, field=VelocityFieldSpec(kind="alternating_shear"))
+_MIXING_WITHOUT_DATUM = dict(experiment="mixing", seed=1, field=VelocityField(kind="alternating_shear"))
 
 
 @pytest.mark.parametrize(
@@ -362,17 +362,17 @@ def test_every_datum_is_rejected_or_round_trips_in_a_config(data):
 @pytest.mark.parametrize(
     "datum, coarsest",
     [
-        (make_initial("checkerboard", level=3), 32),
-        (make_initial("checkerboard", level=12), 2**14),
-        (make_initial("stripe", level=2), 32),
-        (make_initial("sinusoid", wavevector=(-3, 2)), 24),
-        (make_initial("sinusoid", wavevector=(16, 0)), 128),
+        (InitialDatum("checkerboard", level=3), 32),
+        (InitialDatum("checkerboard", level=12), 2**14),
+        (InitialDatum("stripe", level=2), 32),
+        (InitialDatum("sinusoid", wavevector=(-3, 2)), 24),
+        (InitialDatum("sinusoid", wavevector=(16, 0)), 128),
     ],
     ids=lambda value: str(value) if isinstance(value, int) else f"{value.kind}",
 )
 def test_config_rejects_a_datum_the_grid_cannot_resolve(datum, coarsest):
     # 4 nodes per half period along each axis
-    mixing = dict(experiment="mixing", seed=1, field=VelocityFieldSpec(kind="alternating_shear"), datum=datum)
+    mixing = dict(experiment="mixing", seed=1, field=VelocityField(kind="alternating_shear"), datum=datum)
     assert Config(**mixing, resolution=coarsest).resolution == coarsest
     with pytest.raises(ConfigError, match=f"needs resolution >= {coarsest} .*, got {coarsest - 1}$"):
         Config(**mixing, resolution=coarsest - 1)
@@ -389,7 +389,7 @@ def test_config_built_in_python_rejects_wrong_types():
     for key, value, owner in (
         ("map", "cat", "MapBlock"),
         ("datum", "checkerboard", "InitialDatum"),
-        ("field", MapBlock(kind="cat"), "VelocityFieldSpec"),
+        ("field", MapBlock(kind="cat"), "VelocityField"),
     ):
         with pytest.raises(ConfigError, match=rf"^{key} must be {owner} or None, got "):
             Config(**{**ruelle, key: value})
@@ -406,7 +406,7 @@ def test_a_bool_is_not_a_number():
             Config(**{**ruelle, key: value})
     for key, value, shown in (("amplitude", True, True), ("wavenumber", True, True), ("phases", (False,), False)):
         with pytest.raises(ConfigError, match=f"^field {key} must .*, got {shown}$"):
-            VelocityFieldSpec(kind="steady_shear", **{key: value})
+            VelocityField(kind="steady_shear", **{key: value})
 
 
 @pytest.mark.parametrize(
@@ -423,12 +423,12 @@ def test_a_bool_is_not_a_number():
 def test_field_spec_rejects_a_value_of_the_wrong_type(key, value, shown):
     # each would echo as text that parse_config rejects, or fail later with a bare TypeError
     with pytest.raises(ConfigError, match=rf"^field {key} must .*, got {re.escape(shown)}$"):
-        VelocityFieldSpec(kind="alternating_shear", **{key: value})
+        VelocityField(kind="alternating_shear", **{key: value})
 
 
 def test_kappa_range_reads_the_same_from_diagnose_and_run(tmp_path, capsys):
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 32
+        VelocityField(kind="zero"), InitialDatum("checkerboard", level=1), 0.0, 32
     )
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
@@ -661,7 +661,7 @@ def test_cli_catalog(capsys):
 
 def test_cli_diagnose_roundtrip(tmp_path, capsys):
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 64
+        VelocityField(kind="zero"), InitialDatum("checkerboard", level=1), 0.0, 64
     )
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
@@ -673,7 +673,7 @@ def test_cli_diagnose_roundtrip(tmp_path, capsys):
 
 def test_cli_diagnose_bad_grid_exits_2_without_traceback(tmp_path, capsys):
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 32
+        VelocityField(kind="zero"), InitialDatum("checkerboard", level=1), 0.0, 32
     )
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
@@ -770,7 +770,7 @@ def test_every_cli_path_runs_without_a_numpy_warning(tmp_path, capsys):
     assert main(argv) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95)), make_initial("checkerboard"), 3.0, 64
+        VelocityField(kind="alternating_shear", amplitude=0.95), InitialDatum("checkerboard"), 3.0, 64
     )
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)

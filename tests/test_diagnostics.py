@@ -30,9 +30,9 @@ from ergomix.diagnostics import (
     scan_radii,
 )
 from ergomix.errors import ConfigError, ErgomixError, UndersampledError
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import VelocityField
 from ergomix.maps import TimeOneFlowMap, make_map
-from ergomix.scalar import GridField, grid_nodes, make_initial, sample_scalar, scalar_series
+from ergomix.scalar import GridField, InitialDatum, grid_nodes, sample_scalar, scalar_series
 from ergomix.torus import uniform_points
 from tests.test_lyapunov import IdentityMap
 
@@ -137,17 +137,17 @@ def test_log_sobolev_quadratic_homogeneity():
     [
         lambda: _grid_from_function(lambda p: np.sin(2 * np.pi * p[..., 0]), 64),
         lambda: sample_scalar(
-            make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=1), 0.0, 64
+            VelocityField(kind="zero"), InitialDatum("checkerboard", level=1), 0.0, 64
         ),
         lambda: sample_scalar(
-            make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-            make_initial("checkerboard", level=2),
+            VelocityField(kind="alternating_shear", amplitude=1.0),
+            InitialDatum("checkerboard", level=2),
             2.0,
             64,
         ),
         lambda: sample_scalar(
-            make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-            make_initial("checkerboard", level=2),
+            VelocityField(kind="alternating_shear", amplitude=1.0),
+            InitialDatum("checkerboard", level=2),
             2.0,
             63,
         ),
@@ -284,7 +284,7 @@ def test_scan_radii_bounds():
 
 def test_mixing_scale_checkerboard_bracket():
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("checkerboard", level=2), 0.0, 256
+        VelocityField(kind="zero"), InitialDatum("checkerboard", level=2), 0.0, 256
     )
     result = mixing_scale(grid, 1.0 / 3.0)
     assert 2**-4 <= result <= 2**-2
@@ -293,7 +293,7 @@ def test_mixing_scale_checkerboard_bracket():
 
 def test_mixing_scale_stripe_bracket():
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("stripe", level=0), 0.0, 256
+        VelocityField(kind="zero"), InitialDatum("stripe", level=0), 0.0, 256
     )
     result = mixing_scale(grid, 1.0 / 3.0)
     assert result == _brute_force_mixing_scale(grid, 1.0 / 3.0, scan_radii(256))
@@ -302,8 +302,8 @@ def test_mixing_scale_stripe_bracket():
 
 def test_mixing_scale_odd_resolution_matches_brute_force():
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-        make_initial("checkerboard", level=2),
+        VelocityField(kind="alternating_shear", amplitude=1.0),
+        InitialDatum("checkerboard", level=2),
         2.0,
         63,
     )
@@ -326,7 +326,7 @@ def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
     monkeypatch.setattr(diagnostics, "ball_averages", recording_ball_averages)
     radii = scan_radii(256)
     decided = {"pass certificate": 0, "failure witness": 0, "transform": 0}
-    for grid in scalar_series(make_field(config.field), config.datum, config.horizon, 256):
+    for grid in scalar_series(config.field, config.datum, config.horizon, 256):
         maxima = _ball_maxima(grid, radii)
         for kappa in (0.15, 1.0 / 3.0, 0.7):
             transformed.clear()
@@ -348,8 +348,8 @@ def test_failure_witness_reads_every_ball_node_above_256():
     # witness still sums the ball's own nodes
     n = 264
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-        make_initial("checkerboard", level=2),
+        VelocityField(kind="alternating_shear", amplitude=1.0),
+        InitialDatum("checkerboard", level=2),
         2.0,
         n,
     )
@@ -370,15 +370,15 @@ def test_mixing_scale_conventions():
     flat = _grid_from_function(lambda p: np.zeros(p.shape[:-1]), 64)
     assert mixing_scale(flat, 0.5) == scan_radii(64)[0]
     stripe = sample_scalar(
-        make_field(VelocityFieldSpec(kind="zero")), make_initial("stripe", level=0), 0.0, 64
+        VelocityField(kind="zero"), InitialDatum("stripe", level=0), 0.0, 64
     )
     assert mixing_scale(stripe, 0.01) == scan_radii(64)[-1]
 
 
 def test_mixing_scale_monotone_in_kappa():
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-        make_initial("checkerboard", level=2),
+        VelocityField(kind="alternating_shear", amplitude=1.0),
+        InitialDatum("checkerboard", level=2),
         2.0,
         128,
     )
@@ -455,8 +455,8 @@ def test_ball_tables_from_node_lists_equal_the_dense_kernel(n):
 
 
 def test_l2_conserved_within_one_percent():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-    datum = make_initial("checkerboard", level=2)
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
+    datum = InitialDatum("checkerboard", level=2)
     initial = None
     for grid in scalar_series(field, datum, 10, 512):
         if initial is None:
@@ -464,10 +464,10 @@ def test_l2_conserved_within_one_percent():
         assert abs(l2_norm(grid) - initial) <= 0.01 * initial
 
 
-@pytest.mark.parametrize("datum", [make_initial("checkerboard", level=2), make_initial("sinusoid", wavevector=(2, 1))])
+@pytest.mark.parametrize("datum", [InitialDatum("checkerboard", level=2), InitialDatum("sinusoid", wavevector=(2, 1))])
 def test_l2_norm_is_bitwise_the_mean_of_the_squares(datum):
     # squared into the workspace's scratch, which mixing_scale also writes: neither disturbs the other
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     for grid in scalar_series(field, datum, 3, 64):
         before = mixing_scale(grid, 0.3)
         assert l2_norm(grid) == float(np.sqrt(np.mean(grid.values**2)))
@@ -490,8 +490,8 @@ def test_mixed_grid_diagnostics_allocate_nothing_grid_sized():
     # scratch), the fail certificate's gather and the L2 squares each make less than one grid
     n = 256
     grid = sample_scalar(
-        make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0)),
-        make_initial("checkerboard", level=2),
+        VelocityField(kind="alternating_shear", amplitude=1.0),
+        InitialDatum("checkerboard", level=2),
         3.0,
         n,
     )
@@ -717,7 +717,7 @@ def test_nu_log_bound_identity():
 
 def test_nu_log_bound_grid_aligned_translation():
     # constant field translating by exactly one cell width maps cube onto cube
-    field = make_field(VelocityFieldSpec(kind="constant", amplitude=2**-4))
+    field = VelocityField(kind="constant", amplitude=2**-4)
     mapping = TimeOneFlowMap(field)
     assert nu_log_bound(mapping, Partition(level=4), 16, seed=1) == 0.0
 

@@ -1,58 +1,98 @@
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from ergomix.errors import ConfigError
+from ergomix.flow import advect
 from ergomix.fields import (
     CATALOG,
     FIELD_KINDS,
-    VelocityFieldSpec,
+    VelocityField,
     grad_l1_time_average,
-    make_field,
 )
 
-ALL_SPECS = [
-    VelocityFieldSpec(kind="zero"),
-    VelocityFieldSpec(kind="constant", amplitude=0.7, phases=(0.2,)),
-    VelocityFieldSpec(kind="steady_shear", amplitude=1.0),
-    VelocityFieldSpec(kind="alternating_shear", amplitude=1.3, phases=(0.1, 0.6)),
-    VelocityFieldSpec(kind="cellular", amplitude=1.1, phases=(0.3, 0.05), wavenumber=2),
+ALL_FIELDS = [
+    VelocityField(kind="zero"),
+    VelocityField(kind="constant", amplitude=0.7, phases=(0.2,)),
+    VelocityField(kind="steady_shear", amplitude=1.0),
+    VelocityField(kind="alternating_shear", amplitude=1.3, phases=(0.1, 0.6)),
+    VelocityField(kind="cellular", amplitude=1.1, phases=(0.3, 0.05), wavenumber=2),
 ]
 
 
 def test_make_field_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        make_field(VelocityFieldSpec(kind="vortex"))
+        VelocityField(kind="vortex")
 
 
 def test_make_field_rejects_negative_amplitude():
     with pytest.raises(ConfigError):
-        make_field(VelocityFieldSpec(kind="zero", amplitude=-1.0))
+        VelocityField(kind="zero", amplitude=-1.0)
 
 
 def test_make_field_rejects_bad_phase():
     with pytest.raises(ConfigError):
-        make_field(VelocityFieldSpec(kind="steady_shear", phases=(1.5,)))
+        VelocityField(kind="steady_shear", phases=(1.5,))
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_spec_rejects_phases_its_kind_does_not_read(kind):
     limit = CATALOG[kind].phases
-    assert VelocityFieldSpec(kind=kind, phases=(0.1, 0.5)[:limit]).phases == (0.1, 0.5)[:limit]
+    assert VelocityField(kind=kind, phases=(0.1, 0.5)[:limit]).phases == (0.1, 0.5)[:limit]
     with pytest.raises(ConfigError, match=f"reads at most {limit} phases"):
-        VelocityFieldSpec(kind=kind, phases=(0.1, 0.5, 0.7)[: limit + 1])
+        VelocityField(kind=kind, phases=(0.1, 0.5, 0.7)[: limit + 1])
+
+
+PARAMETERS = ["kind", "amplitude", "phases", "wavenumber"]
+
+
+def test_the_parameters_are_the_only_dataclass_fields():
+    assert [f.name for f in fields(VelocityField)] == PARAMETERS
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=[s.kind for s in ALL_FIELDS])
+def test_derived_facts_stay_out_of_asdict_equality_and_hash(field):
+    assert field.facts == CATALOG[field.kind] and field.constant_along_flow == field.facts.constant_along_flow
+    assert {"facts", "constant_along_flow"} <= set(vars(field))  # computed once, then read from the instance
+    assert list(asdict(field)) == PARAMETERS
+    twin = VelocityField(**asdict(field))
+    assert twin == field and hash(twin) == hash(field)
+    assert replace(field, kind="cellular", phases=()).facts == CATALOG["cellular"]
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        (VelocityField(kind="cellular", amplitude=1.1), dict(amplitude=-1.0)),
+        (VelocityField(kind="steady_shear"), dict(phases=(0.1, 0.2))),
+    ],
+    ids=["negative-amplitude", "steady-shear-two-phases"],
+)
+def test_replace_checks_the_new_field(field, changes):
+    with pytest.raises(ConfigError):
+        replace(field, **changes)
+
+
+def test_replace_gives_a_checked_field_that_the_flow_evaluates():
+    field = replace(VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)), amplitude=1.2)
+    direct = VelocityField(kind="alternating_shear", amplitude=1.2, phases=(0.13, 0.41))
+    assert field == direct
+    points = np.random.default_rng(5).random((64, 2))
+    assert np.array_equal(advect(field, points, 0.0, 1.0, 4), advect(direct, points, 0.0, 1.0, 4))
 
 
 def test_zero_field_is_zero():
-    field = make_field(VelocityFieldSpec(kind="zero"))
+    field = VelocityField(kind="zero")
     x = np.array([0.2, 0.9])
     assert np.all(field.velocity(0.3, x) == 0.0)
     assert np.all(field.gradient(0.3, x) == 0.0)
 
 
 def test_steady_shear_catalog_formula():
-    field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
+    field = VelocityField(kind="steady_shear", amplitude=1.0)
     x = np.array([0.4, 0.25])
     # sin(pi/2) = 1, and the gradient entry d_y b_1 = 2 pi cos(pi/2) = 0
     assert field.velocity(0.0, x) == pytest.approx([1.0, 0.0], abs=1e-15)
@@ -60,7 +100,7 @@ def test_steady_shear_catalog_formula():
 
 
 def test_alternating_shear_switches_halves():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     x = np.array([0.25, 0.1])
     early = field.velocity(0.25, x)
     assert early[1] == 0.0
@@ -70,9 +110,8 @@ def test_alternating_shear_switches_halves():
     assert abs(late[1]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.kind for s in ALL_SPECS])
-def test_divergence_free_and_time_periodic(spec):
-    field = make_field(spec)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=[s.kind for s in ALL_FIELDS])
+def test_divergence_free_and_time_periodic(field):
     rng = np.random.default_rng(7)
     points = rng.random((1000, 2))
     times = rng.uniform(0.0, 3.0, 4)
@@ -83,9 +122,8 @@ def test_divergence_free_and_time_periodic(spec):
         assert np.max(np.abs(field.velocity(t + 1.0, points) - field.velocity(t, points))) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.kind for s in ALL_SPECS])
-def test_gradient_matches_finite_differences(spec):
-    field = make_field(spec)
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=[s.kind for s in ALL_FIELDS])
+def test_gradient_matches_finite_differences(field):
     rng = np.random.default_rng(3)
     points = rng.random((200, 2))
     h = 1e-6
@@ -101,7 +139,7 @@ def test_gradient_matches_finite_differences(spec):
 @pytest.mark.parametrize("wavenumber", [1, 2])
 def test_cellular_gradient_is_bitwise_the_four_product_form(wavenumber):
     # each trigonometric product is computed once and negated: negation is exact, signed zeros included
-    spec = VelocityFieldSpec(kind="cellular", amplitude=1.1, phases=(0.3, 0.05), wavenumber=wavenumber)
+    field = VelocityField(kind="cellular", amplitude=1.1, phases=(0.3, 0.05), wavenumber=wavenumber)
     points = np.random.default_rng(wavenumber).uniform(-2.0, 2.0, size=(5, 4096, 2))
     points[0, 0] = [-0.3, -0.05]  # sin X = sin Y = +0: the products' signed zeros are compared too
     xs = 2.0 * np.pi * wavenumber * (points[..., 0] + 0.3)
@@ -114,12 +152,12 @@ def test_cellular_gradient_is_bitwise_the_four_product_form(wavenumber):
         ],
         axis=-2,
     )
-    got = make_field(spec).gradient(0.4, points)
+    got = field.gradient(0.4, points)
     assert got.tobytes() == expected.tobytes()
 
 
 def test_steady_shear_is_x_independent():
-    field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
+    field = VelocityField(kind="steady_shear", amplitude=1.0)
     rng = np.random.default_rng(11)
     y = rng.random(500)
     a = np.stack([rng.random(500), y], axis=1)
@@ -131,7 +169,7 @@ def test_steady_shear_is_x_independent():
 @example(0.9999999999999999, 0.5, 0.25)
 @settings(max_examples=100, deadline=None)
 def test_alternating_shear_periodicity_property(t, x, y):
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.9, phases=(0.1, 0.6)))
+    field = VelocityField(kind="alternating_shear", amplitude=0.9, phases=(0.1, 0.6))
     p = np.array([x, y])
     # s and s - 1.0 are exactly one period apart; t and t + 1.0 need not be
     # (t + 1.0 rounds to 2.0 at t = 0.9999999999999999)
@@ -185,17 +223,16 @@ def grad_l1_quadrature(field, cells):
 
 
 def test_grad_l1_zero_field():
-    assert grad_l1_time_average(make_field(VelocityFieldSpec(kind="zero"))) == 0.0
+    assert grad_l1_time_average(VelocityField(kind="zero")) == 0.0
 
 
-ORACLE_SPECS = ALL_SPECS + [VelocityFieldSpec(kind="steady_shear", amplitude=0.6, phases=(0.35,), wavenumber=2)]
+ORACLE_FIELDS = ALL_FIELDS + [VelocityField(kind="steady_shear", amplitude=0.6, phases=(0.35,), wavenumber=2)]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ORACLE_SPECS])
-def test_grad_l1_closed_form_matches_quadrature_oracle(spec):
-    # 640 cells put every |cos| kink of these specs (phases 0.05 to 0.6, w <= 2)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ORACLE_FIELDS])
+def test_grad_l1_closed_form_matches_quadrature_oracle(field):
+    # 640 cells put every |cos| kink of these fields (phases 0.05 to 0.6, w <= 2)
     # on a cell boundary, where the rule is fourth order: its error is below 1e-9
-    field = make_field(spec)
     assert grad_l1_time_average(field) == pytest.approx(grad_l1_quadrature(field, 640), abs=1e-8)
 
 
@@ -205,7 +242,7 @@ def test_grad_l1_steady_shear_quadrature_oracle():
                                  points=[0.25, 0.75])
     assert err < 1e-10
     assert oracle == pytest.approx(4.0, abs=1e-9)
-    field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
+    field = VelocityField(kind="steady_shear", amplitude=1.0)
     assert grad_l1_time_average(field) == pytest.approx(oracle, abs=1e-9)
 
 
@@ -224,33 +261,32 @@ GRAD_L1_CLOSED_FORMS = {
 @settings(max_examples=300, deadline=None)
 def test_grad_l1_is_bitwise_the_closed_form_of_its_kind(kind, amplitude, wavenumber):
     # the table keeps 16/pi as a ratio: (16/pi) * 3 * 1.3 is one ulp off 16 * 3 * 1.3 / pi
-    field = make_field(VelocityFieldSpec(kind=kind, amplitude=amplitude, wavenumber=wavenumber))
+    field = VelocityField(kind=kind, amplitude=amplitude, wavenumber=wavenumber)
     expected = GRAD_L1_CLOSED_FORMS[kind](wavenumber, amplitude)
     assert grad_l1_time_average(field).hex() == float(expected).hex()
 
 
 def test_grad_l1_alternating_shear_scales_with_amplitude():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.7))
+    field = VelocityField(kind="alternating_shear", amplitude=1.7)
     assert grad_l1_time_average(field) == 4.0 * 1.7
 
 
 def test_grad_l1_cellular_closed_form():
     # |grad b| = 2 pi w A (|cos X cos Y| + |sin X sin Y|), integral = 16 w A / pi
-    field = make_field(VelocityFieldSpec(kind="cellular", amplitude=1.3, wavenumber=2))
+    field = VelocityField(kind="cellular", amplitude=1.3, wavenumber=2)
     assert grad_l1_time_average(field) == pytest.approx(grad_l1_quadrature(field, 512), rel=1e-6)
 
 
-GRAD_L1_SPECS = [
-    VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
-    VelocityFieldSpec(kind="steady_shear", amplitude=1.0),
-    VelocityFieldSpec(kind="cellular", amplitude=1.3, wavenumber=2),
+GRAD_L1_FIELDS = [
+    VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
+    VelocityField(kind="steady_shear", amplitude=1.0),
+    VelocityField(kind="cellular", amplitude=1.3, wavenumber=2),
 ]
 
 
-@pytest.mark.parametrize("spec", GRAD_L1_SPECS, ids=[s.kind for s in GRAD_L1_SPECS])
-def test_grad_l1_exact_time_integral_matches_time_quadrature(spec):
+@pytest.mark.parametrize("field", GRAD_L1_FIELDS, ids=[s.kind for s in GRAD_L1_FIELDS])
+def test_grad_l1_exact_time_integral_matches_time_quadrature(field):
     # the oracle's exact time integral against two Gauss-Legendre nodes on each of 16 time cells
-    field = make_field(spec)
     xs = _gauss2_nodes(64)
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     oracle = np.mean([np.mean(spectral_norm_2x2(field.gradient(t, grid))) for t in _gauss2_nodes(16)])
@@ -258,7 +294,7 @@ def test_grad_l1_exact_time_integral_matches_time_quadrature(spec):
 
 
 def test_grad_l1_converges_at_first_order_or_better():
-    field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
+    field = VelocityField(kind="steady_shear", amplitude=1.0)
     errors = [abs(grad_l1_quadrature(field, cells) - grad_l1_time_average(field)) for cells in (20, 40, 80)]
     assert errors[1] <= errors[0] / 2.0
     assert errors[2] <= errors[1] / 2.0

@@ -1,27 +1,29 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from ergomix import workers
 from ergomix.errors import ConfigError, IntegrationDivergedError
-from ergomix.fields import CATALOG, FIELD_KINDS, VelocityField, VelocityFieldSpec, make_field
+from ergomix.fields import CATALOG, FIELD_KINDS, VelocityField
 from ergomix.flow import advect, advect_cocycle
 from ergomix.maps import TimeOneFlowMap
 from torus_distance import distance
 
-STEADY = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-ALTERNATING = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-CELLULAR = make_field(VelocityFieldSpec(kind="cellular", amplitude=1.0))
+STEADY = VelocityField(kind="steady_shear", amplitude=1.0)
+ALTERNATING = VelocityField(kind="alternating_shear", amplitude=1.0)
+CELLULAR = VelocityField(kind="cellular", amplitude=1.0)
 
-AMPLITUDE_TWO_SPECS = [
-    VelocityFieldSpec(kind="constant", amplitude=2.0),
-    VelocityFieldSpec(kind="steady_shear", amplitude=2.0),
-    VelocityFieldSpec(kind="alternating_shear", amplitude=2.0, phases=(0.1, 0.6)),
-    VelocityFieldSpec(kind="cellular", amplitude=2.0),
+AMPLITUDE_TWO_FIELDS = [
+    VelocityField(kind="constant", amplitude=2.0),
+    VelocityField(kind="steady_shear", amplitude=2.0),
+    VelocityField(kind="alternating_shear", amplitude=2.0, phases=(0.1, 0.6)),
+    VelocityField(kind="cellular", amplitude=2.0),
 ]
 
 
 def test_zero_field_identity_flow():
-    field = make_field(VelocityFieldSpec(kind="zero"))
+    field = VelocityField(kind="zero")
     x = np.array([0.31, 0.77])
     assert np.array_equal(advect(field, x, 0.0, 5.0, 32), x)
     _, tangent = advect_cocycle(field, x, 0.0, 5.0, 32)
@@ -29,7 +31,7 @@ def test_zero_field_identity_flow():
 
 
 def test_constant_field_translates_exactly():
-    field = make_field(VelocityFieldSpec(kind="constant", amplitude=0.25))
+    field = VelocityField(kind="constant", amplitude=0.25)
     x = np.array([0.5, 0.5])
     out = advect(field, x, 0.0, 3.0, 7)
     assert out == pytest.approx([0.25, 0.5], abs=1e-15)
@@ -84,9 +86,8 @@ def test_alternating_shear_determinant_one():
     assert np.max(np.abs(np.linalg.det(tangent) - 1.0)) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", AMPLITUDE_TWO_SPECS, ids=[s.kind for s in AMPLITUDE_TWO_SPECS])
-def test_inverse_consistency(spec):
-    field = make_field(spec)
+@pytest.mark.parametrize("field", AMPLITUDE_TWO_FIELDS, ids=[s.kind for s in AMPLITUDE_TWO_FIELDS])
+def test_inverse_consistency(field):
     rng = np.random.default_rng(4)
     pts = rng.random((1000, 2))
     forward = advect(field, pts, 0.0, 1.0, 256)
@@ -100,20 +101,19 @@ def test_inverse_consistency(spec):
 # regime; the exponent-sum test below covers volume preservation in the log
 # domain for the full horizon.
 VOLUME_CASES = [
-    (VelocityFieldSpec(kind="constant", amplitude=2.0), 10.0),
-    (VelocityFieldSpec(kind="steady_shear", amplitude=2.0), 10.0),
-    (VelocityFieldSpec(kind="cellular", amplitude=2.0), 10.0),
-    (VelocityFieldSpec(kind="alternating_shear", amplitude=2.0, phases=(0.1, 0.6)), 2.0),
-    (VelocityFieldSpec(kind="alternating_shear", amplitude=1.0), 5.0),
-    (VelocityFieldSpec(kind="alternating_shear", amplitude=0.5), 10.0),
+    (VelocityField(kind="constant", amplitude=2.0), 10.0),
+    (VelocityField(kind="steady_shear", amplitude=2.0), 10.0),
+    (VelocityField(kind="cellular", amplitude=2.0), 10.0),
+    (VelocityField(kind="alternating_shear", amplitude=2.0, phases=(0.1, 0.6)), 2.0),
+    (VelocityField(kind="alternating_shear", amplitude=1.0), 5.0),
+    (VelocityField(kind="alternating_shear", amplitude=0.5), 10.0),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec,horizon", VOLUME_CASES, ids=[f"{s.kind}-a{s.amplitude}-t{h}" for s, h in VOLUME_CASES]
+    "field,horizon", VOLUME_CASES, ids=[f"{s.kind}-a{s.amplitude}-t{h}" for s, h in VOLUME_CASES]
 )
-def test_volume_preservation_long_horizon(spec, horizon):
-    field = make_field(spec)
+def test_volume_preservation_long_horizon(field, horizon):
     rng = np.random.default_rng(5)
     pts = rng.random((1000, 2))
     _, tangent = advect_cocycle(field, pts, 0.0, horizon, int(256 * horizon))
@@ -125,7 +125,7 @@ def test_exponent_sum_vanishes_on_long_horizon():
     # lambda_2 = 0 within 1e-3 at t = 10 for the strongly hyperbolic case
     from ergomix.lyapunov import ensemble_spectrum
 
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 200, 10, seed=17)
     sums = np.sum(report.per_sample_exponents, axis=1)
@@ -166,26 +166,25 @@ def test_alternating_shear_integrates_exactly_at_coarse_steps():
 def test_steps_straddling_integer_times_match_composition(t0, t1, steps):
     # alternating_shear also switches at integer times; a step across t = 1
     # must not integrate both sides with one piece
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+    field = VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
     pts = np.random.default_rng(11).random((200, 2))
     composed = advect(field, advect(field, pts, t0, 1.0, 512), 1.0, t1, 512)
     assert np.max(distance(advect(field, pts, t0, t1, steps), composed)) < 1e-11
     assert np.max(distance(advect(field, composed, t1, t0, steps), pts)) < 1e-11
 
 
-def _spec(kind):
-    return VelocityFieldSpec(kind=kind, amplitude=0.95, phases=(0.13, 0.41)[: CATALOG[kind].phases])
+def _field(kind):
+    return VelocityField(kind=kind, amplitude=0.95, phases=(0.13, 0.41)[: CATALOG[kind].phases])
 
 
 # every kind whose row says it is constant along its own flow
-SHEAR_SPECS = [_spec(kind) for kind, facts in CATALOG.items() if facts.constant_along_flow]
+SHEAR_FIELDS = [_field(kind) for kind, facts in CATALOG.items() if facts.constant_along_flow]
 # off the breakpoints, across integer and half-integer times, both directions
 EXACT_INTERVALS = [(0.3, 2.7), (2.7, 0.3), (0.8, 1.2), (1.45, 0.55), (0.0, 1.0), (1.0, 0.0)]
 
 
-@pytest.mark.parametrize("spec", SHEAR_SPECS, ids=[s.kind for s in SHEAR_SPECS])
-def test_shear_members_one_step_per_piece_matches_fine_rk4(spec):
-    field = make_field(spec)
+@pytest.mark.parametrize("field", SHEAR_FIELDS, ids=[s.kind for s in SHEAR_FIELDS])
+def test_shear_members_one_step_per_piece_matches_fine_rk4(field):
     pts = np.random.default_rng(12).random((300, 2))
     for t0, t1 in EXACT_INTERVALS:
         steps = field.rk4_steps(t1 - t0)
@@ -211,7 +210,7 @@ def test_positions_bitwise_equal_with_and_without_tangent():
 
 
 def test_divergence_is_reported():
-    hot = make_field(VelocityFieldSpec(kind="cellular", amplitude=1e9))
+    hot = VelocityField(kind="cellular", amplitude=1e9)
     with pytest.raises(IntegrationDivergedError):
         advect_cocycle(hot, np.array([0.3, 0.4]), 0.0, 1.0, 4)
 
@@ -233,7 +232,7 @@ def test_zero_steps_is_a_config_error(field):
 
 
 def test_time_one_map_wraps_field():
-    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="zero")))
+    mapping = TimeOneFlowMap(VelocityField(kind="zero"))
     x = np.array([0.123, 0.456])
     assert np.array_equal(mapping.apply(x), x)
     mapping = TimeOneFlowMap(STEADY)
@@ -247,14 +246,20 @@ def test_time_one_map_wraps_field():
 class FourStageField(VelocityField):
     """A catalog field that reports the four-evaluation RK4 step as needed."""
 
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.constant_along_flow = False
+    constant_along_flow = False
 
 
-@pytest.mark.parametrize("spec", SHEAR_SPECS, ids=[s.kind for s in SHEAR_SPECS])
-def test_reused_stage_step_equals_four_evaluation_step(spec):
-    field, forced = make_field(spec), FourStageField(spec)
+class OneColumnField(VelocityField):
+    """A catalog field whose full velocity must not be evaluated."""
+
+    def velocity(self, t, points):
+        raise AssertionError("the one-column step evaluated the full velocity")
+
+
+@pytest.mark.parametrize("field", SHEAR_FIELDS, ids=[s.kind for s in SHEAR_FIELDS])
+def test_reused_stage_step_equals_four_evaluation_step(field):
+    forced = FourStageField(**asdict(field))
+    assert not forced.constant_along_flow
     assert field.constant_along_flow
     # the reused step takes one velocity, one gradient and one tangent stage k1 for all four
     pts = np.random.default_rng(13).random((500, 2))
@@ -267,26 +272,22 @@ def test_reused_stage_step_equals_four_evaluation_step(spec):
         assert np.array_equal(advect(field, pts, t0, t1, 3), advect(forced, pts, t0, t1, 3))
 
 
-ONE_COLUMN_SPECS = [
-    VelocityFieldSpec(kind="steady_shear", amplitude=0.95, phases=(0.13,)),
-    VelocityFieldSpec(kind="steady_shear", amplitude=1.7, phases=(0.6,), wavenumber=2),
-    VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
-    VelocityFieldSpec(kind="alternating_shear", amplitude=2.0, phases=(0.6, 0.05), wavenumber=2),
+ONE_COLUMN_FIELDS = [
+    VelocityField(kind="steady_shear", amplitude=0.95, phases=(0.13,)),
+    VelocityField(kind="steady_shear", amplitude=1.7, phases=(0.6,), wavenumber=2),
+    VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)),
+    VelocityField(kind="alternating_shear", amplitude=2.0, phases=(0.6, 0.05), wavenumber=2),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec", ONE_COLUMN_SPECS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ONE_COLUMN_SPECS]
+    "field", ONE_COLUMN_FIELDS, ids=[f"{s.kind}-w{s.wavenumber}" for s in ONE_COLUMN_FIELDS]
 )
-def test_one_column_shear_step_equals_four_stage_step(spec, monkeypatch):
+def test_one_column_shear_step_equals_four_stage_step(field):
     # the four-stage RK4 step is the oracle; the one-column step must not
     # evaluate the full velocity at all, so the comparison is not vacuous
-    field, forced = make_field(spec), FourStageField(spec)
-
-    def full_velocity(t, points):
-        raise AssertionError("the one-column step evaluated the full velocity")
-
-    monkeypatch.setattr(field, "velocity", full_velocity)
+    forced = FourStageField(**asdict(field))
+    field = OneColumnField(**asdict(field))
     rows = 2 * workers._PIECE_ROWS + 77  # three pieces, the last one short
     # coordinates outside [0, 1) check the wrap of the input as well
     pts = np.random.default_rng(14).random((rows, 2)) * 3.0 - 1.0
@@ -313,7 +314,7 @@ def test_one_column_step_reports_non_finite_positions(column):
 def test_constant_along_flow_holds_exactly_where_the_row_says(kind):
     # velocity and gradient at p + s v(p) against those at p, bitwise, in both halves of a period:
     # all equal where the row lets a step reuse its first stage, none equal where it does not
-    field = make_field(_spec(kind))
+    field = _field(kind)
     pts = np.random.default_rng(15).random((500, 2))
     for t in (0.2, 0.7):
         velocity, gradient = field.velocity(t, pts), field.gradient(t, pts)
@@ -328,7 +329,7 @@ def test_constant_along_flow_holds_exactly_where_the_row_says(kind):
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_velocity_changes_in_time_exactly_at_the_breakpoints(kind):
     # steady between consecutive crossings k + frac of a breakpoint, bitwise, and changed across each
-    field = make_field(_spec(kind))
+    field = _field(kind)
     rng = np.random.default_rng(16)
     pts = rng.random((200, 2))
     crossings = sorted(k + frac for k in range(4) for frac in field.time_breakpoints)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergomix.errors import DegenerateCocycleError, ErgomixError, SingularInputError
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import VelocityField
 from ergomix.lyapunov import (
     DegenerateSpectrumWarning,
     _batch_spectrum,
@@ -147,7 +147,7 @@ def test_constant_cocycle_invariant_across_start():
 
 
 def test_ensemble_zero_field():
-    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="zero")))
+    mapping = TimeOneFlowMap(VelocityField(kind="zero"))
     report = ensemble_spectrum(mapping, 50, 5, seed=1)
     assert report.lambda_max_integral == 0.0
     assert np.all(report.mean_exponents == 0.0)
@@ -162,7 +162,7 @@ def test_ensemble_cat_statistics():
 
 
 def test_ensemble_steady_shear_sublinear():
-    mapping = TimeOneFlowMap(make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0)))
+    mapping = TimeOneFlowMap(VelocityField(kind="steady_shear", amplitude=1.0))
     report = ensemble_spectrum(mapping, 400, 200, seed=3)
     assert 0.0 < report.lambda_max_integral <= 0.05
 
@@ -185,7 +185,7 @@ def test_ensemble_report_json_fields():
 
 def test_subadditive_trend_in_n():
     # mean (1/n) log |W_n| is non-increasing along n up to Monte Carlo slack
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+    field = VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
     mapping = TimeOneFlowMap(field)
     stats = {}
     for n in (25, 50, 100, 200):
@@ -219,14 +219,14 @@ def test_oseledets_baker_axes():
 
 
 def test_top_exponent_bound_gap_zero_field():
-    field = make_field(VelocityFieldSpec(kind="zero"))
+    field = VelocityField(kind="zero")
     mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 20, 5, seed=6)
     assert top_exponent_bound_gap(field, report) == 0.0
 
 
 def test_top_exponent_bound_gap_steady_shear():
-    field = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
+    field = VelocityField(kind="steady_shear", amplitude=1.0)
     mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 200, 200, seed=7)
     gap = top_exponent_bound_gap(field, report)
@@ -235,7 +235,7 @@ def test_top_exponent_bound_gap_steady_shear():
 
 
 def test_top_exponent_bound_gap_alternating():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     mapping = TimeOneFlowMap(field)
     report = ensemble_spectrum(mapping, 300, 60, seed=8)
     gap = top_exponent_bound_gap(field, report)
@@ -294,7 +294,7 @@ class LeftEdgeSingularFlow(TimeOneFlowMap):
 
 
 def test_orbits_dying_mid_run_are_dropped_from_the_cocycle():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+    field = VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
     mapping = LeftEdgeSingularFlow(field)
     points = np.random.default_rng(10).random((2000, 2))
     n = 12

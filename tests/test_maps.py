@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from ergomix.errors import SingularInputError
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import VelocityField
 from ergomix.maps import CAT_MATRIX, BakerMap, CatMap, TimeOneFlowMap, make_map
 from ergomix.torus import wrap
 from torus_distance import distance
@@ -62,7 +62,7 @@ def test_baker_inverse_consistency_off_singular_set():
 
 
 def test_time_one_flow_inverse_consistency():
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     mapping = TimeOneFlowMap(field)
     rng = np.random.default_rng(2)
     pts = rng.random((1000, 2))
@@ -72,7 +72,7 @@ def test_time_one_flow_inverse_consistency():
 def test_make_map_dispatch():
     assert make_map("cat").kind == "cat"
     assert make_map("baker").kind == "baker"
-    field = make_field(VelocityFieldSpec(kind="zero"))
+    field = VelocityField(kind="zero")
     assert make_map("time_one_flow", field=field).kind == "time_one_flow"
     with pytest.raises(Exception):
         make_map("horseshoe")
@@ -81,7 +81,7 @@ def test_make_map_dispatch():
 @pytest.mark.parametrize("kind", ["cat", "baker", "time_one_flow"])
 def test_measure_preservation_chi_squared(kind):
     if kind == "time_one_flow":
-        field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+        field = VelocityField(kind="alternating_shear", amplitude=1.0)
         mapping = TimeOneFlowMap(field)
     else:
         mapping = make_map(kind)
@@ -100,7 +100,7 @@ def test_chain_rule_along_orbit():
     # tangents along the orbit.
     from ergomix.flow import advect_cocycle
 
-    field = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
+    field = VelocityField(kind="alternating_shear", amplitude=1.0)
     rng = np.random.default_rng(4)
     pts = rng.random((100, 2))
     middle, first = advect_cocycle(field, pts, 0.0, 1.0, 256)

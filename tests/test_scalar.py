@@ -11,26 +11,26 @@ import pytest
 from ergomix import scalar, workers
 from ergomix.cli import main
 from ergomix.errors import ConfigError, IntegrationDivergedError
-from ergomix.fields import VelocityFieldSpec, make_field
+from ergomix.fields import VelocityField
 from ergomix.flow import advect
 from ergomix.scalar import (
     GridField,
+    InitialDatum,
     grid_nodes,
     load_grid,
-    make_initial,
     sample_scalar,
     save_grid,
     scalar_series,
 )
 
-ZERO = make_field(VelocityFieldSpec(kind="zero"))
-STEADY = make_field(VelocityFieldSpec(kind="steady_shear", amplitude=1.0))
-ALTERNATING = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=1.0))
-CELLULAR = make_field(VelocityFieldSpec(kind="cellular", amplitude=0.5, phases=(0.1, 0.3)))
+ZERO = VelocityField(kind="zero")
+STEADY = VelocityField(kind="steady_shear", amplitude=1.0)
+ALTERNATING = VelocityField(kind="alternating_shear", amplitude=1.0)
+CELLULAR = VelocityField(kind="cellular", amplitude=0.5, phases=(0.1, 0.3))
 
 
 def test_sinusoid_norms():
-    datum = make_initial("sinusoid", wavevector=(1, 0))
+    datum = InitialDatum("sinusoid", wavevector=(1, 0))
     assert datum.sup_norm == 1.0
     assert datum.l2_norm == pytest.approx(1.0 / np.sqrt(2.0))
     assert datum.bv_seminorm == pytest.approx(4.0)
@@ -41,11 +41,11 @@ def test_sinusoid_norms():
 
 def test_sinusoid_rejects_zero_wavevector():
     with pytest.raises(ConfigError):
-        make_initial("sinusoid", wavevector=(0, 0))
+        InitialDatum("sinusoid", wavevector=(0, 0))
 
 
 def test_checkerboard_level_one_pattern():
-    datum = make_initial("checkerboard", level=1)
+    datum = InitialDatum("checkerboard", level=1)
     # sign(sin 2 pi x * sin 2 pi y) pattern, values exactly +-1, mean zero
     values = datum.evaluate(grid_nodes(64))
     assert set(np.unique(values)) == {-1.0, 1.0}
@@ -56,14 +56,14 @@ def test_checkerboard_level_one_pattern():
 
 
 def test_checkerboard_cell_size():
-    datum = make_initial("checkerboard", level=2)
+    datum = InitialDatum("checkerboard", level=2)
     # sign flips every 2^-2 along each axis
     assert datum.evaluate(np.array([0.1, 0.1])) != datum.evaluate(np.array([0.35, 0.1]))
     assert datum.bv_seminorm == pytest.approx(16.0)
 
 
 def test_stripe_level_zero():
-    datum = make_initial("stripe", level=0)
+    datum = InitialDatum("stripe", level=0)
     values = datum.evaluate(grid_nodes(32))
     assert np.all(values[:16] == 1.0)
     assert np.all(values[16:] == -1.0)
@@ -91,7 +91,7 @@ def test_square_wave_parity_matches_sine_rule_off_the_jumps(kind, level):
     )
     away = np.all(np.abs(half_periods - np.round(half_periods)) > 1e-9, axis=1)
     assert away.sum() > 0.99 * len(points)
-    datum = make_initial(kind, level=level)
+    datum = InitialDatum(kind, level=level)
     assert np.array_equal(datum.evaluate(points[away]), _sine_rule(kind, level, points[away]))
 
 
@@ -102,7 +102,7 @@ def test_square_wave_takes_the_right_value_at_its_jumps(kind, level):
     k = np.arange(cells + 1)
     jumps = k / cells
     inside = np.full_like(jumps, 0.5 / cells)
-    datum = make_initial(kind, level=level)
+    datum = InitialDatum(kind, level=level)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     assert np.array_equal(datum.evaluate(np.stack([jumps, inside], axis=1)), sign)
     if kind == "checkerboard":
@@ -136,7 +136,7 @@ def test_integer_parity_equals_the_float_formula(kind, level):
     mixed = np.stack([rng.choice(jumps, 5000), rng.uniform(-2.0, 2.0, 5000)], axis=1)
     spread = rng.uniform(-3.0, 3.0, (2 * workers._PIECE_ROWS + 7, 2))
     points = np.concatenate([on_jumps, mixed, mixed[:, ::-1], spread])
-    values = make_initial(kind, level=level).evaluate(points)
+    values = InitialDatum(kind, level=level).evaluate(points)
     assert np.array_equal(values.view(np.int64), _float_parity(kind, level, points).view(np.int64))
 
 
@@ -145,7 +145,7 @@ def test_integer_parity_equals_the_float_formula(kind, level):
 )
 def test_square_wave_has_4_nodes_per_half_period_on_its_coarsest_grid(kind, level):
     # the datum's values and its own resolution rule read the same half period
-    datum = make_initial(kind, level=level)
+    datum = InitialDatum(kind, level=level)
     n = datum.coarsest_resolution()
     centers = (np.arange(n) + 0.5) / n  # one row of grid_nodes(n), without the n^2 grid
     row = np.stack([centers, np.full(n, 0.5 / n)], axis=1)
@@ -157,7 +157,7 @@ def test_square_wave_has_4_nodes_per_half_period_on_its_coarsest_grid(kind, leve
 
 @pytest.mark.parametrize("kind", ["sinusoid", "checkerboard"])
 def test_evaluate_keeps_the_point_shape(kind):
-    datum = make_initial(kind)
+    datum = InitialDatum(kind)
     nodes = grid_nodes(64)
     values = datum.evaluate(nodes)
     assert values.shape == (64, 64)
@@ -168,10 +168,10 @@ def test_evaluate_keeps_the_point_shape(kind):
 
 @pytest.mark.parametrize("kind", ["checkerboard", "stripe"])
 def test_square_waves_default_to_level_2_and_stop_at_12(kind):
-    assert make_initial(kind) == make_initial(kind, level=2)
-    assert make_initial(kind, level=12).level == 12
+    assert InitialDatum(kind) == InitialDatum(kind, level=2)
+    assert InitialDatum(kind, level=12).level == 12
     with pytest.raises(ConfigError, match=rf"^{kind} level must lie in \[[01], 12\], got 13$"):
-        make_initial(kind, level=13)
+        InitialDatum(kind, level=13)
 
 
 @pytest.mark.parametrize(
@@ -186,29 +186,29 @@ def test_square_waves_default_to_level_2_and_stop_at_12(kind):
 )
 def test_datum_parameters_are_integers_never_truncated(kind, parameters, shown):
     with pytest.raises(ConfigError, match=f"^{kind} {re.escape(shown)}$"):
-        make_initial(kind, **parameters)
+        InitialDatum(kind, **parameters)
 
 
 def test_unknown_datum_kind():
     with pytest.raises(ConfigError):
-        make_initial("blob")
+        InitialDatum("blob")
 
 
 def test_zero_field_samples_initial_datum():
-    datum = make_initial("checkerboard", level=2)
+    datum = InitialDatum("checkerboard", level=2)
     grid = sample_scalar(ZERO, datum, 3.0, 64)
     assert np.array_equal(grid.values, datum.evaluate(grid_nodes(64)))
 
 
 def test_steady_shear_invariant_datum():
     # sin(2 pi y) depends only on y, which the shear conserves
-    datum = make_initial("sinusoid", wavevector=(0, 1))
+    datum = InitialDatum("sinusoid", wavevector=(0, 1))
     grid = sample_scalar(STEADY, datum, 4.0, 64)
     assert np.max(np.abs(grid.values - datum.evaluate(grid_nodes(64)))) < 1e-9
 
 
 def test_steady_shear_closed_form_transport():
-    datum = make_initial("sinusoid", wavevector=(1, 0))
+    datum = InitialDatum("sinusoid", wavevector=(1, 0))
     t = 2.0
     grid = sample_scalar(STEADY, datum, t, 128)
     nodes = grid_nodes(128)
@@ -217,19 +217,19 @@ def test_steady_shear_closed_form_transport():
 
 
 def test_range_preserved_exactly():
-    datum = make_initial("checkerboard", level=2)
+    datum = InitialDatum("checkerboard", level=2)
     for grid in scalar_series(ALTERNATING, datum, 5, 64):
         assert set(np.unique(grid.values)) == {-1.0, 1.0}
 
 
 def test_discrete_mean_small():
-    datum = make_initial("checkerboard", level=2)
+    datum = InitialDatum("checkerboard", level=2)
     grid = sample_scalar(ALTERNATING, datum, 3.0, 256)
     assert abs(grid.mean()) <= 1e-3
 
 
 def test_series_matches_direct_integration():
-    datum = make_initial("checkerboard", level=2)
+    datum = InitialDatum("checkerboard", level=2)
     series_grids = list(scalar_series(ALTERNATING, datum, 5, 64))
     # both backward paths take one RK4 step per steady half-period piece, so
     # they do identical arithmetic and agree bitwise
@@ -238,7 +238,7 @@ def test_series_matches_direct_integration():
         assert np.array_equal(series_grids[t].values, direct.values)
 
 
-MIXING_SHEAR = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41)))
+MIXING_SHEAR = VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
 
 
 @pytest.mark.parametrize(
@@ -247,7 +247,7 @@ MIXING_SHEAR = make_field(VelocityFieldSpec(kind="alternating_shear", amplitude=
 def test_series_equals_a_serial_march_bitwise(field, monkeypatch):
     # the feet advected one unit map at a time in this thread; a sinusoid shows
     # every bit of the feet in its values, and cellular takes the RK4 oracle path
-    datum = make_initial("sinusoid", wavevector=(1, 2))
+    datum = InitialDatum("sinusoid", wavevector=(1, 2))
     evaluate = scalar.InitialDatum.evaluate
 
     def slow_evaluate(self, points):
@@ -280,7 +280,7 @@ def test_series_marches_every_row_once_per_unit_map_on_at_most_one_helper(monkey
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that a racy claim would show
     try:
-        for grid in scalar_series(ALTERNATING, make_initial("stripe"), horizon, n):
+        for grid in scalar_series(ALTERNATING, InitialDatum("stripe"), horizon, n):
             # the march to the next grid may have started, but none beyond it
             rows = sum(call[1] for call in calls)
             assert grid.time * n * n <= rows <= min(grid.time + 1, horizon) * n * n
@@ -338,7 +338,7 @@ def _diverging_after(calls, delay=0.0):
 def test_helper_error_surfaces_at_the_next_grid(monkeypatch):
     monkeypatch.setattr(scalar, "advect", _diverging_after(1))
     before = threading.active_count()
-    series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 32)
+    series = scalar_series(ALTERNATING, InitialDatum("stripe"), 5, 32)
     assert [next(series).time, next(series).time] == [0.0, 1.0]
     with pytest.raises(IntegrationDivergedError, match="not finite"):
         next(series)
@@ -379,7 +379,7 @@ def test_error_on_the_consumers_piece_wins_and_joins_the_helper(monkeypatch, hel
 
     monkeypatch.setattr(scalar, "advect", failing_on_the_consumer)
     before = threading.active_count()
-    series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 256)
+    series = scalar_series(ALTERNATING, InitialDatum("stripe"), 5, 256)
     assert next(series).time == 0.0
     with pytest.raises(IntegrationDivergedError, match="not finite"):
         next(series)
@@ -398,10 +398,10 @@ def test_leaving_the_series_joins_the_helper_and_drops_its_result(monkeypatch, c
     monkeypatch.setattr(scalar, "advect", _diverging_after(0, delay=0.05))
     before = threading.active_count()
     if leave == "break":
-        for grid in scalar_series(ALTERNATING, make_initial("stripe"), 5, 32):
+        for grid in scalar_series(ALTERNATING, InitialDatum("stripe"), 5, 32):
             break
     else:
-        series = scalar_series(ALTERNATING, make_initial("stripe"), 5, 32)
+        series = scalar_series(ALTERNATING, InitialDatum("stripe"), 5, 32)
         grid = next(series)
         series.close()
     assert grid.time == 0.0
@@ -414,10 +414,8 @@ def test_h_minus_one_resolution_consistency():
     # resolution-converged regime: the canonical mixing-study stirring
     from ergomix.diagnostics import h_minus_one
 
-    field = make_field(
-        VelocityFieldSpec(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
-    )
-    datum = make_initial("checkerboard", level=2)
+    field = VelocityField(kind="alternating_shear", amplitude=0.95, phases=(0.13, 0.41))
+    datum = InitialDatum("checkerboard", level=2)
     for coarse, fine in zip(
         scalar_series(field, datum, 5, 256),
         scalar_series(field, datum, 5, 512),
@@ -427,7 +425,7 @@ def test_h_minus_one_resolution_consistency():
 
 
 def test_rejects_coarse_resolution_and_negative_time():
-    datum = make_initial("stripe")
+    datum = InitialDatum("stripe")
     with pytest.raises(ConfigError):
         sample_scalar(ZERO, datum, 1.0, 8)
     with pytest.raises(ConfigError):
@@ -435,7 +433,7 @@ def test_rejects_coarse_resolution_and_negative_time():
 
 
 def test_binary_round_trip(tmp_path):
-    datum = make_initial("checkerboard", level=1)
+    datum = InitialDatum("checkerboard", level=1)
     grid = sample_scalar(ALTERNATING, datum, 2.0, 64)
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
@@ -449,7 +447,7 @@ def test_binary_round_trip(tmp_path):
 
 
 def _saved_grid(tmp_path):
-    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
+    grid = sample_scalar(ZERO, InitialDatum("checkerboard", level=1), 0.0, 32)
     stem = str(tmp_path / "grid")
     save_grid(grid, stem)
     return stem
@@ -510,7 +508,7 @@ def test_spectrum_is_computed_once_per_grid(monkeypatch):
     # the grid's transform now lives in the diagnostics workspace of its resolution
     from ergomix import diagnostics
 
-    grid = sample_scalar(ZERO, make_initial("checkerboard", level=1), 0.0, 32)
+    grid = sample_scalar(ZERO, InitialDatum("checkerboard", level=1), 0.0, 32)
     diagnostics._workspace(32)  # building the weight tables transforms too
     rfft2, calls = np.fft.rfft2, []
 
