@@ -2,22 +2,26 @@
 """Compare two source trees on one benchmark workload in interleaved pairs of runs.
 
 Each tree's ``src/`` and ``configs/`` are copied to paths of equal length.
-Each pair makes one ``perfbench/child.py`` run of each copy, the same
-command, seed and ``ERGOMIX_THREADS`` that ``perfbench/run.py`` uses, and a
-coin picks which tree runs first.  Every run's outputs go through
-perfbench's checks against its reference; a run that exits non-zero or fails
-a check counts as a failure, and its pair is left out of the metrics.  Both
-trees are measured with this checkout's ``perfbench/``, which the script
-calls and never edits.
+The length of that path sets which of a few glibc heap states a run lands
+in, and with it the minor-fault count and part of ``run_s``, for each tree
+separately; so the pairs rotate over ``PATH_LENGTHS`` lengths, both copies
+of one pair sharing one.  Each pair makes one ``perfbench/child.py`` run of
+each copy, the same command, seed and ``ERGOMIX_THREADS`` that
+``perfbench/run.py`` uses, and a coin picks which tree runs first.  Every
+run's outputs go through perfbench's checks against its reference; a run
+that exits non-zero or fails a check counts as a failure, and its pair is
+left out of the metrics.  Both trees are measured with this checkout's
+``perfbench/``, which the script calls and never edits.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both trees'
 medians and quartiles, the median of the paired differences (change minus
 parent), the number of pairs the change wins (ties count for neither), the
 two-sided sign test's p-value and a verdict (see ``verdict``), plus whether
 each tree's peak RSS repeats within perfbench's tolerance and each tree's
-median count of minor page faults per run, which tells the heap states of a
-bimodal workload apart.  The last line of standard output is the JSON
-record, with every run's samples.  The exit code is 1 if any run failed.
+median count of minor page faults per run, overall and per path length,
+which tells the heap states of a bimodal workload apart.  The last line of
+standard output is the JSON record, with every run's samples.  The exit
+code is 1 if any run failed.
 
 Usage, from anywhere:
 
@@ -45,6 +49,7 @@ import checks  # noqa: E402  (perfbench's own modules, found on its directory)
 import run as perfbench  # noqa: E402
 
 TREES = ("parent", "change")
+PATH_LENGTHS, PAD_STEP = 4, 5  # the pairs rotate over 4 copy path lengths, 5 characters apart
 
 
 def place(tree, copy):
@@ -70,6 +75,7 @@ def spawn(copy, workload, seed, reference, tag):
             timer.cancel()
     code = os.waitstatus_to_exitcode(status)
     run = {
+        "path_length": len(str(copy)),
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_faults": usage.ru_minflt,
         "problems": [] if code == 0 else [f"exit code {code}"],
@@ -154,11 +160,13 @@ def main(argv=None):
     coin = random.Random()
     runs, order = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
-        copies = {tree: Path(work) / tree[0] for tree in TREES}  # "p" and "c": paths of equal length
-        for tree, copy in copies.items():
-            place(getattr(args, tree), copy)
-            (copy / "out").mkdir()
         for i in range(args.pairs):
+            pad = "_" * (PAD_STEP * (i % PATH_LENGTHS))
+            copies = {tree: Path(work) / (pad + tree[0]) for tree in TREES}  # "p" and "c": one length
+            for tree, copy in copies.items():
+                if not copy.exists():
+                    place(getattr(args, tree), copy)
+                    (copy / "out").mkdir()
             first = coin.choice(TREES)
             order.append(first)
             pair = {}
@@ -169,13 +177,16 @@ def main(argv=None):
     failed = sum(1 for pair in runs for run in pair.values() if run["problems"])
     pairs = [pair for pair in runs if not any(run["problems"] for run in pair.values())]
     rows = compare(pairs, metrics) if pairs else {}
-    rss, faults = {}, {}
+    rss, faults, faults_by_length = {}, {}, {}
     for tree in TREES:
         values = [pair[tree]["peak_rss_mb"] for pair in pairs]
         median = statistics.median(values) if values else math.nan
         spread = max((abs(v / median - 1.0) for v in values), default=math.nan)
         rss[tree] = {"max_rel_deviation": spread, "repeats": spread <= perfbench.RSS_REL_TOL}
         faults[tree] = statistics.median(pair[tree]["minor_faults"] for pair in pairs) if pairs else math.nan
+        for length in sorted({pair[tree]["path_length"] for pair in pairs}):
+            at_length = [pair[tree]["minor_faults"] for pair in pairs if pair[tree]["path_length"] == length]
+            faults_by_length.setdefault(length, {})[tree] = statistics.median(at_length)
     print(f"{args.workload}: {len(pairs)} complete pairs of {args.pairs}, {failed} failed runs, seed {args.seed}")
     for name, row in rows.items():
         sides = "  ".join(f"{t} {row[t]['median']:.4f} (q1 {row[t]['q1']:.4f}, q3 {row[t]['q3']:.4f})" for t in TREES)
@@ -187,6 +198,8 @@ def main(argv=None):
     for tree in TREES:
         print(f"{tree} peak_rss_mb within {perfbench.RSS_REL_TOL:.0%} of its median: {rss[tree]['repeats']}")
     print("median minor faults per run: " + ", ".join(f"{t} {faults[t]:.0f}" for t in TREES))
+    for length, row in faults_by_length.items():
+        print(f"  at path length {length}: " + ", ".join(f"{t} {row[t]:.0f}" for t in TREES))
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -197,6 +210,7 @@ def main(argv=None):
         "metrics": rows,
         "peak_rss_repeats": rss,
         "minor_faults_median": faults,
+        "minor_faults_median_by_path_length": faults_by_length,
         "runs": runs,
     }
     print(json.dumps(record))

@@ -36,7 +36,7 @@ def sweep(resolution=None, horizon=None):
     text = CONFIG.read_text()
     sizes = [f"{key}={value}" for key, value in (("resolution", resolution), ("horizon", horizon)) if value is not None]
     for amp in AMPLITUDES:
-        payload = run_mixing(parse_config(text, overrides=[f"field.amplitude={amp}"] + sizes))[0]
+        payload = run_mixing(parse_config(text, overrides=[f"field.amplitude={amp}"] + sizes))
         series = payload["series"]
         tail = np.array(series["h_minus_one"])[np.array(series["times"]) >= payload["burn_in"]]
         strict = bool(np.all(np.diff(tail) < 0))

@@ -13,7 +13,6 @@ from .lyapunov import (
 )
 from .scalar import DATUM_KINDS, GridField, InitialDatum, sample_scalar, scalar_series
 from .diagnostics import (
-    DiagnosticSeries,
     Partition,
     entropy_rate,
     h_minus_one,

@@ -1,4 +1,4 @@
-"""Command-line front end; each experiment's summary line is its row of harness.EXPERIMENTS.
+"""Command-line front end; each experiment's summary line and verdict key are its row of harness.EXPERIMENTS.
 
 Subcommands:
   run <config> [--set key=value ...]   run an experiment, write report + series
@@ -70,12 +70,14 @@ def _cmd_run(args) -> int:
         out.encode("utf-8"), os.fsencode(out)
     except UnicodeEncodeError as exc:
         raise OSError(f"output_dir {out!r} cannot be written: {exc}")
-    payload, passed, series = run_experiment(config)
+    report = run_experiment(config)
     write_text_atomic(resolved, os.path.join(out, "resolved_config.cfg"))
-    write_json_atomic(payload, os.path.join(out, f"{config.experiment}_report.json"))
-    if series is not None:
-        write_series_csv_atomic(series, os.path.join(out, f"{config.experiment}_series.csv"))
-    print(f"{config.experiment}: {EXPERIMENTS[config.experiment].summary.format(**payload)} pass={passed}")
+    write_json_atomic(report, os.path.join(out, f"{config.experiment}_report.json"))
+    if "series" in report:
+        write_series_csv_atomic(report["series"], os.path.join(out, f"{config.experiment}_series.csv"))
+    row = EXPERIMENTS[config.experiment]
+    passed = report[row.gate]
+    print(f"{config.experiment}: {row.summary.format(**report)} pass={passed}")
     return EXIT_OK if passed else EXIT_GATE_FAILURE
 
 

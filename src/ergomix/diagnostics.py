@@ -12,7 +12,7 @@ with this convention sin(2 pi x) has norm 1/sqrt(2).
 
 import functools
 import weakref
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,23 +56,6 @@ class Partition:
         cells = np.floor(scaled, out=scaled).astype(np.int64)
         cells &= side - 1
         return cells[..., 0] * side + cells[..., 1]
-
-
-@dataclass
-class DiagnosticSeries:
-    """Per-time diagnostics of one transported scalar."""
-
-    times: list = dataclass_field(default_factory=list)
-    h_minus_one: list = dataclass_field(default_factory=list)
-    log_sobolev: list = dataclass_field(default_factory=list)
-    mixing_scale: list = dataclass_field(default_factory=list)
-    metadata: dict = dataclass_field(default_factory=dict)
-
-    def append(self, t, h1, lsq, mix):
-        self.times.append(float(t))
-        self.h_minus_one.append(float(h1))
-        self.log_sobolev.append(float(lsq))
-        self.mixing_scale.append(float(mix))
 
 
 @functools.lru_cache(maxsize=2)

@@ -1,7 +1,9 @@
 """End-to-end experiment runs with machine-readable reports and gates.
 
-``EXPERIMENTS`` holds one row per experiment: its required sections, runner
-and summary line.  Besides the Oseledets spectrum, three headline verifications:
+``EXPERIMENTS`` holds one row per experiment: its required sections, runner,
+summary line and the report key of its verdict.  A run returns its report,
+a dict; the mixing and regularity reports carry their series under
+``"series"``.  Besides the Oseledets spectrum, three headline verifications:
 the entropy/exponent inequality (with the cat map as the equality witness),
 exponential decay of the mixing diagnostics against the exponent integral, and
 at-most-linear growth of the squared log-Sobolev norm.  Gates check inequality
@@ -19,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import (
-    DiagnosticSeries,
     Partition,
     entropy_rate,
     h_minus_one,
@@ -41,6 +42,7 @@ from .seeding import child_seed
 RATE_TOLERANCE = 1e-9  # fitted rates this close to zero count as non-negative
 GATE_EPSILON = 1e-12  # absolute slack so exact-zero cases survive float dust
 STABILITY_FRACTION = 0.2
+_COLUMNS = ("times", "h_minus_one", "log_sobolev", "mixing_scale")  # a series' columns, in CSV order
 
 
 def _fit_window(times, burn_in):
@@ -128,9 +130,8 @@ def run_lyapunov(config):
         payload["grad_l1_average"] = grad_l1_time_average(config.field)
         payload["top_exponent_bound_gap"] = gap
         passed = passed and gap >= -3.0 * float(report.stderr[0])
-    passed = bool(passed)
-    payload["pass"] = passed
-    return payload, passed, None
+    payload["pass"] = bool(passed)
+    return payload
 
 
 def run_ruelle(config):
@@ -147,14 +148,13 @@ def run_ruelle(config):
         map_, config.lyapunov_samples, config.lyapunov_n, child_seed(config.seed, "lyapunov")
     )
     stderr = lyap.sum_positive_stderr()
-    passed = bool(estimate - bias_bound <= lyap.sum_positive + 3.0 * stderr + GATE_EPSILON)
-    payload = {
+    return {
         "entropy_estimate": estimate,
         "entropy_bias_bound": bias_bound,
         "sum_positive_exponents": lyap.sum_positive,
         "stderr": stderr,
         "nu_log_bound_value": nu_value,
-        "pass": passed,
+        "pass": bool(estimate - bias_bound <= lyap.sum_positive + 3.0 * stderr + GATE_EPSILON),
         "map_kind": config.map.kind,
         "partition_level": config.level,
         "n": config.n,
@@ -163,37 +163,36 @@ def run_ruelle(config):
         "lambda_max_integral": lyap.lambda_max_integral,
         "seed": config.seed,
     }
-    return payload, passed, None
 
 
 def run_mixing(config):
     """Mixing-direction verification at the configured resolution."""
     burn_in = config.burn_in_fraction * config.horizon
     window = _fit_window(np.arange(config.horizon + 1), burn_in)  # the series times, before any grid is built
-    series = DiagnosticSeries(
-        metadata={
-            "resolution": config.resolution,
-            "kappa": config.kappa,
-            "radii": list(scan_radii(config.resolution)),
-            "field": asdict(config.field),
-            "datum": asdict(config.datum),
-        }
-    )
+    series = {column: [] for column in _COLUMNS}
     l2_values = []
     c_obs = []  # observed constant in the L2 / H^-1 / log-Sobolev interpolation bound
     for grid in scalar_series(config.field, config.datum, config.horizon, config.resolution):
         h1 = h_minus_one(grid)
         lsq = log_sobolev(grid)
         mix = mixing_scale(grid, config.kappa)
-        series.append(grid.time, h1, lsq, mix)
+        for column, value in zip(_COLUMNS, (grid.time, h1, lsq, mix)):
+            series[column].append(float(value))  # a NumPy scalar would print as np.float64(...) in the CSV
         l2 = l2_norm(grid)
         l2_values.append(l2)
         c_obs.append(_ratio(float(np.log(2.0 + _ratio(l2, h1))) * l2 * l2, lsq))
         del grid  # free its arrays before the series builds the next grid
     floor = h_minus_one_floor(config.resolution) * config.datum.l2_norm  # reads the warm tables
     release_scratch()  # before the Lyapunov run, which adds numpy.random's pages
-    series.metadata["l2_norm"] = l2_values
-    columns = (series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale)
+    series["metadata"] = {
+        "resolution": config.resolution,
+        "kappa": config.kappa,
+        "radii": list(scan_radii(config.resolution)),
+        "field": asdict(config.field),
+        "datum": asdict(config.datum),
+        "l2_norm": l2_values,
+    }
+    columns = [series[column] for column in _COLUMNS]
     times, h1_window, lsq_window, mix_window = np.array(columns, dtype=float)[:, window]
     beta, beta_stderr = _fit(times, h1_window, log=True)
     lsq_slope, lsq_stderr = _fit(times, lsq_window, log=False)
@@ -214,7 +213,7 @@ def run_mixing(config):
         and np.isfinite(ratio_regularity)
     )
     payload = {
-        "series": asdict(series),
+        "series": series,
         "fitted_h_minus_one_rate": beta,
         "fitted_h_minus_one_rate_stderr": beta_stderr,
         "h_minus_one_floor": floor,
@@ -232,16 +231,16 @@ def run_mixing(config):
         "burn_in": burn_in,
         "fit_window": [burn_in, float(config.horizon)],
         "interpolation_ratio": c_obs,
-        "interpolation_trend_pvalue": growth_trend_pvalue(series.times, c_obs),
+        "interpolation_trend_pvalue": growth_trend_pvalue(series["times"], c_obs),
         "lambda_stderr": float(lyap.stderr[0]),
         "seed": config.seed,
     }
-    return payload, passed, series
+    return payload
 
 
 def run_regularity(config):
     """Regularity-slope verification, with a grid-doubling stability check."""
-    payload, _, series = run_mixing(config)
+    payload = run_mixing(config)
     window = _fit_window(np.arange(config.horizon + 1), payload["burn_in"])  # the mask run_mixing fitted on
     values = []  # at the times of the mixing series inside its fit window, which the doubled series shares
     inside = iter(window)  # not zip, whose reused result tuple would hold a grid while the next is built
@@ -250,22 +249,23 @@ def run_regularity(config):
             values.append(log_sobolev(grid))
         del grid  # free its arrays before the series builds the next grid
     release_scratch()  # the doubled resolution's workspace, which no later run reads
-    slope_double, stderr_double = _fit(np.asarray(series.times)[window], np.asarray(values), log=False)
+    times = np.asarray(payload["series"]["times"])[window]
+    slope_double, stderr_double = _fit(times, np.asarray(values), log=False)
     slope = payload["fitted_log_sobolev_slope"]
     scale = max(abs(slope), abs(slope_double), 1e-12)
     stable = abs(slope - slope_double) <= STABILITY_FRACTION * scale
-    passed = bool(np.isfinite(slope) and slope >= -RATE_TOLERANCE and stable)
     payload["log_sobolev_slope_double_resolution"] = slope_double
     payload["log_sobolev_slope_double_resolution_stderr"] = stderr_double
     payload["slope_stability_fraction"] = abs(slope - slope_double) / scale
-    payload["pass_direction"] = passed
-    return payload, passed, series
+    payload["pass_direction"] = bool(np.isfinite(slope) and slope >= -RATE_TOLERANCE and stable)
+    return payload
 
 
 class Experiment(NamedTuple):
     sections: tuple  # the sections whose kind it requires
-    run: object  # config -> (payload, passed, series or None)
-    summary: str  # its summary line, a format string over its payload
+    run: object  # config -> its report, a dict
+    summary: str  # its summary line, a format string over its report
+    gate: str  # the report key of its verdict
 
 
 _ENTROPY = "entropy={entropy_estimate:.4f} sum_positive={sum_positive_exponents:.4f}"
@@ -273,17 +273,17 @@ _RATES = (
     "beta={fitted_h_minus_one_rate:.4f} lsq_slope={fitted_log_sobolev_slope:.4f} "
     "lambda_int={lambda_max_integral:.4f}"
 )
-# experiment -> its row; config checks the sections, the CLI prints the summary
+# experiment -> its row; config checks the sections, the CLI prints the summary and exits on the gate
 EXPERIMENTS = {
-    "lyapunov": Experiment(("map",), run_lyapunov, "lambda_max_integral={lambda_max_integral:.6f}"),
-    "ruelle": Experiment(("map",), run_ruelle, _ENTROPY),
-    "mixing": Experiment(("field", "datum"), run_mixing, _RATES),
-    "regularity": Experiment(("field", "datum"), run_regularity, _RATES),
+    "lyapunov": Experiment(("map",), run_lyapunov, "lambda_max_integral={lambda_max_integral:.6f}", "pass"),
+    "ruelle": Experiment(("map",), run_ruelle, _ENTROPY, "pass"),
+    "mixing": Experiment(("field", "datum"), run_mixing, _RATES, "pass_direction"),
+    "regularity": Experiment(("field", "datum"), run_regularity, _RATES, "pass_direction"),
 }
 
 
 def run_experiment(config):
-    """Dispatch on config.experiment; returns (payload, passed, series or None)."""
+    """Dispatch on config.experiment; returns its report."""
     return EXPERIMENTS[config.experiment].run(config)
 
 
@@ -333,9 +333,9 @@ def write_json_atomic(payload, path):
     _write_atomic(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
-def write_series_csv_atomic(series: DiagnosticSeries, path):
-    """CSV with header t,h_minus_one,log_sobolev,mixing_scale."""
-    rows = zip(series.times, series.h_minus_one, series.log_sobolev, series.mixing_scale)
+def write_series_csv_atomic(series, path):
+    """A report's series as CSV with header t,h_minus_one,log_sobolev,mixing_scale."""
+    rows = zip(*(series[column] for column in _COLUMNS))
     lines = ["t,h_minus_one,log_sobolev,mixing_scale"] + [",".join(repr(v) for v in row) for row in rows]
     _write_atomic("\n".join(lines) + "\n", path)
 

@@ -127,14 +127,17 @@ class InitialDatum:
         return _SIGN_OF_PARITY.take(index & 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridField:
-    """Scalar samples on the uniform node-centered N x N grid."""
+    """Scalar samples on the uniform node-centered N x N grid; read-only, use dataclasses.replace."""
 
     resolution: int
     values: np.ndarray  # (N, N), values[i, j] = rho((i+1/2)/N, (j+1/2)/N)
     time: float
     metadata: dict = dataclass_field(default_factory=dict)
+
+    def __post_init__(self):
+        self.values.flags.writeable = False  # the diagnostics cache its transform by grid identity
 
     def mean(self) -> float:
         return float(np.mean(self.values))

@@ -99,10 +99,10 @@ lyapunov_n = 30
 kind = cat
 """
         )
-        payload, passed, _ = run_ruelle(config)
+        payload = run_ruelle(config)
         slack = payload["sum_positive_exponents"] + 3.0 * payload["stderr"] + 1e-12
         assert payload["entropy_estimate"] - payload["entropy_bias_bound"] <= slack
-        assert passed
+        assert payload["pass"]
         assert abs(payload["entropy_estimate"] - payload["sum_positive_exponents"]) <= (
             0.15 * payload["sum_positive_exponents"]
         )
@@ -127,8 +127,8 @@ lyapunov_n = 20
 kind = baker
 """
         )
-        payload, passed, _ = run_ruelle(config)
-        assert passed
+        payload = run_ruelle(config)
+        assert payload["pass"]
         assert abs(payload["entropy_estimate"] - math.log(2.0)) <= 0.15 * math.log(2.0)
 
 
@@ -205,22 +205,23 @@ def test_criterion_07_log_sobolev_versus_brute_force():
 def mixing_runs():
     start = time.perf_counter()
     config = parse_config(MIXING_CONFIG_TEXT)
-    payload, _, series = run_mixing(config)
+    payload = run_mixing(config)
     # criterion 08 reads only H^-1 from the doubled-resolution series
     grids = scalar_series(config.field, config.datum, config.horizon, 1024)
     h1_double = tuple(zip(*[(grid.time, h_minus_one(grid)) for grid in grids]))
-    return config, payload, series, h1_double, time.perf_counter() - start
+    return config, payload, h1_double, time.perf_counter() - start
 
 
 def test_criterion_08_mixing_direction(mixing_runs):
-    config, payload, series, h1_double, shared_elapsed = mixing_runs
+    config, payload, h1_double, shared_elapsed = mixing_runs
+    series = payload["series"]
     # the shared 512/1024 series computation counts against this budget
     assert shared_elapsed < 600.0
     print(f"[criterion 08] shared series runtime {shared_elapsed:.1f}s")
     with _Budget(8, 600.0 - shared_elapsed):
         burn_in = config.burn_in_fraction * config.horizon
-        times = np.array(series.times)
-        h1 = np.array(series.h_minus_one)
+        times = np.array(series["times"])
+        h1 = np.array(series["h_minus_one"])
         window = times >= burn_in
         assert np.all(np.diff(h1[window]) < 0.0), "H^-1 not strictly decreasing after burn-in"
         beta = payload["fitted_h_minus_one_rate"]
@@ -230,17 +231,17 @@ def test_criterion_08_mixing_direction(mixing_runs):
         lam = payload["lambda_max_integral"]
         ratio, ratio_double = beta / lam, beta_double / lam
         assert abs(ratio - ratio_double) <= 0.2 * max(abs(ratio), abs(ratio_double))
-        mix = np.array(series.mixing_scale)
+        mix = np.array(series["mixing_scale"])
         assert np.all(np.diff(mix[window]) <= 0.0), "mixing scale increased after burn-in"
 
 
 def test_criterion_09_regularity_slope(mixing_runs):
     # runtime shared with criterion 8
     with _Budget(9, 600.0):
-        _, payload, series, _, _ = mixing_runs
+        _, payload, _, _ = mixing_runs
         slope = payload["fitted_log_sobolev_slope"]
         assert np.isfinite(slope)
-        trend_p = growth_trend_pvalue(series.times, payload["interpolation_ratio"])
+        trend_p = growth_trend_pvalue(payload["series"]["times"], payload["interpolation_ratio"])
         assert trend_p >= 0.05, f"interpolation ratio grows significantly (p={trend_p:.4f})"
 
 

@@ -45,6 +45,20 @@ def test_two_copies_of_one_tree_pass_every_check_and_the_sign_test_does_not_reje
     assert set(record["first_in_pair"]) <= {"parent", "change"} and len(record["first_in_pair"]) == 2
 
 
+def test_pairs_rotate_the_path_length_and_share_it_within_a_pair():
+    # the heap state follows the copy's path length, so four pairs sample four lengths
+    code, record, stdout = _pairs(ROOT, ROOT, 4)
+    assert code == 0 and record["complete_pairs"] == 4
+    lengths = [pair["parent"]["path_length"] for pair in record["runs"]]
+    assert [pair["change"]["path_length"] for pair in record["runs"]] == lengths
+    assert len(set(lengths)) == 4
+    by_length = record["minor_faults_median_by_path_length"]
+    assert sorted(int(length) for length in by_length) == sorted(lengths)
+    for length in lengths:
+        assert all(by_length[str(length)][tree] > 0 for tree in ("parent", "change"))
+        assert f"at path length {length}: parent " in stdout
+
+
 def test_a_run_whose_gate_fails_counts_as_a_failure_not_as_a_time(tmp_path):
     # at level 2 the cat map's entropy estimate overshoots its bound and the run exits 1
     broken = tmp_path / "tree"

@@ -34,7 +34,7 @@ def test_default_sweep_runs_at_the_configs_own_size(monkeypatch):
         seen.append((run_config.field.amplitude, run_config.resolution, run_config.horizon))
         series = {"times": [0.0, 1.0], "h_minus_one": [1.0, 0.5]}
         payload = {"series": series, "burn_in": 0.0, "lambda_max_integral": 1.0, "fitted_h_minus_one_rate": 0.7}
-        return payload, True, None
+        return payload
 
     monkeypatch.setattr(script, "run_mixing", recording_run_mixing)
     assert len(list(script.sweep())) == len(script.AMPLITUDES)

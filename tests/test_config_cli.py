@@ -15,6 +15,7 @@ from ergomix.config import Config, MapBlock, parse_config, render_config
 from ergomix.errors import ConfigError, ErgomixError
 from ergomix.scalar import GridField, InitialDatum, sample_scalar, save_grid
 from ergomix.fields import CATALOG, VelocityField
+from ergomix.harness import EXPERIMENTS
 
 MINIMAL_MIXING = """
 experiment = mixing
@@ -501,7 +502,7 @@ def test_cli_non_ascii_output_dir_under_an_ascii_locale_exits_2_in_one_line(tmp_
 
 
 def test_cli_output_dir_under_a_file_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("ergomix.cli.run_experiment", lambda config: ({"pass": True}, True, None))
+    monkeypatch.setattr("ergomix.cli.run_experiment", lambda config: {"pass": True})
     blocker = tmp_path / "file"
     blocker.write_text("")
     path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
@@ -549,12 +550,47 @@ def test_cli_gate_failure_exits_1(tmp_path, monkeypatch):
             "entropy_estimate": 1.0,
             "sum_positive_exponents": 0.5,
         }
-        return payload, False, None
+        return payload
 
     monkeypatch.setattr("ergomix.cli.run_experiment", failing_run)
     path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))
     assert main(["run", path]) == 1
     assert (tmp_path / "o" / "ruelle_report.json").exists()
+
+
+_STUB_REPORTS = {
+    "ruelle": {"entropy_estimate": 0.5, "sum_positive_exponents": 1.0},
+    "mixing": {
+        "fitted_h_minus_one_rate": 0.5,
+        "fitted_log_sobolev_slope": 0.25,
+        "lambda_max_integral": 1.0,
+        "series": {
+            "times": [0.0, 1.0],
+            "h_minus_one": [0.5, 0.25],
+            "log_sobolev": [1.0, 2.0],
+            "mixing_scale": [0.5, 0.25],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+@pytest.mark.parametrize(
+    "experiment, gate, other", [("ruelle", "pass", "pass_direction"), ("mixing", "pass_direction", "pass")]
+)
+def test_cli_exit_code_follows_the_verdict_key_of_the_experiments_row(
+    tmp_path, monkeypatch, capsys, experiment, gate, other, verdict
+):
+    # each stub report also carries the other verdict key, set the other way
+    assert EXPERIMENTS[experiment].gate == gate
+    report = dict(_STUB_REPORTS[experiment], **{gate: verdict, other: not verdict})
+    monkeypatch.setattr("ergomix.cli.run_experiment", lambda config: report)
+    text = RUELLE_SMALL.format(out=tmp_path / "unused") if experiment == "ruelle" else MINIMAL_MIXING
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, "c.cfg", text), "--set", f"output_dir={out}"]) == (0 if verdict else 1)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f" pass={verdict}")
+    assert json.loads((out / f"{experiment}_report.json").read_text()) == report
+    assert (out / f"{experiment}_series.csv").exists() == ("series" in report)
 
 
 def test_cli_short_fit_window_exits_2_without_traceback(tmp_path, capsys):
@@ -629,7 +665,7 @@ def test_cli_size_the_machine_cannot_hold_exits_2_in_one_line(tmp_path, override
 def test_cli_non_finite_report_value_exits_3_naming_the_key(tmp_path, monkeypatch, capsys):
     def infinite_run(config):
         payload = {"pass": True, "entropy_estimate": 1.0, "sum_positive_exponents": 1.0, "ratios": [0.5, math.inf]}
-        return payload, True, None
+        return payload
 
     monkeypatch.setattr("ergomix.cli.run_experiment", infinite_run)
     path = _write(tmp_path, "r.cfg", RUELLE_SMALL.format(out=tmp_path / "o"))

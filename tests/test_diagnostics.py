@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import tracemalloc
@@ -122,6 +123,19 @@ def test_h_minus_one_floor_is_the_norm_of_grid_noise():
 def test_log_sobolev_constant_is_zero():
     grid = _grid_from_function(lambda p: np.ones(p.shape[:-1]), 64)
     assert log_sobolev(grid) == 0.0
+
+
+def test_a_grid_is_read_only_so_its_cached_transform_cannot_go_stale():
+    # the diagnostics cache rfft2(values) by grid identity, so a grid edited in place would read stale norms
+    grid = sample_scalar(VelocityField("zero"), InitialDatum("sinusoid"), 0.0, 64)
+    assert h_minus_one(grid) == pytest.approx(2**-0.5, rel=1e-12)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.values = 2.0 * grid.values
+    assert h_minus_one(grid) == pytest.approx(2**-0.5, rel=1e-12)
+    assert h_minus_one(dataclasses.replace(grid, values=2.0 * grid.values)) == pytest.approx(2**0.5, rel=1e-12)
+    assert not next(scalar_series(VelocityField("zero"), InitialDatum("sinusoid"), 0, 16)).values.flags.writeable
 
 
 def test_log_sobolev_quadratic_homogeneity():
