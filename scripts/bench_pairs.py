@@ -19,7 +19,12 @@ parent), the number of pairs the change wins (ties count for neither), the
 two-sided sign test's p-value and a verdict (see ``verdict``), plus whether
 each tree's peak RSS repeats within perfbench's tolerance and each tree's
 median count of minor page faults per run, overall and per path length,
-which tells the heap states of a bimodal workload apart.  The last line of
+which tells the heap states of a bimodal workload apart.  A pair whose two
+runs' minor-fault counts are within ``MATCHED_FAULTS`` of the larger ran in
+one heap state; for those pairs alone it prints and records
+(``matched_fault_state``) their number and, per metric, the median paired
+difference and the change's wins, so that a heap-state flip between the
+trees is not read as the change's effect.  The last line of
 standard output is the JSON record, with every run's samples.  The exit
 code is 1 if any run failed.
 
@@ -50,6 +55,7 @@ import run as perfbench  # noqa: E402
 
 TREES = ("parent", "change")
 PATH_LENGTHS, PAD_STEP = 4, 5  # the pairs rotate over 4 copy path lengths, 5 characters apart
+MATCHED_FAULTS = 0.03  # a pair whose minor-fault counts differ by at most 3% of the larger ran in one heap state
 
 
 def place(tree, copy):
@@ -125,15 +131,20 @@ def verdict(parent, change, metric):
     return "within bound"
 
 
+def paired(pairs, metric):
+    """One metric's paired differences (change minus parent), and the pairs the change wins and loses."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    diffs = [pair["change"][metric["name"]] - pair["parent"][metric["name"]] for pair in pairs]
+    return diffs, sum(1 for d in diffs if sign * d < 0), sum(1 for d in diffs if sign * d > 0)
+
+
 def compare(pairs, metrics):
     """Per end-to-end metric: each tree's summary, the paired differences, the wins and the sign test."""
     rows = {}
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {tree: [pair[tree][name] for pair in pairs] for tree in TREES}
-        diffs = [c - p for p, c in zip(values["parent"], values["change"])]
-        wins = sum(1 for d in diffs if (d < 0 if lower else d > 0))
-        losses = sum(1 for d in diffs if (d > 0 if lower else d < 0))
+        diffs, wins, losses = paired(pairs, metric)
         rows[name] = {
             **{tree: perfbench.summary(values[tree]) for tree in TREES},
             "median_paired_difference": statistics.median(diffs),
@@ -143,6 +154,22 @@ def compare(pairs, metrics):
             "verdict": verdict(values["parent"], values["change"], metric),
         }
     return rows
+
+
+def matched(pair):
+    """Whether the pair's two runs ran in one heap state: minor faults within MATCHED_FAULTS of the larger."""
+    parent, change = (pair[tree]["minor_faults"] for tree in TREES)
+    return abs(change - parent) <= MATCHED_FAULTS * max(parent, change)
+
+
+def matched_fault_state(pairs, metrics):
+    """The number of matched pairs and, over them alone, each metric's median paired difference and wins."""
+    same = [pair for pair in pairs if matched(pair)]
+    rows = {}
+    for metric in metrics if same else ():
+        diffs, wins, _ = paired(same, metric)
+        rows[metric["name"]] = {"median_paired_difference": statistics.median(diffs), "change_wins": wins}
+    return {"pairs": len(same), "metrics": rows}
 
 
 def main(argv=None):
@@ -177,6 +204,7 @@ def main(argv=None):
     failed = sum(1 for pair in runs for run in pair.values() if run["problems"])
     pairs = [pair for pair in runs if not any(run["problems"] for run in pair.values())]
     rows = compare(pairs, metrics) if pairs else {}
+    same = matched_fault_state(pairs, metrics)
     rss, faults, faults_by_length = {}, {}, {}
     for tree in TREES:
         values = [pair[tree]["peak_rss_mb"] for pair in pairs]
@@ -200,6 +228,12 @@ def main(argv=None):
     print("median minor faults per run: " + ", ".join(f"{t} {faults[t]:.0f}" for t in TREES))
     for length, row in faults_by_length.items():
         print(f"  at path length {length}: " + ", ".join(f"{t} {row[t]:.0f}" for t in TREES))
+    print(f"pairs in one heap state (minor faults within {MATCHED_FAULTS:.0%}): {same['pairs']} of {len(pairs)}")
+    for name, row in same["metrics"].items():
+        print(
+            f"  {name}: paired diff {row['median_paired_difference']:+.4f}  "
+            f"change better in {row['change_wins']} of {same['pairs']}"
+        )
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -211,6 +245,7 @@ def main(argv=None):
         "peak_rss_repeats": rss,
         "minor_faults_median": faults,
         "minor_faults_median_by_path_length": faults_by_length,
+        "matched_fault_state": same,
         "runs": runs,
     }
     print(json.dumps(record))

@@ -68,11 +68,11 @@ def _workspace(n):
     taken once per grid visit (_transform); ball_averages writes spectrum x K_hat into product.
     averages: the one N x N scratch: the log-Sobolev kernel while the tables are built, each
     ball kernel while its table is built, mixing_scale's ball averages and l2_norm's squares.
-    balls: radius -> _ball table, one per radius asked for: at most len(scan_radii(N)) from
-    mixing_scale (14 at N = 512, all once a grid mixes down to two cells), plus one per other
-    radius passed to ball_averages, until release_scratch().  One block, mapped apart from
-    glibc's heap, holds the arrays; half reuses product's memory (never both live).  Only the
-    consumer's thread of a grid series runs the diagnostics, never its march, so no lock.
+    balls: radius -> _ball table (kernel spectrum, node count), one per radius asked for: at most
+    len(scan_radii(N)) from mixing_scale (14 at N = 512, all once a grid mixes down to two cells),
+    plus one per other radius passed to ball_averages, until release_scratch().  One block, mapped
+    apart from glibc's heap, holds the arrays; half reuses product's memory (never both live).
+    Only the consumer's thread of a grid series runs the diagnostics, never its march, so no lock.
     """
     shape, m = (n, n // 2 + 1), n * (n // 2 + 1)
     block = np.empty(7 * m + n * n)
@@ -204,8 +204,7 @@ def _ball(work, radius):
     """The table of the discrete ball of radius at the workspace's resolution, built on first use.
 
     spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table keeps the real
-    part and drops imaginary roundoff.  count: the node count.  offsets: _ball_nodes, taken
-    when the fail certificate reads them.
+    part and drops imaginary roundoff.  count: the node count.
     """
     ball = work.balls.get(radius)
     if ball is None:
@@ -216,7 +215,7 @@ def _ball(work, radius):
         kernel[rows, cols] = 1.0
         spectrum = np.fft.rfft2(kernel, out=work.product).real.copy()
         spectrum.flags.writeable = False
-        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=len(rows), offsets=None)
+        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=len(rows))
     return ball
 
 
@@ -254,8 +253,8 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
     the smallest if none does at any radius.  A radius passes when the bound
     sum |rho_hat| |K_hat| / (count N^2) over the full spectrum is below the
     threshold by CERTIFICATE_REL relative plus CERTIFICATE_ABS, far above
-    roundoff; it fails when the direct ball sum at the node where the last
-    transformed radius peaked is above it by that margin; else ball_averages.
+    roundoff; ball_averages decides every other radius, which fails when the
+    largest |average| is above the threshold.
     """
     check_kappa(kappa)
     n = grid.resolution
@@ -265,7 +264,6 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
         sup = float(np.max(np.abs(grid.values)))
     threshold = kappa * sup
     work = _transform(grid)
-    peak = None  # (row, column) where the last transformed radius peaked
     for i in range(len(radii) - 1, -1, -1):
         ball = _ball(work, radii[i])
         weights = np.abs(ball.spectrum, out=work.half)
@@ -273,24 +271,9 @@ def mixing_scale(grid: GridField, kappa: float) -> float:
         bound = np.sum(np.multiply(work.modulus, weights, out=weights))
         if (bound / (ball.count * n**2)) * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS <= threshold:
             continue
-        if peak is not None:
-            if ball.offsets is None:
-                ball.offsets = _ball_nodes(n, radii[i])
-            # an offset plus the peak's index is at most 2N - 2, so the sums fit that width and
-            # cannot wrap; reduced modulo N in place, they index the same nodes in the same order
-            wide = np.min_scalar_type(2 * n - 2)
-            rows, cols = (np.add(offsets, at, dtype=wide) for offsets, at in zip(ball.offsets, peak))
-            rows %= n
-            cols %= n
-            direct = abs(grid.values[rows, cols].sum()) / ball.count
-            if direct > threshold * (1.0 + CERTIFICATE_REL) + CERTIFICATE_ABS:
-                break
         averages = ball_averages(grid, radii[i], out=work.averages)
-        high, low = averages.argmax(), averages.argmin()
-        node = high if averages.flat[high] >= -averages.flat[low] else low
-        if abs(averages.flat[node]) > threshold:
+        if np.max(np.abs(averages, out=averages)) > threshold:
             break
-        peak = divmod(int(node), n)
     else:
         return radii[0]
     return radii[min(i + 1, len(radii) - 1)]

@@ -13,9 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationDivergedError
 
 TWO_PI = 2.0 * np.pi
+MAX_STEPS_PER_UNIT = 2**16  # rk4_steps refuses a field that needs more RK4 steps per unit time
 
 
 class KindFacts(NamedTuple):
@@ -104,8 +105,9 @@ class VelocityField:
         return self.facts.constant_along_flow
 
     def rk4_steps(self, duration):
-        """RK4 steps for a flow over ``duration`` time units: 256 per unit unless constant along the flow.
+        """RK4 steps for a flow over ``duration`` time units: max(256, ceil(50 w A)) per unit.
 
+        That holds a unit map's |log det| of the tangent to 2e-4 up to w A = 60.
         When the field is constant along the flow, each steady piece moves
         points along straight lines at their starting velocity and the
         gradient is nilpotent (G^2 = 0), so one RK4 step is the exact flow
@@ -113,7 +115,11 @@ class VelocityField:
         """
         if self.constant_along_flow:
             return 1
-        return max(1, int(round(256 * abs(duration))))
+        wa = self.wavenumber * self.amplitude
+        per_unit = max(256.0, np.ceil(50.0 * wa))
+        if per_unit > MAX_STEPS_PER_UNIT:  # refused before any schedule is built
+            raise IntegrationDivergedError(f"w A = {wa:g} needs over {MAX_STEPS_PER_UNIT} RK4 steps per unit time")
+        return max(1, int(round(int(per_unit) * abs(duration))))
 
     def _phase(self, i):
         return self.phases[i] if i < len(self.phases) else 0.0

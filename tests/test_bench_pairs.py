@@ -42,6 +42,7 @@ def test_two_copies_of_one_tree_pass_every_check_and_the_sign_test_does_not_reje
         assert all(pair[tree]["minor_faults"] > 0 for pair in record["runs"])
         assert record["minor_faults_median"][tree] > 0
     assert "median minor faults per run: parent " in stdout
+    assert record["matched_fault_state"]["pairs"] <= 2 and "pairs in one heap state" in stdout
     assert set(record["first_in_pair"]) <= {"parent", "change"} and len(record["first_in_pair"]) == 2
 
 
@@ -89,3 +90,34 @@ STEADY = [1.0, 1.01, 1.02, 1.03]  # median 1.015, quartile spread 0.025 of it
 def test_verdict_follows_the_bound_and_the_better_direction(better, parent, change, expected):
     metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
     assert _load_script().verdict(parent, change, metric) == expected
+
+
+def _synthetic_pair(parent_faults, change_faults, parent_run_s, change_run_s):
+    return {
+        "parent": {"minor_faults": parent_faults, "run_s": parent_run_s, "peak_rss_mb": 50.0},
+        "change": {"minor_faults": change_faults, "run_s": change_run_s, "peak_rss_mb": 49.0},
+    }
+
+
+def test_matched_fault_state_reads_only_the_pairs_in_one_heap_state():
+    # two pairs just within 3% of each other, and two heap-state flips whose times would
+    # otherwise decide the medians and the wins
+    pairs = [
+        _synthetic_pair(10000, 10300, 0.50, 0.48),
+        _synthetic_pair(10300, 10000, 0.50, 0.47),
+        _synthetic_pair(7000, 16800, 0.40, 0.60),
+        _synthetic_pair(16800, 7000, 0.40, 0.61),
+    ]
+    metrics = [
+        {"name": "run_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "higher", "bound": 0.05},
+    ]
+    script = _load_script()
+    assert [script.matched(pair) for pair in pairs] == [True, True, False, False]
+    state = script.matched_fault_state(pairs, metrics)
+    assert state["pairs"] == 2
+    assert state["metrics"]["run_s"]["median_paired_difference"] == pytest.approx(-0.025)
+    assert state["metrics"]["run_s"]["change_wins"] == 2
+    assert state["metrics"]["peak_rss_mb"] == {"median_paired_difference": -1.0, "change_wins": 0}
+    assert script.compare(pairs, metrics)["run_s"]["change_wins"] == 2  # of four: the flips lose
+    assert script.matched_fault_state(pairs[2:], metrics) == {"pairs": 0, "metrics": {}}

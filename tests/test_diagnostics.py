@@ -314,21 +314,36 @@ def test_mixing_scale_stripe_bracket():
     assert 0.1 <= result <= 0.45
 
 
-def test_mixing_scale_odd_resolution_matches_brute_force():
+@pytest.mark.parametrize("n", [63, 264])
+def test_mixing_scale_matches_brute_force_off_powers_of_two(n):
+    # an odd resolution, and one above 256, whose ball tables are built from uint16 node lists
     grid = sample_scalar(
         VelocityField(kind="alternating_shear", amplitude=1.0),
         InitialDatum("checkerboard", level=2),
         2.0,
-        63,
+        n,
     )
+    maxima = _ball_maxima(grid, scan_radii(n))
     for kappa in (0.15, 1.0 / 3.0, 0.7):
-        assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(63))
+        assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(n), maxima)
+
+
+def _l1_bound_passes(grid, kernels, threshold):
+    # the pass certificate recomputed over the full spectrum: sum |rho_hat| |K_hat| / (count N^2)
+    modulus = np.abs(np.fft.fft2(grid.values))
+    n = grid.resolution
+    return [
+        (np.sum(modulus * np.abs(k_hat)) / (count * n**2)) * (1.0 + diagnostics.CERTIFICATE_REL)
+        + diagnostics.CERTIFICATE_ABS
+        <= threshold
+        for k_hat, count in kernels
+    ]
 
 
 def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
-    # every grid of the shipped alternating mixing config at 256^2; the three
-    # kappas between them decide radii by the pass certificate, by the
-    # failure witness and by the transform
+    # every grid of the shipped alternating mixing config at 256^2; the three kappas between
+    # them decide radii by the pass certificate and by the transform, and the transform runs
+    # at exactly the scanned radii the certificate does not pass
     with open(os.path.join(CONFIGS, "mixing_alternating.cfg")) as handle:
         config = parse_config(handle.read())
     transformed = []
@@ -339,7 +354,8 @@ def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "ball_averages", recording_ball_averages)
     radii = scan_radii(256)
-    decided = {"pass certificate": 0, "failure witness": 0, "transform": 0}
+    kernels = [(np.fft.fft2(_ball_kernel(256, r)), _ball_kernel(256, r).sum()) for r in radii]
+    decided = {"pass certificate": 0, "transform": 0}
     for grid in scalar_series(config.field, config.datum, config.horizon, 256):
         maxima = _ball_maxima(grid, radii)
         for kappa in (0.15, 1.0 / 3.0, 0.7):
@@ -347,35 +363,11 @@ def test_mixing_scale_matches_brute_force_on_the_shipped_series(monkeypatch):
             assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, radii, maxima)
             failing = [i for i, m in enumerate(maxima) if m > kappa]
             scanned = range(len(radii) - 1, failing[-1] - 1 if failing else -1, -1)
-            for i in scanned:
-                if radii[i] in transformed:
-                    decided["transform"] += 1
-                elif failing and i == failing[-1]:
-                    decided["failure witness"] += 1
-                else:
-                    decided["pass certificate"] += 1
+            passes = _l1_bound_passes(grid, kernels, kappa)
+            assert transformed == [radii[i] for i in scanned if not passes[i]]
+            decided["transform"] += len(transformed)
+            decided["pass certificate"] += len(scanned) - len(transformed)
     assert min(decided.values()) > 0, decided
-
-
-def test_failure_witness_reads_every_ball_node_above_256():
-    # above N = 256 the offsets no longer fit uint8: they are stored as uint16, and the failure
-    # witness still sums the ball's own nodes
-    n = 264
-    grid = sample_scalar(
-        VelocityField(kind="alternating_shear", amplitude=1.0),
-        InitialDatum("checkerboard", level=2),
-        2.0,
-        n,
-    )
-    maxima = _ball_maxima(grid, scan_radii(n))
-    for kappa in (0.15, 1.0 / 3.0, 0.7):
-        assert mixing_scale(grid, kappa) == _brute_force_mixing_scale(grid, kappa, scan_radii(n), maxima)
-    read = {r: ball.offsets for r, ball in diagnostics._workspace(n).balls.items() if ball.offsets is not None}
-    assert len(read) >= 3
-    for radius, (rows, cols) in read.items():
-        assert rows.dtype == cols.dtype == np.uint16
-        expected_rows, expected_cols = np.nonzero(_ball_kernel(n, radius))
-        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
 
 
 def test_mixing_scale_conventions():
@@ -440,7 +432,7 @@ def test_cached_ball_spectrum_equals_a_fresh_transform():
             assert np.array_equal(ball_averages(grid, radius), expected)
             ball = diagnostics._workspace(48).balls[radius]
             assert np.array_equal(ball.spectrum, fresh.real) and ball.count == kernel.sum()
-            assert not ball.spectrum.flags.writeable and ball.offsets is None  # read by mixing_scale only
+            assert not ball.spectrum.flags.writeable and set(vars(ball)) == {"spectrum", "count"}
             # the second grid reads the table the first one built
             assert tables.setdefault(radius, ball.spectrum) is ball.spectrum
     assert list(diagnostics._workspace(48).balls) == list(scan_radii(48))
@@ -501,7 +493,7 @@ def _transient(call, *args):
 
 def test_mixed_grid_diagnostics_allocate_nothing_grid_sized():
     # with the workspace built, building every ball table (from node lists, scattered into the
-    # scratch), the fail certificate's gather and the L2 squares each make less than one grid
+    # scratch) and the L2 squares each make less than one grid
     n = 256
     grid = sample_scalar(
         VelocityField(kind="alternating_shear", amplitude=1.0),
@@ -513,7 +505,7 @@ def test_mixed_grid_diagnostics_allocate_nothing_grid_sized():
     diagnostics._workspace(n)
     assert _transient(mixing_scale, grid, 0.2) < 8 * n * n
     balls = diagnostics._workspace(n).balls
-    assert len(balls) >= 3 and any(ball.offsets is not None for ball in balls.values())
+    assert len(balls) >= 3
     assert _transient(l2_norm, grid) < 8 * n * n
     diagnostics.release_scratch()
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from ergomix.errors import ConfigError
+from ergomix.errors import ConfigError, IntegrationDivergedError
 from ergomix.flow import advect
 from ergomix.fields import (
     CATALOG,
     FIELD_KINDS,
+    MAX_STEPS_PER_UNIT,
     VelocityField,
     grad_l1_time_average,
 )
@@ -311,3 +312,14 @@ def test_spectral_norm_closed_form_matches_svd():
 def test_catalog_is_complete():
     assert set(FIELD_KINDS) == {"zero", "constant", "steady_shear", "alternating_shear", "cellular"}
     assert set(GRAD_L1_CLOSED_FORMS) == set(FIELD_KINDS)
+
+
+def test_cellular_steps_grow_with_w_a_up_to_the_cap():
+    # 256 per unit time up to w A = 5.12, then ceil(50 w A), refused above MAX_STEPS_PER_UNIT
+    assert VelocityField(kind="cellular", amplitude=5.12).rk4_steps(1.0) == 256
+    assert VelocityField(kind="cellular", amplitude=20.0).rk4_steps(1.0) == 1000
+    assert VelocityField(kind="cellular", amplitude=10.0, wavenumber=2).rk4_steps(0.5) == 500
+    assert VelocityField(kind="cellular", amplitude=MAX_STEPS_PER_UNIT / 50.0).rk4_steps(1.0) == MAX_STEPS_PER_UNIT
+    with pytest.raises(IntegrationDivergedError, match="RK4 steps per unit time"):
+        VelocityField(kind="cellular", amplitude=MAX_STEPS_PER_UNIT / 50.0 + 0.01).rk4_steps(1.0)
+    assert VelocityField(kind="alternating_shear", amplitude=1e9).rk4_steps(1.0) == 1  # exact at one step

@@ -182,12 +182,9 @@ def test_shipped_cat_map_passes_the_entropy_gate_at_level_two():
     assert run_ruelle(config)["pass"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: a cellular field gets 256 RK4 steps per unit time whatever its amplitude",
-)
 def test_fast_cellular_flow_passes_the_exponent_sum_gate():
-    # at amplitude 40 a unit map's largest |log det| reads 2.8 on 200 points, and the exponent sum -0.474
+    # at 256 steps per unit time, amplitude 40 read a unit map's largest |log det| 2.8 on 200 points,
+    # and the exponent sum -0.474; rk4_steps gives it 50 w A = 2000
     config = _config(
         """
 experiment = lyapunov

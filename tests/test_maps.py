@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ergomix.errors import SingularInputError
+from ergomix import flow
+from ergomix.errors import IntegrationDivergedError, SingularInputError
 from ergomix.fields import VelocityField
 from ergomix.maps import CAT_MATRIX, BakerMap, CatMap, TimeOneFlowMap, make_map
 from ergomix.torus import wrap
@@ -67,6 +68,15 @@ def test_time_one_flow_inverse_consistency():
     rng = np.random.default_rng(2)
     pts = rng.random((1000, 2))
     assert np.max(distance(mapping.inverse(mapping.apply(pts)), pts)) <= 1e-5
+
+
+def test_a_flow_too_fast_to_resolve_fails_when_its_map_is_made(monkeypatch):
+    # 50 w A RK4 steps per unit time above the cap: refused before any schedule is built
+    monkeypatch.setattr(flow, "_steps", lambda *args: pytest.fail("a schedule was built"))
+    for amplitude, wavenumber in ((1e9, 1), (700.0, 2)):
+        field = VelocityField(kind="cellular", amplitude=amplitude, wavenumber=wavenumber)
+        with pytest.raises(IntegrationDivergedError, match="RK4 steps per unit time"):
+            make_map("time_one_flow", field=field)
 
 
 def test_make_map_dispatch():
