@@ -27,7 +27,7 @@ from .workers import piece_bounds, run_chunked
 ENTROPY_GUARD_FACTOR = 1.5
 
 LOG_SOBOLEV_OUTER_RADIUS = 0.2  # offsets integrate over the ball of radius 1/5
-CERTIFICATE_REL, CERTIFICATE_ABS = 1e-9, 1e-12  # margins of the mixing-scale certificates
+CERTIFICATE_REL, CERTIFICATE_ABS = 1e-9, 1e-12  # margins of the mixing-scale pass certificate
 
 MIN_PROBES = 16  # fewest forward probes per cell nu_log_bound accepts
 
@@ -174,48 +174,32 @@ def log_sobolev_brute_force(grid: GridField) -> float:
     return float(total)
 
 
-def _ball_kernel(resolution, radius):
-    """The dense 0/1 kernel of the discrete ball of radius: the oracle of _ball_nodes and _ball."""
-    k = np.arange(resolution)
-    offsets = ((k + resolution // 2) % resolution - resolution // 2) / resolution
-    dist2 = offsets[:, None] ** 2 + offsets[None, :] ** 2
-    return (dist2 <= radius**2).astype(float)
+def _ball_kernel(resolution, radius, out=None):
+    """The 0/1 kernel of the discrete ball of radius, written into out (an N x N float array) if given.
 
-
-def _ball_nodes(resolution, radius):
-    """Row-major rows and columns, modulo N, of the nodes of the discrete ball of radius.
-
-    A node is in the ball when o_i^2 + o_j^2 <= radius^2, o the signed offset / N, the float test
-    of _ball_kernel; it is made one row vector at a time over the rows the ball reaches, so no
-    N x N array is made.  Both arrays are in the smallest unsigned type that holds N - 1.
+    A node is in the ball when (d_i^2 + d_j^2) / N^2 <= radius^2, d the signed integer offsets:
+    the squares and their sum are exact, so the test rounds once, as the log-Sobolev kernel's does.
     """
     k = np.arange(resolution)
-    squares = (((k + resolution // 2) % resolution - resolution // 2) / resolution) ** 2
-    limit, dtype = radius**2, np.min_scalar_type(resolution - 1)
-    # squares[0] = 0 and a float sum of non-negatives is no less than either term, so the rows the
-    # ball reaches, and the columns it can reach, are those whose own square passes the test
-    reached = np.flatnonzero(squares <= limit)
-    within, candidates = squares[reached], reached.astype(dtype)
-    cols = [candidates[squares[i] + within <= limit] for i in reached]
-    return np.repeat(candidates, [len(c) for c in cols]), np.concatenate(cols)
+    squares = (((k + resolution // 2) % resolution - resolution // 2) ** 2).astype(float)
+    out = np.add(squares[:, None], squares[None, :], out=out)
+    out /= resolution**2
+    return np.less_equal(out, radius**2, out=out)
 
 
 def _ball(work, radius):
     """The table of the discrete ball of radius at the workspace's resolution, built on first use.
 
-    spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table keeps the real
-    part and drops imaginary roundoff.  count: the node count.
+    _ball_kernel, the log-Sobolev kernel's test, is written into the scratch and transformed into product:
+    no grid is allocated.  spectrum: rfft2 of the kernel, read-only; the kernel is even, so the table
+    keeps the real part and drops imaginary roundoff.  count: the node count.
     """
     ball = work.balls.get(radius)
     if ball is None:
-        rows, cols = _ball_nodes(len(work.averages), radius)
-        # the kernel is scattered into the scratch and transformed into product: no grid is allocated
-        kernel = work.averages
-        kernel.fill(0.0)
-        kernel[rows, cols] = 1.0
+        kernel = _ball_kernel(len(work.averages), radius, out=work.averages)
         spectrum = np.fft.rfft2(kernel, out=work.product).real.copy()
         spectrum.flags.writeable = False
-        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=len(rows))
+        ball = work.balls[radius] = SimpleNamespace(spectrum=spectrum, count=int(np.count_nonzero(kernel)))
     return ball
 
 

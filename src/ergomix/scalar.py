@@ -272,7 +272,7 @@ def save_grid(grid: GridField, stem: str):
 
 
 def load_grid(path: str) -> GridField:
-    """Load a grid saved by save_grid; accepts the stem or the .json sidecar.
+    """Load a grid saved by save_grid; accepts the stem, the .json sidecar or the .bin values path.
 
     Raises ConfigError when the sidecar is not JSON, lacks a required key,
     has a resolution that is not an integer >= MIN_RESOLUTION, names a dtype

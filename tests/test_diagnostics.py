@@ -14,7 +14,6 @@ from ergomix.diagnostics import (
     Partition,
     _ball,
     _ball_kernel,
-    _ball_nodes,
     _orbit_codes,
     _plugin_entropy,
     ball_averages,
@@ -316,7 +315,7 @@ def test_mixing_scale_stripe_bracket():
 
 @pytest.mark.parametrize("n", [63, 264])
 def test_mixing_scale_matches_brute_force_off_powers_of_two(n):
-    # an odd resolution, and one above 256, whose ball tables are built from uint16 node lists
+    # an odd resolution, and one above 256
     grid = sample_scalar(
         VelocityField(kind="alternating_shear", amplitude=1.0),
         InitialDatum("checkerboard", level=2),
@@ -442,18 +441,15 @@ def test_cached_ball_spectrum_equals_a_fresh_transform():
     assert all(ref() is None for ref in dead)
 
 
-@pytest.mark.parametrize("n", [16, 17, 48, 264])
-def test_ball_tables_from_node_lists_equal_the_dense_kernel(n):
-    # the node lists make the dense kernel's float test row by row: the same nodes, in
-    # np.nonzero's row-major order, and so the same spectrum and count, bit for bit
+@pytest.mark.parametrize("n", [16, 17, 48, 264, 1000])
+def test_ball_tables_equal_the_integer_offset_kernel(n):
+    # the ball as _ball_maxima tests it, (d_i^2 + d_j^2) / N^2 <= r^2 on the exact integer squares;
+    # at N = 1000, r = 0.4 / sqrt(2), a test on the rounded squares of d / N differs on 12 nodes
     diagnostics.release_scratch()
     work = diagnostics._workspace(n)
+    s = (np.arange(n) + n // 2) % n - n // 2
     for radius in scan_radii(n) + (0.05, 0.3):
-        kernel = _ball_kernel(n, radius)
-        rows, cols = _ball_nodes(n, radius)
-        assert rows.dtype == cols.dtype == (np.uint16 if n > 256 else np.uint8)
-        expected_rows, expected_cols = np.nonzero(kernel)
-        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols), radius
+        kernel = ((s[:, None] ** 2 + s[None, :] ** 2) / n**2 <= radius * radius).astype(float)
         ball = _ball(work, radius)
         assert np.array_equal(ball.spectrum, np.fft.rfft2(kernel).real), radius
         assert ball.count == kernel.sum(), radius
@@ -492,7 +488,7 @@ def _transient(call, *args):
 
 
 def test_mixed_grid_diagnostics_allocate_nothing_grid_sized():
-    # with the workspace built, building every ball table (from node lists, scattered into the
+    # with the workspace built, building every ball table (each kernel written into the
     # scratch) and the L2 squares each make less than one grid
     n = 256
     grid = sample_scalar(

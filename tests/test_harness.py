@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ergomix import diagnostics, harness, scalar
+from ergomix import diagnostics, harness, lyapunov, scalar
 from ergomix.config import parse_config
 from ergomix.diagnostics import h_minus_one, h_minus_one_floor, log_sobolev
 from ergomix.errors import ConfigError, ErgomixError
-from ergomix.fields import VelocityField
+from ergomix.fields import VelocityField, grad_l1_time_average
 from ergomix.harness import (
     EXPERIMENTS,
     fit_exponential_rate,
@@ -24,7 +24,10 @@ from ergomix.harness import (
     write_json_atomic,
     write_series_csv_atomic,
 )
+from ergomix.lyapunov import ensemble_spectrum, top_exponent_bound_gap
+from ergomix.maps import make_map
 from ergomix.scalar import InitialDatum, sample_scalar, scalar_series
+from ergomix.seeding import child_seed
 
 
 def _config(text):
@@ -201,6 +204,44 @@ amplitude = 40.0
 """
     )
     assert run_lyapunov(config)["pass"]
+
+
+def test_lyapunov_run_evaluates_the_gradient_bound_once(monkeypatch):
+    # the gap is the bound it reports minus the exponent integral, bitwise top_exponent_bound_gap's
+    config = _config(
+        """
+experiment = lyapunov
+seed = 3
+n = 20
+samples = 40
+
+[map]
+kind = time_one_flow
+
+[field]
+kind = alternating_shear
+amplitude = 1.0
+"""
+    )
+    calls = []
+
+    def counting(field):
+        calls.append(field)
+        return grad_l1_time_average(field)
+
+    # both modules that read the bound count: top_exponent_bound_gap reads it in lyapunov
+    monkeypatch.setattr(harness, "grad_l1_time_average", counting)
+    monkeypatch.setattr(lyapunov, "grad_l1_time_average", counting)
+    payload = run_lyapunov(config)
+    assert calls == [config.field]
+    monkeypatch.undo()
+    report = ensemble_spectrum(make_map("time_one_flow", field=config.field), 40, 20, child_seed(3, "lyapunov"))
+    expected = report.to_json_dict()
+    expected["exponent_sum"] = float(np.sum(report.mean_exponents))
+    expected["grad_l1_average"] = grad_l1_time_average(config.field)
+    expected["top_exponent_bound_gap"] = top_exponent_bound_gap(config.field, report)
+    expected["pass"] = True
+    assert list(payload) == list(expected) and payload == expected
 
 
 # --- mixing / regularity experiments ----------------------------------------
